@@ -10,7 +10,6 @@ outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -18,23 +17,36 @@ from pathlib import Path
 import numpy as np
 
 from . import lagrangian
-from .constants import TheoremConstants, compute_R0
+from .constants import TheoremConstants
 from .decay import (
     check_gradient_energy_envelope,
     check_homogeneous_envelope,
-    check_inhomogeneous_envelope,
     envelope_csv,
 )
 from .errors import ConfigError, HypothesisError, SingheatError, SolverError
-from .grid import Field, Grid, read_field_csv, write_field_csv
+from .grid import (
+    Field,
+    Grid,
+    read_field_csv,
+    trapezoid_integral,
+    write_field_csv,
+    write_json,
+)
 from .solver import SimulationConfig, simulate
-from .source import compute_N_infinity, compute_P0, make_source
+from .source import HomogeneousSource, compute_P0, make_source, parse_spec
 from .steady import steady_profile
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
+
+#: worked examples: name -> (nu, default n, source spec, default t_end, mode);
+#: each starts from u0 = 1 with dt = 1e-3 unless overridden
+EXAMPLES = {
+    "ex-2-4": (1.0, 401, f"cosine_static {math.pi / 2}", 8.0, "homogeneous"),
+    "ex-3-3": (10.0, 201, "cosine_decay", 3.0, "inhomogeneous"),
+}
 
 
 def read_config(path) -> dict:
@@ -61,21 +73,19 @@ def _require(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
-def _make_u0(grid: Grid, spec: str) -> Field:
-    parts = spec.split()
-    if parts[0] == "constant":
-        return Field(grid, np.full(grid.n, float(parts[1]) if len(parts) > 1 else 1.0))
-    if parts[0] == "inverse_sine":
-        # 1/(1 + eps sin(pi x)): unit mass to round-off is restored by scaling
-        eps = float(parts[1])
-        vals = 1.0 / (1.0 + eps * np.sin(np.pi * grid.nodes))
-        f = Field(grid, vals)
-        from .grid import trapezoid_integral
+def _normalized(grid: Grid, vals: np.ndarray, mass: float) -> Field:
+    """vals scaled to the given trapezoid mass."""
+    return Field(grid, mass * vals / trapezoid_integral(Field(grid, vals)))
 
-        return Field(grid, vals / trapezoid_integral(f))
-    if parts[0] == "csv":
-        return read_field_csv(parts[1])
-    raise ConfigError(f"unknown u0 spec '{spec}'")
+
+def _make_u0(grid: Grid, spec: str) -> Field:
+    return parse_spec("u0", spec, {
+        "constant": lambda value=1.0: Field(grid, np.full(grid.n, float(value))),
+        # 1/(1 + eps sin(pi x)): unit mass to round-off is restored by scaling
+        "inverse_sine": lambda eps: _normalized(
+            grid, 1.0 / (1.0 + float(eps) * np.sin(np.pi * grid.nodes)), 1.0),
+        "csv": read_field_csv,
+    })
 
 
 def _build_sim_config(cfg: dict, args) -> SimulationConfig:
@@ -98,15 +108,12 @@ def _build_sim_config(cfg: dict, args) -> SimulationConfig:
 
 
 def _write_manifest(out: Path, command: str, config_path) -> None:
-    manifest = {
+    write_json(out / "manifest.json", {
         "command": command,
         "config_path": str(config_path) if config_path else None,
         "output_dir": str(out),
         "seedless": True,
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def cmd_steady(args) -> int:
@@ -121,15 +128,12 @@ def cmd_steady(args) -> int:
     state.to_json(out / "steady.json")
     state.profile_csv(out / "u_infinity.csv")
     # sheet-side constant: h_inf(y_inf(x)) = M/u_inf scaled into 2 pi h form
-    report = {
+    write_json(out / "report.json", {
         "C_nu": state.C_nu,
         "C_infinity": 2 * math.pi * state.C_nu + 1,
         "residual_l2": state.residual_l2,
         "mass_defect": state.mass_defect,
-    }
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    })
     print(f"C_nu = {state.C_nu:.10g}  residual_l2 = {state.residual_l2:.3g}")
     return EXIT_OK
 
@@ -156,8 +160,7 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _run_and_report(sim_cfg: SimulationConfig, out: Path, mode: str,
-                    assert_literal_envelope: bool) -> int:
+def _run_and_report(sim_cfg: SimulationConfig, out: Path, mode: str) -> int:
     record = simulate(sim_cfg)
     if record.failure:
         raise SolverError(f"{record.failure} (t={record.failure_time})")
@@ -168,7 +171,6 @@ def _run_and_report(sim_cfg: SimulationConfig, out: Path, mode: str,
         sim_cfg.u0, sim_cfg.source, sim_cfg.nu, mode=mode
     )
     consts.to_json(out / "constants.json")
-    ok = True
     if mode == "homogeneous":
         report = check_homogeneous_envelope(record, consts)
         report.to_json(out / "decay_report.json")
@@ -181,8 +183,6 @@ def _run_and_report(sim_cfg: SimulationConfig, out: Path, mode: str,
         print(f"envelope_ok={report.envelope_ok} bounds_ok={bounds_ok} "
               f"rate={consts.lambda_hom:.4f}")
     else:
-        literal = check_inhomogeneous_envelope(record, consts, sim_cfg.source)
-        literal.to_json(out / "decay_report.json")
         energy = check_gradient_energy_envelope(record, consts, sim_cfg.source)
         energy.to_json(out / "energy_envelope_report.json")
         bounds_ok = (
@@ -190,12 +190,8 @@ def _run_and_report(sim_cfg: SimulationConfig, out: Path, mode: str,
             and max(record.max_u) <= consts.A_plus + 1e-12
         )
         ok = bounds_ok and energy.envelope_ok
-        if assert_literal_envelope:
-            ok = ok and literal.envelope_ok
-        print(
-            f"bounds_ok={bounds_ok} energy_envelope_ok={energy.envelope_ok} "
-            f"literal_envelope_ok={literal.envelope_ok} B={consts.B:.4f}"
-        )
+        print(f"bounds_ok={bounds_ok} energy_envelope_ok={energy.envelope_ok} "
+              f"B={consts.B:.4f}")
     return EXIT_OK if ok else EXIT_SOLVER
 
 
@@ -206,38 +202,22 @@ def cmd_simulate(args) -> int:
     mode = cfg.get(
         "mode", "inhomogeneous" if sim_cfg.source.time_dependent else "homogeneous"
     )
-    return _run_and_report(sim_cfg, out, mode, assert_literal_envelope=False)
+    return _run_and_report(sim_cfg, out, mode)
 
 
 def cmd_example(args) -> int:
     out = _prepare_out(args, f"example-{args.name}")
-    if args.name == "ex-2-4":
-        n = args.n or 401
-        grid = Grid(n)
-        sim_cfg = SimulationConfig(
-            nu=1.0,
-            grid=grid,
-            u0=Field(grid, np.ones(n)),
-            source=make_source(grid, f"cosine_static {math.pi / 2}"),
-            dt=args.dt or 1e-3,
-            t_end=args.t_end or 8.0,
-        )
-        return _run_and_report(sim_cfg, out, "homogeneous",
-                               assert_literal_envelope=True)
-    if args.name == "ex-3-3":
-        n = args.n or 201
-        grid = Grid(n)
-        sim_cfg = SimulationConfig(
-            nu=10.0,
-            grid=grid,
-            u0=Field(grid, np.ones(n)),
-            source=make_source(grid, "cosine_decay"),
-            dt=args.dt or 1e-3,
-            t_end=args.t_end or 3.0,
-        )
-        return _run_and_report(sim_cfg, out, "inhomogeneous",
-                               assert_literal_envelope=False)
-    raise ConfigError(f"unknown example '{args.name}'")
+    nu, n, source, t_end, mode = EXAMPLES[args.name]
+    grid = Grid(args.n or n)
+    sim_cfg = SimulationConfig(
+        nu=nu,
+        grid=grid,
+        u0=Field(grid, np.ones(grid.n)),
+        source=make_source(grid, source),
+        dt=args.dt or 1e-3,
+        t_end=args.t_end or t_end,
+    )
+    return _run_and_report(sim_cfg, out, mode)
 
 
 def cmd_transform(args) -> int:
@@ -251,43 +231,26 @@ def cmd_transform(args) -> int:
     v0 = _sheet_velocity(grid, cfg.get("v0", "zero"))
     f0 = lagrangian.source_from_sheet(h0, v0, M, nu)
     write_field_csv(out / "f0.csv", f0, header=("x", "f0"))
-    print(f"P0 = {compute_P0_from_field(f0):.6g}")
+    print(f"P0 = {compute_P0(HomogeneousSource(f0)):.6g}")
     return EXIT_OK
 
 
-def compute_P0_from_field(f0: Field) -> float:
-    from .grid import antiderivative, l2_norm
-
-    return l2_norm(antiderivative(f0))
-
-
 def _sheet_profile(grid: Grid, spec: str, M: float) -> Field:
-    parts = spec.split()
-    if parts[0] == "constant":
-        return Field(grid, np.full(grid.n, float(parts[1]) if len(parts) > 1 else M))
-    if parts[0] == "cosine_bump":
+    return parse_spec("h0", spec, {
+        "constant": lambda value=M: Field(grid, np.full(grid.n, float(value))),
         # M (1 + eps cos(pi y)) / (1 + eps * mean correction): unit-interval mass M
-        eps = float(parts[1])
-        vals = 1.0 + eps * np.cos(np.pi * grid.nodes)
-        from .grid import trapezoid_integral
-
-        f = Field(grid, vals)
-        return Field(grid, M * vals / trapezoid_integral(f))
-    if parts[0] == "csv":
-        return read_field_csv(parts[1])
-    raise ConfigError(f"unknown h0 spec '{spec}'")
+        "cosine_bump": lambda eps: _normalized(
+            grid, 1.0 + float(eps) * np.cos(np.pi * grid.nodes), M),
+        "csv": read_field_csv,
+    })
 
 
 def _sheet_velocity(grid: Grid, spec: str) -> Field:
-    parts = spec.split()
-    if parts[0] == "zero":
-        return Field(grid, np.zeros(grid.n))
-    if parts[0] == "sine":
-        amp = float(parts[1]) if len(parts) > 1 else 0.5
-        return Field(grid, amp * np.sin(np.pi * grid.nodes))
-    if parts[0] == "csv":
-        return read_field_csv(parts[1])
-    raise ConfigError(f"unknown v0 spec '{spec}'")
+    return parse_spec("v0", spec, {
+        "zero": lambda: Field(grid, np.zeros(grid.n)),
+        "sine": lambda amp=0.5: Field(grid, float(amp) * np.sin(np.pi * grid.nodes)),
+        "csv": read_field_csv,
+    })
 
 
 def cmd_ssm_crosscheck(args) -> int:
@@ -303,8 +266,6 @@ def cmd_ssm_crosscheck(args) -> int:
     dt_ssm = args.dt or float(cfg.get("dt_ssm", 2e-3))
 
     f0 = lagrangian.source_from_sheet(h0, v0, M, nu)
-    from .source import HomogeneousSource
-
     lmap = lagrangian.initial_map(h0, M)
     sim_cfg = SimulationConfig(
         nu=nu, grid=grid, u0=lmap.u, source=HomogeneousSource(f0),
@@ -322,9 +283,7 @@ def cmd_ssm_crosscheck(args) -> int:
     states = lagrangian.solve_ssm(initial, dt=dt_ssm, t_end=t_check)
     mismatch = lagrangian.crosscheck_heights(states[-1], u_final, u_t, M)
     states[-1].to_csv(out / "sheet_final.csv")
-    with open(out / "crosscheck.json", "w") as fh:
-        json.dump({"t": t_check, "max_rel_error_h": mismatch}, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "crosscheck.json", {"t": t_check, "max_rel_error_h": mismatch})
     print(f"max relative height mismatch at t={t_check}: {mismatch:.4f}")
     return EXIT_OK if mismatch <= float(cfg.get("tolerance", 0.02)) else EXIT_SOLVER
 
@@ -343,41 +302,26 @@ def build_parser() -> argparse.ArgumentParser:
         "convergence constants, simulations, and the thin-sheet transform.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, config_required=True):
-        if config_required:
-            sp.add_argument("--config", required=True, help="key = value config file")
-        else:
-            sp.add_argument("--config", default=None)
+    commands = (
+        # name, handler, whether --config is required, help
+        ("steady", cmd_steady, True, "closed-form steady state and constants"),
+        ("constants", cmd_constants, True, "theorem constants and hypotheses"),
+        ("simulate", cmd_simulate, True, "time integration with diagnostics"),
+        ("example", cmd_example, False, "one-command reproduction of a worked example"),
+        ("transform", cmd_transform, True, "sheet data to forcing profile"),
+        ("ssm-crosscheck", cmd_ssm_crosscheck, False, "direct sheet solve vs transform"),
+    )
+    for name, fn, config_required, help_text in commands:
+        sp = sub.add_parser(name, help=help_text)
+        if fn is cmd_example:
+            sp.add_argument("name", choices=list(EXAMPLES))
+        sp.add_argument("--config", required=config_required,
+                        help="key = value config file")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--n", type=int, default=None, help="grid node count")
         sp.add_argument("--dt", type=float, default=None, help="time step")
         sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-
-    sp = sub.add_parser("steady", help="closed-form steady state and constants")
-    common(sp)
-    sp.set_defaults(fn=cmd_steady)
-
-    sp = sub.add_parser("constants", help="theorem constants and hypotheses")
-    common(sp)
-    sp.set_defaults(fn=cmd_constants)
-
-    sp = sub.add_parser("simulate", help="time integration with diagnostics")
-    common(sp)
-    sp.set_defaults(fn=cmd_simulate)
-
-    sp = sub.add_parser("example", help="one-command reproduction of a worked example")
-    sp.add_argument("name", choices=["ex-2-4", "ex-3-3"])
-    common(sp, config_required=False)
-    sp.set_defaults(fn=cmd_example)
-
-    sp = sub.add_parser("transform", help="sheet data to forcing profile")
-    common(sp)
-    sp.set_defaults(fn=cmd_transform)
-
-    sp = sub.add_parser("ssm-crosscheck", help="direct sheet solve vs transform")
-    common(sp, config_required=False)
-    sp.set_defaults(fn=cmd_ssm_crosscheck)
+        sp.set_defaults(fn=fn)
     return p
 
 

@@ -9,14 +9,13 @@ C = nu^{-1/2} (A-^{-2} + A+^{-2}).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import HypothesisError
-from .grid import Field, derivative, l2_norm
+from .grid import Field, derivative, l2_norm, write_json
 from .source import SourceTerm, compute_N_infinity, compute_P0
 
 
@@ -29,11 +28,14 @@ def compute_R0(u0: Field) -> float:
 
 def compute_nu_plus(R0: float, P0: float, N_inf: float) -> float:
     """Viscosity threshold of the inhomogeneous theorem."""
+    if not (R0 >= 0 and P0 >= 0 and N_inf >= 0):
+        raise ValueError(
+            f"R0, P0 and N_inf must be nonnegative, got {R0}, {P0}, {N_inf}"
+        )
     if R0 >= 1:
         raise HypothesisError(f"R0={R0} must be below 1")
+    # nonnegative: (2N + P(1+R))^2 >= (2N)^2 >= N^2 (1 - R^2) for R in [0, 1)
     disc = (2 * N_inf + P0 * (1 + R0)) ** 2 - N_inf**2 * (1 - R0**2)
-    # (2N + P(1+R))^2 >= (2N)^2 >= N^2 (1 - R^2) for R in [0, 1)
-    assert disc >= 0
     return (2 * N_inf + (1 + R0) * P0 + math.sqrt(disc)) / (1 - R0**2)
 
 
@@ -134,21 +136,9 @@ class TheoremConstants:
         return lo, hi
 
     def as_dict(self) -> dict:
-        return {
-            "R0": self.R0,
-            "P0": self.P0,
-            "N_infinity": self.N_infinity,
-            "nu": self.nu,
-            "nu_plus": self.nu_plus,
-            "A_minus": self.A_minus,
-            "A_plus": self.A_plus,
-            "lambda_hom": self.lambda_hom,
-            "B": self.B,
-            "C_big": self.C_big,
-            "hypotheses": {"hom": self.hom_ok, "inhom": self.inhom_ok},
-        }
+        data = asdict(self)
+        hypotheses = {"hom": data.pop("hom_ok"), "inhom": data.pop("inhom_ok")}
+        return {**data, "hypotheses": hypotheses}
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, default=float)
-            fh.write("\n")
+        write_json(path, self.as_dict())

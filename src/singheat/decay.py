@@ -9,14 +9,13 @@ with a 5% tolerance absorbing discretization bias.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import HypothesisError, SolverError
 from .constants import TheoremConstants
-from .grid import Field, h1_norm, l2_norm
+from .grid import h1_norm, l2_norm, write_csv, write_json
 from .solver import SimulationRecord
 from .source import SourceTerm
 
@@ -35,20 +34,10 @@ class DecayReport:
     floor: float
 
     def as_dict(self) -> dict:
-        return {
-            "fitted_rate": self.fitted_rate,
-            "fitted_prefactor": self.fitted_prefactor,
-            "theory_rate": self.theory_rate,
-            "envelope_ok": self.envelope_ok,
-            "envelope_margin": self.envelope_margin,
-            "fit_window": list(self.fit_window),
-            "floor": self.floor,
-        }
+        return {**asdict(self), "fit_window": list(self.fit_window)}
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, default=float)
-            fh.write("\n")
+        write_json(path, self.as_dict())
 
 
 def fit_rate(times, errors, floor: float = DEFAULT_FLOOR):
@@ -136,14 +125,8 @@ def check_inhomogeneous_envelope(record: SimulationRecord,
     The inequality the energy argument yields is
     `check_gradient_energy_envelope`.
     """
-    if not consts.inhom_ok:
-        raise HypothesisError("inhomogeneous theorem hypotheses do not hold")
-    times = np.asarray(record.times)
-    err = np.asarray(record.h1_error_inverse)
-    gap_sq = _forcing_gap_sq(record, src)
-    weighted = _exp_weighted_cumulative(times, gap_sq, consts.B)
-    bound = np.exp(-consts.B * times) * err[0] + consts.C_big * weighted
-    return _envelope_report(times, err, bound, consts.B, floor)
+    return _forced_envelope(record, consts, src, record.h1_error_inverse,
+                            consts.C_big, floor)
 
 
 def check_gradient_energy_envelope(record: SimulationRecord,
@@ -156,15 +139,21 @@ def check_gradient_energy_envelope(record: SimulationRecord,
     q - q_inf) is bounded by e^{-Bt} [initial value + integral of
     (A-^{-2} + A+^{-2}) ||f - f_inf||_2^2 e^{Bs} ds].
     """
+    return _forced_envelope(record, consts, src,
+                            2.0 * np.asarray(record.relative_energy),
+                            1 / consts.A_minus**2 + 1 / consts.A_plus**2, floor)
+
+
+def _forced_envelope(record, consts, src, observed, coeff, floor):
+    """observed against e^{-Bt} observed[0] + coeff * (weighted forcing gap)."""
     if not consts.inhom_ok:
         raise HypothesisError("inhomogeneous theorem hypotheses do not hold")
     times = np.asarray(record.times)
-    wx_sq = 2.0 * np.asarray(record.relative_energy)
+    observed = np.asarray(observed)
     gap_sq = _forcing_gap_sq(record, src)
-    d_coeff = 1 / consts.A_minus**2 + 1 / consts.A_plus**2
     weighted = _exp_weighted_cumulative(times, gap_sq, consts.B)
-    bound = np.exp(-consts.B * times) * wx_sq[0] + d_coeff * weighted
-    return _envelope_report(times, wx_sq, bound, consts.B, floor)
+    bound = np.exp(-consts.B * times) * observed[0] + coeff * weighted
+    return _envelope_report(times, observed, bound, consts.B, floor)
 
 
 def _exp_weighted_cumulative(times, gap_sq, B):
@@ -209,7 +198,4 @@ def check_direct_convergence(record: SimulationRecord,
 
 
 def envelope_csv(path, times, bound, observed) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,bound,observed\n")
-        for t, b, o in zip(times, bound, observed):
-            fh.write(f"{t:.17g},{b:.17g},{o:.17g}\n")
+    write_csv(path, ("t", "bound", "observed"), (times, bound, observed))

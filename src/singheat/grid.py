@@ -7,6 +7,7 @@ fix the discrete conservation structure of the whole package.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,14 +49,6 @@ class Field:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, fn(grid.nodes))
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "Field":
-        return cls(grid, np.full(grid.n, float(value)))
 
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)
@@ -106,11 +99,26 @@ def h1_norm(g: Field) -> float:
     return float(np.sqrt(trapezoid_integral(g * g) + trapezoid_integral(gx * gx)))
 
 
-def write_field_csv(path, g: Field, header=("x", "value")) -> None:
+def write_csv(path, header, columns) -> None:
+    """Header line, then one row per sample with every value as %.17g.
+
+    17 significant digits round-trip a float64 exactly.
+    """
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for x, v in zip(g.grid.nodes, g.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")
+        fh.writelines(row.format(*values) for values in zip(*columns))
+
+
+def write_json(path, data) -> None:
+    """Two-space-indented JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, default=float)
+        fh.write("\n")
+
+
+def write_field_csv(path, g: Field, header=("x", "value")) -> None:
+    write_csv(path, header, (g.grid.nodes, g.values))
 
 
 def read_field_csv(path) -> Field:

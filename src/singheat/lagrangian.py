@@ -10,15 +10,21 @@ at the percent level.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 
 from .errors import ConfigError, SolverError
-from .grid import Field, Grid, antiderivative, derivative, trapezoid_integral
+from .grid import (
+    Field,
+    Grid,
+    antiderivative,
+    derivative,
+    trapezoid_integral,
+    write_csv,
+)
+from .solver import rhs, tridiag_solve
 from .source import project_mean_zero
 from .steady import SteadyState
 
@@ -42,10 +48,8 @@ class SheetState:
         return trapezoid_integral(self.h)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("y,h,v\n")
-            for y, h, v in zip(self.grid.nodes, self.h.values, self.v.values):
-                fh.write(f"{y:.17g},{h:.17g},{v:.17g}\n")
+        write_csv(path, ("y", "h", "v"),
+                  (self.grid.nodes, self.h.values, self.v.values))
 
 
 @dataclass(frozen=True)
@@ -144,25 +148,15 @@ def limit_sheet(steady: SteadyState, M: float) -> SheetView:
     """Limit map and height profile of the sheet (velocity zero)."""
     u_inf = steady.u_infinity
     view = sheet_from_u(u_inf, u_inf.with_values(np.zeros(u_inf.grid.n)), M)
-    y = view.y_of_x.values.copy()
-    assert abs(y[-1] - 1.0) <= 1e-10
+    y_end = view.y_of_x.values[-1]
+    if not abs(y_end - 1.0) <= 1e-10:
+        raise ValueError(f"limit map endpoint y(1)={y_end!r}: u_inf must have unit mass")
     return view
 
 
 def pde_time_derivative(u: Field, f: Field, nu: float) -> Field:
     """u_t from the spatial operator, on the solver's flux stencil."""
-    from .solver import _rhs
-
-    return u.with_values(_rhs(u.values, f.values, nu, u.grid.dx))
-
-
-def _tridiag_solve(lower, diag, upper, rhs):
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    return u.with_values(rhs(u.values, f.values, nu, u.grid.dx))
 
 
 def solve_ssm(initial: SheetState, dt: float, t_end: float,
@@ -242,7 +236,7 @@ def solve_ssm(initial: SheetState, dt: float, t_end: float,
             lower[1:-1] = -c[1:-1] * hc_new[:-1]
             upper[1:-1] = -c[1:-1] * hc_new[1:]
             diag[1:-1] = 1.0 + c[1:-1] * (hc_new[:-1] + hc_new[1:])
-            v = _tridiag_solve(lower, diag, upper, v_star)
+            v = tridiag_solve(lower, diag, upper, v_star)
             v[0] = v[-1] = 0.0
 
             hc = hc_new

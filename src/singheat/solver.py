@@ -28,6 +28,7 @@ from .grid import (
     h1_norm,
     l2_norm,
     trapezoid_integral,
+    write_csv,
 )
 from .source import SourceTerm
 from .steady import SteadyState, steady_profile
@@ -56,6 +57,13 @@ class SimulationConfig:
             raise ValueError(f"u0 must have unit mass, got {mass!r}")
 
 
+#: diagnostics.csv columns, in file order; "t" is stored as `times`
+DIAGNOSTIC_COLUMNS = (
+    "t", "mass", "energy", "relative_energy", "h1_error_inverse", "qx_l2",
+    "min_u", "max_u", "newton_iters",
+)
+
+
 @dataclass
 class SimulationRecord:
     """Snapshots plus per-step diagnostics of one run."""
@@ -76,20 +84,13 @@ class SimulationRecord:
     failure: str | None = None
     failure_time: float | None = None
 
+    def columns(self) -> list:
+        """The per-step series, in DIAGNOSTIC_COLUMNS order."""
+        return [self.times if c == "t" else getattr(self, c)
+                for c in DIAGNOSTIC_COLUMNS]
+
     def diagnostics_csv(self, path) -> None:
-        cols = (
-            "t,mass,energy,relative_energy,h1_error_inverse,qx_l2,"
-            "min_u,max_u,newton_iters"
-        )
-        with open(path, "w") as fh:
-            fh.write(cols + "\n")
-            for row in zip(
-                self.times, self.mass, self.energy, self.relative_energy,
-                self.h1_error_inverse, self.qx_l2, self.min_u, self.max_u,
-                self.newton_iters,
-            ):
-                fh.write(",".join(f"{v:.17g}" for v in row[:-1]))
-                fh.write(f",{row[-1]}\n")
+        write_csv(path, DIAGNOSTIC_COLUMNS, self.columns())
 
 
 def _fluxes(u: np.ndarray, dx: float) -> np.ndarray:
@@ -97,7 +98,7 @@ def _fluxes(u: np.ndarray, dx: float) -> np.ndarray:
     return (u[1:] - u[:-1]) / (dx * mid**2)
 
 
-def _rhs(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> np.ndarray:
+def rhs(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> np.ndarray:
     """nu * flux divergence + f on half-width boundary control volumes."""
     flux = _fluxes(u, dx)
     out = np.empty_like(u)
@@ -107,8 +108,8 @@ def _rhs(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> np.ndarray:
     return out + f
 
 
-def _jacobian_bands(u: np.ndarray, nu: float, dx: float, dt: float) -> np.ndarray:
-    """Banded (ab) matrix of I - dt * d(rhs)/du for solve_banded."""
+def _jacobian_bands(u: np.ndarray, nu: float, dx: float, dt: float):
+    """Bands (lower, diag, upper) of I - dt * d(rhs)/du, as tridiag_solve takes."""
     n = len(u)
     mid = 0.5 * (u[:-1] + u[1:])
     a = 1.0 / mid**2
@@ -126,11 +127,19 @@ def _jacobian_bands(u: np.ndarray, nu: float, dx: float, dt: float) -> np.ndarra
     diag[0] = nu * dF_left[0] / w[0]
     diag[-1] = -nu * dF_right[-1] / w[-1]
     diag[1:-1] = nu * (dF_left[1:] - dF_right[:-1]) / w[1:-1]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -dt * upper[:-1]
-    ab[1, :] = 1.0 - dt * diag
-    ab[2, :-1] = -dt * lower[1:]
-    return ab
+    return -dt * lower, 1.0 - dt * diag, -dt * upper
+
+
+def tridiag_solve(lower, diag, upper, b):
+    """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = b[i].
+
+    lower[0] and upper[-1] lie outside the matrix and are ignored.
+    """
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = upper[:-1]
+    ab[1, :] = diag
+    ab[2, :-1] = lower[1:]
+    return solve_banded((1, 1), ab, b)
 
 
 def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
@@ -144,7 +153,7 @@ def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
     v = un.copy()
 
     def residual(w):
-        return w - un - cfg.dt * _rhs(w, f, cfg.nu, dx)
+        return w - un - cfg.dt * rhs(w, f, cfg.nu, dx)
 
     res = residual(v)
     res_norm = float(np.max(np.abs(res)))
@@ -159,8 +168,7 @@ def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
             raise SolverError(
                 f"Newton stalled at t={t + cfg.dt:.6g} with residual {res_norm:.3g}"
             )
-        ab = _jacobian_bands(v, cfg.nu, dx, cfg.dt)
-        dv = solve_banded((1, 1), ab, -res)
+        dv = tridiag_solve(*_jacobian_bands(v, cfg.nu, dx, cfg.dt), -res)
         lam = 1.0
         for _ in range(10):
             trial = v + lam * dv
@@ -218,15 +226,9 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
 
     def record(u, t, iters):
         d = diagnostics(u, t, cfg, steady)
-        rec.times.append(t)
-        rec.mass.append(d["mass"])
-        rec.energy.append(d["energy"])
-        rec.relative_energy.append(d["relative_energy"])
-        rec.h1_error_inverse.append(d["h1_error_inverse"])
-        rec.qx_l2.append(d["qx_l2"])
-        rec.min_u.append(d["min_u"])
-        rec.max_u.append(d["max_u"])
-        rec.newton_iters.append(iters)
+        d["newton_iters"] = iters
+        for name, series in zip(DIAGNOSTIC_COLUMNS, rec.columns()):
+            series.append(d[name])
 
     u = cfg.u0
     record(u, 0.0, 0)

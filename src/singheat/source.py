@@ -9,6 +9,7 @@ data constants entering the convergence theorems.
 
 from __future__ import annotations
 
+import inspect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -205,16 +206,20 @@ class TabulatedSource(SourceTerm):
         self._table = np.stack([f.values for f in fields])
         self.breakpoints = tuple(times[1:-1])
 
+    def _interval(self, t: float):
+        """t clamped into the table, and the k with times[k] <= t <= times[k+1]."""
+        t = min(max(t, self.times[0]), self.times[-1])
+        k = np.searchsorted(self.times, t, side="right") - 1
+        return t, min(k, len(self.times) - 2)
+
     def _raw(self, t: float) -> np.ndarray:
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
             raise ConfigError(
                 f"t={t} outside tabulated range [{self.times[0]}, {self.times[-1]}]"
             )
-        t = min(max(t, self.times[0]), self.times[-1])
-        k = np.searchsorted(self.times, t, side="right") - 1
-        k = min(k, len(self.times) - 2) if len(self.times) > 1 else 0
         if len(self.times) == 1:
             return self._table[0]
+        t, k = self._interval(t)
         w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
         return (1 - w) * self._table[k] + w * self._table[k + 1]
 
@@ -224,9 +229,7 @@ class TabulatedSource(SourceTerm):
     def dfdt(self, t: float) -> np.ndarray:
         if len(self.times) < 2:
             raise ConfigError("tabulated source has no time resolution")
-        t = min(max(t, self.times[0]), self.times[-1])
-        k = np.searchsorted(self.times, t, side="right") - 1
-        k = min(k, len(self.times) - 2)
+        _, k = self._interval(t)
         dt = self.times[k + 1] - self.times[k]
         return (self._table[k + 1] - self._table[k]) / dt
 
@@ -319,32 +322,49 @@ def compute_functionals(
     )
 
 
+def parse_spec(slot: str, spec: str, builders: dict):
+    """Build the object a `NAME ARG...` config spec names.
+
+    `builders` maps each name the slot accepts to a callable taking the
+    words after the name as strings; its signature fixes how many words it
+    takes.  Every malformed spec (empty, unknown name, wrong word count, a
+    word the builder rejects with ValueError or OSError) raises ConfigError
+    naming the slot.
+    """
+    words = spec.split()
+    if not words:
+        raise ConfigError(f"empty {slot} spec")
+    name, args = words[0], words[1:]
+    if name not in builders:
+        raise ConfigError(
+            f"unknown {slot} spec '{spec}' (expected one of: {', '.join(builders)})"
+        )
+    build = builders[name]
+    try:
+        inspect.signature(build).bind(*args)
+    except TypeError:
+        raise ConfigError(
+            f"{slot} spec '{spec}': wrong number of arguments for '{name}'"
+        ) from None
+    try:
+        return build(*args)
+    except (ValueError, OSError) as err:
+        raise ConfigError(f"{slot} spec '{spec}': {err}") from err
+
+
 def make_source(grid: Grid, spec: str) -> SourceTerm:
     """Build a named analytic source from a config string.
 
     Recognized forms: "zero", "cosine_static AMPLITUDE", "cosine_decay",
-    "cosine_exp RATE", "csv PATH" (tabulated, columns t, x, f).
+    "cosine_exp [RATE]" (default 1), "csv PATH" (tabulated, columns t, x, f).
     """
-    parts = spec.split()
-    if not parts:
-        raise ConfigError("empty source spec")
-    name, args = parts[0], parts[1:]
-    if name == "zero":
-        return HomogeneousSource(Field(grid, np.zeros(grid.n)))
-    if name == "cosine_static":
-        if len(args) != 1:
-            raise ConfigError("cosine_static needs exactly one amplitude")
-        return CosineStaticSource(grid, float(args[0]))
-    if name == "cosine_decay":
-        return CosineDecaySource(grid)
-    if name == "cosine_exp":
-        rate = float(args[0]) if args else 1.0
-        return CosineExpSource(grid, rate)
-    if name == "csv":
-        if len(args) != 1:
-            raise ConfigError("csv source needs a path")
-        return load_tabulated_csv(grid, args[0])
-    raise ConfigError(f"unknown source '{name}'")
+    return parse_spec("source", spec, {
+        "zero": lambda: HomogeneousSource(Field(grid, np.zeros(grid.n))),
+        "cosine_static": lambda amplitude: CosineStaticSource(grid, float(amplitude)),
+        "cosine_decay": lambda: CosineDecaySource(grid),
+        "cosine_exp": lambda rate=1.0: CosineExpSource(grid, float(rate)),
+        "csv": lambda path: load_tabulated_csv(grid, path),
+    })
 
 
 def load_tabulated_csv(grid: Grid, path) -> TabulatedSource:

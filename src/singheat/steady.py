@@ -9,7 +9,6 @@ form, never by time-integrating the PDE.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .grid import (
     l2_norm,
     trapezoid_integral,
     write_field_csv,
+    write_json,
 )
 from .source import SourceTerm
 
@@ -47,18 +47,12 @@ class SteadyState:
         )
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "C_nu": self.C_nu,
-                    "nu": self.nu,
-                    "residual_l2": self.residual_l2,
-                    "mass_defect": self.mass_defect,
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        write_json(path, {
+            "C_nu": self.C_nu,
+            "nu": self.nu,
+            "residual_l2": self.residual_l2,
+            "mass_defect": self.mass_defect,
+        })
 
     def profile_csv(self, path) -> None:
         write_field_csv(path, self.u_infinity, header=("x", "u_infinity"))
@@ -110,7 +104,8 @@ def solve_cnu(F2: Field, nu: float) -> float:
         if abs(g_mid - target) <= _CNU_TOL:
             return mid
         # G is strictly decreasing in C on the bracket
-        assert g_mid < g_lo + 1e-15
+        if not g_mid < g_lo + 1e-15:
+            raise NoRootError(f"mass integral increases on the bracket at C={mid!r}")
         if g_mid > target:
             lo, g_lo = mid, g_mid
         else:

@@ -118,7 +118,25 @@ class TestExamples:
         code = run(["example", "ex-3-3", "--out", str(out), "--n", "101",
                     "--t-end", "1"])
         assert code == 0
-        assert (out / "energy_envelope_report.json").exists()
+        # the run's one envelope report agrees with its exit code
+        assert not (out / "decay_report.json").exists()
+        energy = json.loads((out / "energy_envelope_report.json").read_text())
+        assert energy["envelope_ok"] is True
+
+
+@pytest.mark.parametrize("line", [
+    "u0 =", "u0 = inverse_sine", "u0 = constant abc", "h0 = cosine_bump",
+    "h0 = csv", "v0 =", "source = bogus",
+])
+def test_malformed_spec_is_config_error(tmp_path, capsys, line):
+    slot = line.split("=")[0].strip()
+    if slot in ("h0", "v0"):
+        command, base = "transform", "nu = 1\nn = 51\n"
+    else:
+        command, base = "simulate", "source = zero\nnu = 1\nn = 51\n"
+    cfg = write_config(tmp_path, base + line + "\n")
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert f"{slot} spec" in capsys.readouterr().err
 
 
 class TestTransform:

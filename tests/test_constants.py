@@ -66,6 +66,13 @@ class TestNuPlus:
         with pytest.raises(HypothesisError):
             compute_nu_plus(1.0, 0.1, 0.1)
 
+    @pytest.mark.parametrize("data", [(0.0, -2.0, 1.0), (-0.1, 0.0, 0.0),
+                                      (0.0, 0.0, -1.0), (0.0, float("nan"), 0.0)])
+    def test_rejects_negative_data(self, data):
+        # an explicit check, so it also holds under python -O
+        with pytest.raises(ValueError, match="nonnegative"):
+            compute_nu_plus(*data)
+
 
 class TestABounds:
     def test_zero_data_is_unity(self):

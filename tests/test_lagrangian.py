@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,6 +175,13 @@ class TestLimitSheet:
         view = limit_sheet(ss, 4.0)
         assert np.max(np.abs(view.h_on_map.values - 4.0)) < 1e-12
         assert np.max(np.abs(view.y_of_x.values - g.nodes)) < 1e-12
+
+    def test_profile_without_unit_mass_rejected(self):
+        g = Grid(101)
+        ss = steady_profile(make_source(g, "zero"), 1.0, which="initial")
+        doubled = replace(ss, u_infinity=ss.u_infinity * 2.0)
+        with pytest.raises(ValueError, match="unit mass"):
+            limit_sheet(doubled, 1.0)
 
     def test_map_derivative_consistency(self):
         g = Grid(801)

@@ -80,6 +80,18 @@ class TestSolveCnu:
         cs = [solve_cnu(F2, nu) for nu in (0.5, 1.0, 2.0, 4.0)]
         assert np.all(np.diff(cs) > 0)
 
+    def test_increasing_mass_integral_raises(self, monkeypatch):
+        # G(C) must decrease on the bracket; a G that rises between the
+        # bracket ends is reported, not asserted away under python -O
+        import singheat.steady as steady
+
+        def rising_in_middle(F2, c):
+            return 10.0 if c < 0.01 else (11.0 if c < 1.0 else 0.0)
+
+        monkeypatch.setattr(steady, "_mass_integral", rising_in_middle)
+        with pytest.raises(NoRootError, match="increases"):
+            solve_cnu(Field(Grid(11), np.zeros(11)), 1.0)
+
     def test_rejects_nonpositive_nu(self):
         g = Grid(11)
         with pytest.raises(ValueError):
