@@ -1,9 +1,10 @@
 """Hash every deterministic artifact the singheat CLI writes.
 
-Runs a fixed set of CLI commands, each from a fixed config, into a temporary
-directory and prints one `sha256  relative/path` line per output file, sorted
-by path.  `manifest.json` holds the output path and is skipped.  Comparing the
-output of two checkouts shows which artifacts a change altered:
+Runs a fixed set of CLI commands, each from a fixed config (two of them also
+read a fixed CSV data file), into a temporary directory and prints one
+`sha256  relative/path` line per output file, sorted by path.
+`manifest.json` holds the output path and is skipped.  Comparing the output
+of two checkouts shows which artifacts a change altered:
 
     python3 scripts/artifact_hashes.py > after.txt
     diff before.txt after.txt
@@ -26,6 +27,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from singheat import cli  # noqa: E402
 
+
+def _csv(header, rows) -> str:
+    return header + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                   for row in rows)
+
+
+_X = [k / 50 for k in range(51)]
+_U0 = [1.0 / (1.0 + 0.1 * math.sin(math.pi * x)) for x in _X]
+_U0_MASS = sum((a + b) / 2 for a, b in zip(_U0[:-1], _U0[1:])) / 50
+
+#: data files written next to the configs; "{data}" in a config is their directory
+DATA = {
+    # tabulated forcing (t, x, f), decaying linearly to zero at t = 2
+    "source.csv": _csv("t,x,f", ((t, x, (1 - t / 2) * 0.5 * math.cos(math.pi * x))
+                                 for t in (0.0, 1.0, 2.0) for x in _X)),
+    "u0.csv": _csv("x,u", ((x, u / _U0_MASS) for x, u in zip(_X, _U0))),
+}
+
 #: (output directory, config text or None, CLI arguments before --config/--out)
 RUNS = (
     ("example-ex-2-4", None, ["example", "ex-2-4"]),
@@ -37,6 +56,11 @@ RUNS = (
      ["simulate"]),
     ("simulate-inhomogeneous", "source = cosine_exp 1.5\nnu = 10\nn = 101\n",
      ["simulate"]),
+    ("simulate-tabulated-source",
+     "source = csv {data}/source.csv\nnu = 30\nn = 51\nt_end = 2\n", ["simulate"]),
+    ("simulate-csv-u0",
+     "source = cosine_static 0.3\nnu = 1\nn = 51\nu0 = csv {data}/u0.csv\n",
+     ["simulate"]),
     ("transform", "nu = 1\nM = 1\nh0 = cosine_bump 0.2\nv0 = sine 0.5\nn = 401\n",
      ["transform"]),
     ("ssm-crosscheck", "nu = 1\nM = 1\nh0 = cosine_bump 0.1\nv0 = sine 0.5\nn = 201\n",
@@ -47,11 +71,13 @@ RUNS = (
 def run_all(root: Path) -> None:
     configs = root / "configs"
     configs.mkdir()
+    for name, text in DATA.items():
+        (configs / name).write_text(text)
     for name, text, argv in RUNS:
         argv = [*argv, "--out", str(root / "out" / name)]
         if text is not None:
             path = configs / f"{name}.txt"
-            path.write_text(text)
+            path.write_text(text.format(data=configs))
             argv += ["--config", str(path)]
         with contextlib.redirect_stdout(sys.stderr):
             code = cli.main(argv)

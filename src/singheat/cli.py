@@ -84,7 +84,7 @@ def _make_u0(grid: Grid, spec: str) -> Field:
         # 1/(1 + eps sin(pi x)): unit mass to round-off is restored by scaling
         "inverse_sine": lambda eps: _normalized(
             grid, 1.0 / (1.0 + float(eps) * np.sin(np.pi * grid.nodes)), 1.0),
-        "csv": read_field_csv,
+        "csv": lambda path: read_field_csv(path, grid),
     })
 
 
@@ -206,6 +206,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_example(args) -> int:
+    if args.config:
+        raise ConfigError("example runs its built-in data and takes no --config")
     out = _prepare_out(args, f"example-{args.name}")
     nu, n, source, t_end, mode = EXAMPLES[args.name]
     grid = Grid(args.n or n)
@@ -241,7 +243,7 @@ def _sheet_profile(grid: Grid, spec: str, M: float) -> Field:
         # M (1 + eps cos(pi y)) / (1 + eps * mean correction): unit-interval mass M
         "cosine_bump": lambda eps: _normalized(
             grid, 1.0 + float(eps) * np.cos(np.pi * grid.nodes), M),
-        "csv": read_field_csv,
+        "csv": lambda path: read_field_csv(path, grid),
     })
 
 
@@ -249,7 +251,7 @@ def _sheet_velocity(grid: Grid, spec: str) -> Field:
     return parse_spec("v0", spec, {
         "zero": lambda: Field(grid, np.zeros(grid.n)),
         "sine": lambda amp=0.5: Field(grid, float(amp) * np.sin(np.pi * grid.nodes)),
-        "csv": read_field_csv,
+        "csv": lambda path: read_field_csv(path, grid),
     })
 
 
@@ -313,10 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, fn, config_required, help_text in commands:
         sp = sub.add_parser(name, help=help_text)
+        config_help = "key = value config file"
         if fn is cmd_example:
             sp.add_argument("name", choices=list(EXAMPLES))
-        sp.add_argument("--config", required=config_required,
-                        help="key = value config file")
+            config_help = argparse.SUPPRESS  # parsed only to be rejected
+        sp.add_argument("--config", required=config_required, help=config_help)
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--n", type=int, default=None, help="grid node count")
         sp.add_argument("--dt", type=float, default=None, help="time step")

@@ -8,6 +8,7 @@ fix the discrete conservation structure of the whole package.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,18 +70,41 @@ def _vals(x):
     return x.values if isinstance(x, Field) else x
 
 
+def trapezoid(y: np.ndarray, dx: float) -> float:
+    """np.trapezoid(y, dx=dx) for 1-D y, with the same operations in order."""
+    return float((dx * (y[1:] + y[:-1]) / 2.0).sum())
+
+
+def gradient(y: np.ndarray, dx: float) -> np.ndarray:
+    """np.gradient(y, dx, edge_order=2) for 1-D y, with the same operations."""
+    out = np.empty_like(y)
+    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dx)
+    out[0] = -1.5 / dx * y[0] + 2.0 / dx * y[1] + -0.5 / dx * y[2]
+    out[-1] = 0.5 / dx * y[-3] + -2.0 / dx * y[-2] + 1.5 / dx * y[-1]
+    return out
+
+
+def l2(y: np.ndarray, dx: float) -> float:
+    return math.sqrt(trapezoid(y * y, dx))
+
+
+def h1(y: np.ndarray, dx: float) -> float:
+    yx = gradient(y, dx)
+    return math.sqrt(trapezoid(y * y, dx) + trapezoid(yx * yx, dx))
+
+
 def trapezoid_integral(g: Field) -> float:
     """Composite trapezoid rule for the integral over [0, 1].
 
     Exact for piecewise-linear fields; this is the quadrature against which
     mass conservation and all mean-zero projections are defined.
     """
-    return float(np.trapezoid(g.values, dx=g.grid.dx))
+    return trapezoid(g.values, g.grid.dx)
 
 
 def derivative(g: Field) -> Field:
     """Second-order derivative: central interior, one-sided at the endpoints."""
-    return g.with_values(np.gradient(g.values, g.grid.dx, edge_order=2))
+    return g.with_values(gradient(g.values, g.grid.dx))
 
 
 def antiderivative(g: Field) -> Field:
@@ -91,12 +115,11 @@ def antiderivative(g: Field) -> Field:
 
 
 def l2_norm(g: Field) -> float:
-    return float(np.sqrt(trapezoid_integral(g * g)))
+    return l2(g.values, g.grid.dx)
 
 
 def h1_norm(g: Field) -> float:
-    gx = derivative(g)
-    return float(np.sqrt(trapezoid_integral(g * g) + trapezoid_integral(gx * gx)))
+    return h1(g.values, g.grid.dx)
 
 
 def write_csv(path, header, columns) -> None:
@@ -121,10 +144,14 @@ def write_field_csv(path, g: Field, header=("x", "value")) -> None:
     write_csv(path, header, (g.grid.nodes, g.values))
 
 
-def read_field_csv(path) -> Field:
+def read_field_csv(path, grid: Grid | None = None) -> Field:
+    """A field read from (x, value) rows; on `grid` if given, which must match."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     x, v = data[:, 0], data[:, 1]
-    grid = Grid(len(x))
+    if grid is None:
+        grid = Grid(len(x))
+    elif len(x) != grid.n:
+        raise ValueError(f"{path} has {len(x)} nodes, the grid has n = {grid.n}")
     if not np.allclose(x, grid.nodes, atol=1e-12):
         raise ValueError(f"{path}: nodes are not a uniform grid on [0, 1]")
     return Field(grid, v)

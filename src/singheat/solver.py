@@ -18,18 +18,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .errors import QuenchError, SolverError
-from .grid import (
-    Field,
-    Grid,
-    derivative,
-    h1_norm,
-    l2_norm,
-    trapezoid_integral,
-    write_csv,
-)
+from .grid import Field, Grid, gradient, h1, l2, trapezoid, trapezoid_integral, write_csv
 from .source import SourceTerm
 from .steady import SteadyState, steady_profile
 
@@ -50,6 +42,10 @@ class SimulationConfig:
     def __post_init__(self):
         if self.nu <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise ValueError("nu, dt and t_end must be positive")
+        if self.u0.grid.n != self.grid.n:
+            raise ValueError(
+                f"u0 has {self.u0.grid.n} nodes, the grid has n = {self.grid.n}"
+            )
         if np.any(self.u0.values <= 0):
             raise ValueError("u0 must be positive nodewise")
         mass = trapezoid_integral(self.u0)
@@ -93,53 +89,65 @@ class SimulationRecord:
         write_csv(path, DIAGNOSTIC_COLUMNS, self.columns())
 
 
-def _fluxes(u: np.ndarray, dx: float) -> np.ndarray:
+def _rhs_terms(u: np.ndarray, f: np.ndarray, nu: float, dx: float):
+    """rhs(u), with the half-node means and differences of u it is built from."""
     mid = 0.5 * (u[:-1] + u[1:])
-    return (u[1:] - u[:-1]) / (dx * mid**2)
+    d = u[1:] - u[:-1]
+    flux = d / (dx * mid**2)
+    out = np.empty(len(u))
+    out[1:-1] = nu * (flux[1:] - flux[:-1]) / dx
+    out[0] = nu * flux[0] / (0.5 * dx)
+    out[-1] = -nu * flux[-1] / (0.5 * dx)
+    out += f
+    return out, mid, d
 
 
 def rhs(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> np.ndarray:
     """nu * flux divergence + f on half-width boundary control volumes."""
-    flux = _fluxes(u, dx)
-    out = np.empty_like(u)
-    out[1:-1] = nu * (flux[1:] - flux[:-1]) / dx
-    out[0] = nu * flux[0] / (0.5 * dx)
-    out[-1] = -nu * flux[-1] / (0.5 * dx)
-    return out + f
+    return _rhs_terms(u, f, nu, dx)[0]
 
 
-def _jacobian_bands(u: np.ndarray, nu: float, dx: float, dt: float):
-    """Bands (lower, diag, upper) of I - dt * d(rhs)/du, as tridiag_solve takes."""
-    n = len(u)
-    mid = 0.5 * (u[:-1] + u[1:])
+def _jacobian_bands(mid, d, nu: float, dx: float, dt: float):
+    """Bands (lower, diag, upper) of I - dt * d(rhs)/du, as tridiag_solve takes.
+
+    mid and d are those _rhs_terms returns at the linearization point.
+    """
+    n = len(d) + 1
     a = 1.0 / mid**2
-    d = u[1:] - u[:-1]
+    c = d / mid**3
     # flux_k = a(m_k) d_k / dx with m_k the arithmetic mean of the neighbors
-    dF_left = (-a - d / mid**3) / dx    # d flux_k / d u_k
-    dF_right = (a - d / mid**3) / dx    # d flux_k / d u_{k+1}
+    dF_left = (-a - c) / dx     # d flux_k / d u_k
+    dF_right = (a - c) / dx     # d flux_k / d u_{k+1}
     w = np.full(n, dx)
     w[0] = w[-1] = 0.5 * dx
-    lower = np.zeros(n)   # d rhs_i / d u_{i-1}
-    diag = np.zeros(n)
-    upper = np.zeros(n)   # d rhs_i / d u_{i+1}
-    lower[1:] = -nu * dF_left / w[1:]
-    upper[:-1] = nu * dF_right / w[:-1]
+    lower = np.zeros(n)   # -dt * d rhs_i / d u_{i-1}
+    diag = np.empty(n)    # d rhs_i / d u_i
+    upper = np.zeros(n)   # -dt * d rhs_i / d u_{i+1}
+    lower[1:] = -dt * (-nu * dF_left / w[1:])
+    upper[:-1] = -dt * (nu * dF_right / w[:-1])
     diag[0] = nu * dF_left[0] / w[0]
     diag[-1] = -nu * dF_right[-1] / w[-1]
     diag[1:-1] = nu * (dF_left[1:] - dF_right[:-1]) / w[1:-1]
-    return -dt * lower, 1.0 - dt * diag, -dt * upper
+    return lower, 1.0 - dt * diag, upper
+
+
+_gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 def tridiag_solve(lower, diag, upper, b):
     """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = b[i].
 
-    lower[0] and upper[-1] lie outside the matrix and are ignored.
+    lower[0] and upper[-1] lie outside the matrix and are ignored.  This is
+    solve_banded((1, 1), ...)'s LAPACK call, with its ValueError on a
+    non-finite input and LinAlgError on a singular matrix.
     """
-    ab = np.zeros((3, len(diag)))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, b)
+    dl, du = lower[1:], upper[:-1]
+    if not np.isfinite(np.concatenate((dl, diag, du, b))).all():
+        raise ValueError("tridiagonal system contains infs or NaNs")
+    x, info = _gtsv(dl, diag, du, b)[3:]
+    if info:
+        raise LinAlgError(f"singular matrix (gtsv info={info})")
+    return x
 
 
 def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
@@ -147,16 +155,17 @@ def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
 
     Returns the new field and the Newton iteration count.
     """
-    dx = cfg.grid.dx
-    f = cfg.source.evaluate(t + cfg.dt).values
+    dx, dt, nu = cfg.grid.dx, cfg.dt, cfg.nu
+    f = cfg.source.evaluate(t + dt).values
     un = u.values
-    v = un.copy()
 
-    def residual(w):
-        return w - un - cfg.dt * rhs(w, f, cfg.nu, dx)
+    def residual(v):
+        terms, mid, d = _rhs_terms(v, f, nu, dx)
+        res = v - un - dt * terms
+        return res, float(np.abs(res).max()), mid, d
 
-    res = residual(v)
-    res_norm = float(np.max(np.abs(res)))
+    v = un
+    res, res_norm, mid, d = residual(v)
     iters = 0
     polish = False
     while True:
@@ -166,50 +175,51 @@ def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
             polish = True  # one extra iteration sharpens the mass balance
         elif iters >= cfg.newton_max_iter:
             raise SolverError(
-                f"Newton stalled at t={t + cfg.dt:.6g} with residual {res_norm:.3g}"
+                f"Newton stalled at t={t + dt:.6g} with residual {res_norm:.3g}"
             )
-        dv = tridiag_solve(*_jacobian_bands(v, cfg.nu, dx, cfg.dt), -res)
+        dv = tridiag_solve(*_jacobian_bands(mid, d, nu, dx, dt), -res)
         lam = 1.0
         for _ in range(10):
             trial = v + lam * dv
-            if np.all(trial > cfg.positivity_floor):
-                trial_res = residual(trial)
-                trial_norm = float(np.max(np.abs(trial_res)))
+            if (trial > cfg.positivity_floor).all():
+                trial_res, trial_norm, trial_mid, trial_d = residual(trial)
                 if trial_norm < res_norm or res_norm <= cfg.newton_tol:
                     break
             lam *= 0.5
         else:
             raise QuenchError(
-                f"Newton damping exhausted at t={t + cfg.dt:.6g} "
+                f"Newton damping exhausted at t={t + dt:.6g} "
                 f"(solution near the singular set u=0)"
             )
-        v, res, res_norm = trial, trial_res, trial_norm
+        v, res, res_norm, mid, d = trial, trial_res, trial_norm, trial_mid, trial_d
         iters += 1
-    if np.any(v <= cfg.positivity_floor):
-        raise QuenchError(f"u fell to the positivity floor at t={t + cfg.dt:.6g}")
+    if (v <= cfg.positivity_floor).any():
+        raise QuenchError(f"u fell to the positivity floor at t={t + dt:.6g}")
     return u.with_values(v), iters
 
 
 def diagnostics(u: Field, t: float, cfg: SimulationConfig,
                 steady: SteadyState) -> dict:
     """Energy/norm diagnostics of one solution snapshot."""
+    dx = cfg.grid.dx
+    uv = u.values
     sqrt_nu = math.sqrt(cfg.nu)
-    q = u.with_values(sqrt_nu / u.values)
-    qx = derivative(q)
-    f = cfg.source.evaluate(t)
-    energy = trapezoid_integral(qx * qx * 0.5 + f * q * (1.0 / sqrt_nu))
-    w = q - steady.q_infinity()
-    wx = derivative(w)
-    inv_err = u.with_values(1.0 / u.values - 1.0 / steady.u_infinity.values)
+    q = sqrt_nu / uv
+    qx = gradient(q, dx)
+    f = cfg.source.evaluate(t).values
+    energy = trapezoid(qx * qx * 0.5 + f * q * (1.0 / sqrt_nu), dx)
+    u_inf = steady.u_infinity.values
+    # q - steady.q_infinity(), without building a Field
+    wx = gradient(q - np.sqrt(steady.nu) / u_inf, dx)
     return {
         "t": t,
-        "mass": trapezoid_integral(u),
+        "mass": trapezoid(uv, dx),
         "energy": energy,
-        "relative_energy": 0.5 * trapezoid_integral(wx * wx),
-        "h1_error_inverse": h1_norm(inv_err),
-        "qx_l2": l2_norm(qx),
-        "min_u": float(np.min(u.values)),
-        "max_u": float(np.max(u.values)),
+        "relative_energy": 0.5 * trapezoid(wx * wx, dx),
+        "h1_error_inverse": h1(1.0 / uv - 1.0 / u_inf, dx),
+        "qx_l2": l2(qx, dx),
+        "min_u": float(uv.min()),
+        "max_u": float(uv.max()),
     }
 
 

@@ -72,10 +72,17 @@ class HomogeneousSource(SourceTerm):
     def __init__(self, f0: Field):
         super().__init__(f0.grid)
         self._f0 = project_mean_zero(f0)
+        # _f0 projected once more, as SourceTerm.evaluate does; not _f0 itself,
+        # whose last bits can differ
+        self._f = super().evaluate(0.0)
 
     @property
     def time_dependent(self) -> bool:
         return False
+
+    def evaluate(self, t: float) -> Field:
+        # a negative t goes to SourceTerm.evaluate, which rejects it
+        return self._f if t >= 0 else super().evaluate(t)
 
     def _raw(self, t: float) -> np.ndarray:
         return self._f0.values

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from singheat.cli import main
@@ -161,3 +162,30 @@ class TestSSMCrosscheck:
         data = json.loads((out / "crosscheck.json").read_text())
         assert data["max_rel_error_h"] <= 0.02
         assert (out / "sheet_final.csv").exists()
+
+
+@pytest.mark.parametrize("slot", ["u0", "h0", "v0"])
+def test_csv_initial_data_must_match_grid(tmp_path, capsys, slot):
+    x = np.linspace(0.0, 1.0, 21)
+    path = tmp_path / "data.csv"
+    path.write_text("x,value\n" + "".join(f"{a:.17g},1.0\n" for a in x))
+    if slot == "u0":
+        command, base = "simulate", "source = zero\nnu = 1\n"
+    else:
+        command, base = "transform", "nu = 1\n"
+    cfg = write_config(tmp_path, f"{base}n = 51\n{slot} = csv {path}\n")
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert f"config error: {slot} spec" in err
+    assert "21 nodes" in err and "n = 51" in err
+
+
+def test_example_rejects_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["example", "ex-3-3", "--config", "nonexistent.txt",
+                "--out", str(out)]) == 4
+    assert "built-in data" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit):
+        run(["example", "--help"])
+    assert "--config" not in capsys.readouterr().out

@@ -6,9 +6,11 @@ from singheat.grid import (
     Grid,
     antiderivative,
     derivative,
+    gradient,
     h1_norm,
     l2_norm,
     read_field_csv,
+    trapezoid,
     trapezoid_integral,
     write_field_csv,
 )
@@ -135,3 +137,21 @@ def test_csv_roundtrip(tmp_path):
     g = read_field_csv(path)
     assert g.grid.n == f.grid.n
     assert np.array_equal(g.values, f.values)
+
+
+def test_csv_on_grid_checks_node_count(tmp_path):
+    path = tmp_path / "field.csv"
+    write_field_csv(path, make(21, np.cos))
+    assert read_field_csv(path, Grid(21)).grid.n == 21
+    with pytest.raises(ValueError, match="21 nodes, the grid has n = 51"):
+        read_field_csv(path, Grid(51))
+
+
+@pytest.mark.parametrize("n", [3, 4, 401])
+def test_array_kernels_match_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    dx = Grid(n).dx
+    for _ in range(50):
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6)
+        assert np.array_equal(gradient(y, dx), np.gradient(y, dx, edge_order=2))
+        assert trapezoid(y, dx) == float(np.trapezoid(y, dx=dx))

@@ -2,10 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+from singheat import solver
 from singheat.errors import QuenchError
-from singheat.grid import Field, Grid, h1_norm, l2_norm, trapezoid_integral
-from singheat.solver import SimulationConfig, SimulationRecord, simulate, step
+from singheat.grid import Field, Grid, derivative, h1_norm, l2_norm, trapezoid_integral
+from singheat.solver import (
+    SimulationConfig,
+    SimulationRecord,
+    diagnostics,
+    rhs,
+    simulate,
+    step,
+    tridiag_solve,
+)
 from singheat.source import CallableSource, CosineStaticSource, make_source
 from singheat.steady import steady_profile
 
@@ -41,6 +51,10 @@ class TestConfigValidation:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             flat_config(11, dt=-1e-3)
+
+    def test_rejects_u0_on_another_grid(self):
+        with pytest.raises(ValueError, match="u0 has 21 nodes"):
+            flat_config(51, u0=Field(Grid(21), np.ones(21)))
 
 
 class TestFixedPoint:
@@ -220,3 +234,94 @@ def test_diagnostics_csv(tmp_path, ex33_record):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("t,mass,energy")
     assert len(lines) == len(ex33_record.times) + 1
+
+
+def dense(lower, diag, upper):
+    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+
+
+class TestNewtonLinearAlgebra:
+    @pytest.mark.parametrize("n", [5, 41])
+    def test_jacobian_bands_match_finite_differences(self, n):
+        rng = np.random.default_rng(n)
+        dx, nu, dt = Grid(n).dx, 1.7, 1e-3
+        for _ in range(5):
+            u = rng.uniform(0.5, 2.0, n)
+            f = rng.standard_normal(n)
+            mid, d = solver._rhs_terms(u, f, nu, dx)[1:]
+            bands = solver._jacobian_bands(mid, d, nu, dx, dt)
+            jac = (np.eye(n) - dense(*bands)) / dt
+            fd = np.empty((n, n))
+            for j in range(n):
+                h = 1e-6 * u[j]
+                up, um = u.copy(), u.copy()
+                up[j] += h
+                um[j] -= h
+                fd[:, j] = (rhs(up, f, nu, dx) - rhs(um, f, nu, dx)) / (2 * h)
+            np.testing.assert_allclose(jac, fd, rtol=1e-6,
+                                       atol=1e-6 * np.abs(fd).max())
+
+    def test_tridiag_solve_matches_dense_solve(self):
+        rng = np.random.default_rng(7)
+        n = 41
+        lower, upper, b = (rng.standard_normal(n) for _ in range(3))
+        diag = 4.0 + rng.uniform(size=n)
+        x = tridiag_solve(lower, diag, upper, b)
+        np.testing.assert_allclose(
+            x, np.linalg.solve(dense(lower, diag, upper), b), rtol=1e-12, atol=1e-14
+        )
+
+    def test_tridiag_solve_rejects_singular_and_nonfinite(self):
+        ones = np.ones(3)
+        # rows 0 and 1 of [[1, 1, 0], [1, 1, 0], [0, 0, 1]] coincide
+        lower, upper = np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])
+        with pytest.raises(LinAlgError):
+            tridiag_solve(lower, ones, upper, ones)
+        with pytest.raises(ValueError):
+            tridiag_solve(lower, np.array([4.0, np.nan, 4.0]), upper, ones)
+
+
+@pytest.mark.parametrize("spec", ["cosine_static 0.8", "cosine_decay"])
+def test_diagnostics_match_field_reference_exactly(spec):
+    n = 101
+    g = Grid(n)
+    src = make_source(g, spec)
+    cfg = flat_config(n, nu=2.0, source=src, t_end=0.05)
+    which = "limit" if src.time_dependent else "initial"
+    ss = steady_profile(src, cfg.nu, which=which)
+    u = simulate(cfg, ss).snapshots[-1]
+    for t in (0.0, 0.05, 1.5):
+        sqrt_nu = math.sqrt(cfg.nu)
+        q = u.with_values(sqrt_nu / u.values)
+        qx = derivative(q)
+        f = src.evaluate(t)
+        wx = derivative(q - ss.q_infinity())
+        expected = {
+            "t": t,
+            "mass": trapezoid_integral(u),
+            "energy": trapezoid_integral(qx * qx * 0.5 + f * q * (1.0 / sqrt_nu)),
+            "relative_energy": 0.5 * trapezoid_integral(wx * wx),
+            "h1_error_inverse": h1_norm(
+                u.with_values(1.0 / u.values - 1.0 / ss.u_infinity.values)),
+            "qx_l2": l2_norm(qx),
+            "min_u": float(np.min(u.values)),
+            "max_u": float(np.max(u.values)),
+        }
+        assert diagnostics(u, t, cfg, ss) == expected
+
+
+def test_simulate_calls_step_and_diagnostics_through_module(monkeypatch):
+    # perfbench times marches by rebinding solver.step and solver.diagnostics
+    calls = {"step": 0, "diagnostics": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "step", counted("step", solver.step))
+    monkeypatch.setattr(solver, "diagnostics", counted("diagnostics", solver.diagnostics))
+    rec = simulate(flat_config(21, t_end=0.02))
+    assert calls == {"step": 20, "diagnostics": len(rec.times)}
+    assert len(rec.times) == 21

@@ -71,6 +71,17 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             CosineExpSource(grid, -1.0)
 
+    def test_static_evaluation_is_computed_once(self, grid):
+        src = CosineStaticSource(grid, 1.5)
+        first = src.evaluate(0.0)
+        assert src.evaluate(3.0) is first
+        # the stored field is the projection of the already projected profile
+        assert np.array_equal(
+            first.values, project_mean_zero(src.f_limit()).values
+        )
+        with pytest.raises(ValueError):
+            src.evaluate(-1)
+
     def test_homogeneous_with_nonzero_mean_input(self, grid):
         src = HomogeneousSource(Field(grid, np.cos(np.pi * grid.nodes) + 5.0))
         assert trapezoid_integral(src.evaluate(0.0)) == pytest.approx(0.0, abs=1e-13)
