@@ -51,6 +51,8 @@ RUNS = (
     ("example-ex-3-3", None, ["example", "ex-3-3"]),
     ("steady", f"source = cosine_static {math.pi / 2!r}\nnu = 1\n", ["steady"]),
     ("constants", "source = cosine_decay\nnu = 10\n", ["constants"]),
+    # default n = 2001: the exp family's N-infinity over many row blocks
+    ("constants-exp", "source = cosine_exp 0.7\nnu = 10\n", ["constants"]),
     ("simulate-homogeneous",
      "source = cosine_static 0.3\nnu = 1\nn = 101\nu0 = inverse_sine 0.1\n",
      ["simulate"]),

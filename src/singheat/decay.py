@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import HypothesisError, SolverError
 from .constants import TheoremConstants
-from .grid import h1_norm, l2_norm, write_csv, write_json
+from .grid import h1_norm, l2, pow2, write_csv, write_json
 from .solver import SimulationRecord
-from .source import SourceTerm
+from .source import SourceTerm, over_time
 
 ENVELOPE_TOL = 0.05
 DEFAULT_FLOOR = 1e-9
@@ -103,10 +103,11 @@ def check_homogeneous_envelope(record: SimulationRecord,
 
 
 def _forcing_gap_sq(record: SimulationRecord, src: SourceTerm) -> np.ndarray:
-    f_inf = src.f_limit()
-    return np.array(
-        [l2_norm(src.evaluate(t) - f_inf) ** 2 for t in record.times]
-    )
+    """||f(t) - f_inf||_2^2 at each recorded time."""
+    f_inf, dx = src.f_limit().values, src.grid.dx
+    gap = over_time(lambda block: l2(src.samples(block) - f_inf, dx),
+                    record.times, src.grid.n)
+    return pow2(gap)
 
 
 def check_inhomogeneous_envelope(record: SimulationRecord,

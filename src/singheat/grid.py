@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,15 @@ def _vals(x):
     return x.values if isinstance(x, Field) else x
 
 
-def trapezoid(y: np.ndarray, dx: float) -> float:
-    """np.trapezoid(y, dx=dx) for 1-D y, with the same operations in order."""
-    return float((dx * (y[1:] + y[:-1]) / 2.0).sum())
+def trapezoid(y: np.ndarray, dx: float):
+    """np.trapezoid(y, dx=dx) along the last axis, with the same operations in order.
+
+    A 1-D y gives a float; a (rows x nodes) y gives one value per row, each
+    with the bits of that row alone.
+    """
+    if y.ndim == 1:
+        return float((dx * (y[1:] + y[:-1]) / 2.0).sum())
+    return (dx * (y[..., 1:] + y[..., :-1]) / 2.0).sum(-1)
 
 
 def gradient(y: np.ndarray, dx: float) -> np.ndarray:
@@ -84,8 +89,34 @@ def gradient(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def l2(y: np.ndarray, dx: float) -> float:
-    return math.sqrt(trapezoid(y * y, dx))
+def l2(y: np.ndarray, dx: float):
+    """L2 norm along the last axis: a float for 1-D y, one value per row otherwise."""
+    sq = trapezoid(y * y, dx)
+    return math.sqrt(sq) if y.ndim == 1 else np.sqrt(sq)
+
+
+def primitive(y: np.ndarray, dx: float) -> np.ndarray:
+    """cumulative_trapezoid(y, dx=dx, initial=0) along the last axis.
+
+    The same operations in the same order as scipy's, so each row has the
+    bits scipy gives for it alone.
+    """
+    out = np.zeros(y.shape)
+    np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    return out
+
+
+def pow2(x):
+    """x ** 2 elementwise through the C library's pow, as Python squares a float.
+
+    numpy's `x ** 2` on an array is x * x, which differs from pow(x, 2) in the
+    last bit for about one value in a thousand; code that replaces a loop of
+    scalar squares keeps its bits with this.
+    """
+    return np.asarray(_pow(x, 2.0), dtype=float)
+
+
+_pow = np.frompyfunc(pow, 2, 1)
 
 
 def h1(y: np.ndarray, dx: float) -> float:
@@ -109,9 +140,7 @@ def derivative(g: Field) -> Field:
 
 def antiderivative(g: Field) -> Field:
     """Cumulative trapezoid primitive with result(0) = 0."""
-    return g.with_values(
-        cumulative_trapezoid(g.values, dx=g.grid.dx, initial=0.0)
-    )
+    return g.with_values(primitive(g.values, g.grid.dx))
 
 
 def l2_norm(g: Field) -> float:

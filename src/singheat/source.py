@@ -5,6 +5,11 @@ nodal sampling of an analytically mean-zero function is not discretely
 mean-zero, and the discrete zero mean is what makes the solver conserve mass
 exactly.  The functionals P0, P(t), N(t), N_infinity computed here are the
 data constants entering the convergence theorems.
+
+Each family writes f and f_t once, for a time or for a 1-D array of times
+(one row of nodal samples per time).  The time-axis norms (N_infinity, P(t),
+N(t) and the envelopes' forcing gap) run on blocks of such rows, with the
+operations of the one-time code, so they keep its bits.
 """
 
 from __future__ import annotations
@@ -16,7 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, Grid, antiderivative, l2_norm, trapezoid_integral
+from .grid import (
+    Field, Grid, antiderivative, l2, l2_norm, pow2, primitive, trapezoid,
+    trapezoid_integral,
+)
+
+#: most samples (times x nodes) one block of rows holds; bounds the memory of
+#: the time-axis norms whatever the grid or the number of times.  Each of a
+#: block's temporaries is then at most 128 KiB: at n = 2001, blocks of 2**15
+#: samples made N_infinity about 1.5x slower than blocks of 2**14.
+_BLOCK_VALUES = 2**14
 
 
 def project_mean_zero(g: Field) -> Field:
@@ -33,17 +47,27 @@ class SourceTerm(ABC):
         self.grid = grid
 
     @abstractmethod
-    def _raw(self, t: float) -> np.ndarray:
-        """Nodal samples of f(., t) before mean-zero projection."""
+    def _raw(self, t) -> np.ndarray:
+        """Nodal samples of f(., t) before mean-zero projection.
+
+        (n,) for a time t, (len(t), n) for a 1-D array of times.
+        """
 
     @property
     def time_dependent(self) -> bool:
         return True
 
     def evaluate(self, t: float) -> Field:
-        if t < 0:
-            raise ValueError(f"source evaluated at negative time t={t}")
-        return project_mean_zero(Field(self.grid, self._raw(t)))
+        return Field(self.grid, self.samples(t))
+
+    def samples(self, t) -> np.ndarray:
+        """Mean-zero projected nodal samples, shaped as `_raw`; not validated."""
+        first = t.min() if isinstance(t, np.ndarray) else t
+        if first < 0:
+            raise ValueError(f"source evaluated at negative time t={first}")
+        raw = self._raw(t)
+        mean = trapezoid(raw, self.grid.dx)
+        return raw - (mean[:, None] if raw.ndim > 1 else mean)
 
     def f_initial(self) -> Field:
         return self.evaluate(0.0)
@@ -52,8 +76,8 @@ class SourceTerm(ABC):
         """Strong L2 limit of f(., t) as t -> infinity."""
         raise ConfigError(f"source kind '{self.kind}' declares no limit profile")
 
-    def dfdt(self, t: float) -> np.ndarray:
-        """Nodal samples of the time derivative (one-sided off kinks)."""
+    def dfdt(self, t) -> np.ndarray:
+        """Nodal samples of the time derivative (one-sided off kinks), shaped as `_raw`."""
         raise ConfigError(f"source kind '{self.kind}' has no time derivative")
 
     #: times where f(., t) is not smooth in t; the N-quadrature splits there
@@ -84,14 +108,14 @@ class HomogeneousSource(SourceTerm):
         # a negative t goes to SourceTerm.evaluate, which rejects it
         return self._f if t >= 0 else super().evaluate(t)
 
-    def _raw(self, t: float) -> np.ndarray:
-        return self._f0.values
+    def _raw(self, t) -> np.ndarray:
+        return np.broadcast_to(self._f0.values, np.shape(t) + (self.grid.n,))
 
     def f_limit(self) -> Field:
         return self._f0
 
-    def dfdt(self, t: float) -> np.ndarray:
-        return np.zeros(self.grid.n)
+    def dfdt(self, t) -> np.ndarray:
+        return np.zeros(np.shape(t) + (self.grid.n,))
 
     def tail_norm_integral(self, t_cut: float):
         return 0.0
@@ -121,16 +145,16 @@ class CosineDecaySource(SourceTerm):
         super().__init__(grid)
         self._cos = np.cos(np.pi * grid.nodes)
 
-    def _raw(self, t: float) -> np.ndarray:
-        return min(1.0, 1.0 / t if t > 0 else 1.0) * self._cos
+    def _raw(self, t) -> np.ndarray:
+        # min(1, 1/t) for t >= 0, with 1/1 = 1 exactly up to the kink
+        return (1.0 / np.maximum(t, 1.0))[..., None] * self._cos
 
     def f_limit(self) -> Field:
         return project_mean_zero(Field(self.grid, np.zeros(self.grid.n)))
 
-    def dfdt(self, t: float) -> np.ndarray:
-        if t <= 1.0:
-            return np.zeros(self.grid.n)
-        return -self._cos / t**2
+    def dfdt(self, t) -> np.ndarray:
+        late = -self._cos / pow2(np.maximum(t, 1.0))[..., None]
+        return np.where((np.asarray(t) > 1.0)[..., None], late, 0.0)
 
     def tail_norm_integral(self, t_cut: float):
         if t_cut < 1.0:
@@ -152,14 +176,14 @@ class CosineExpSource(SourceTerm):
         self.rate = float(rate)
         self._cos = np.cos(np.pi * grid.nodes)
 
-    def _raw(self, t: float) -> np.ndarray:
-        return np.exp(-self.rate * t) * self._cos
+    def _raw(self, t) -> np.ndarray:
+        return np.exp(-self.rate * t)[..., None] * self._cos
 
     def f_limit(self) -> Field:
         return project_mean_zero(Field(self.grid, np.zeros(self.grid.n)))
 
-    def dfdt(self, t: float) -> np.ndarray:
-        return -self.rate * np.exp(-self.rate * t) * self._cos
+    def dfdt(self, t) -> np.ndarray:
+        return (-self.rate * np.exp(-self.rate * t))[..., None] * self._cos
 
     def tail_norm_integral(self, t_cut: float):
         amp = l2_norm(antiderivative(Field(self.grid, self._cos)))
@@ -181,8 +205,18 @@ class CallableSource(SourceTerm):
         self._f_limit_fn = f_limit_fn
         self._dfdt_fn = dfdt_fn
 
-    def _raw(self, t: float) -> np.ndarray:
-        return np.asarray(self._fn(self.grid.nodes, t), dtype=float)
+    def _rows(self, fn, t) -> np.ndarray:
+        """fn(x, t), vectorized in x only, stacked one row per time."""
+        x = self.grid.nodes
+        rows = np.array([fn(x, s) for s in t] if np.ndim(t) else fn(x, t), dtype=float)
+        if rows.shape != np.shape(t) + (self.grid.n,):
+            raise ValueError(
+                f"callable source gives {rows.shape} samples on {self.grid.n} nodes"
+            )
+        return rows
+
+    def _raw(self, t) -> np.ndarray:
+        return self._rows(self._fn, t)
 
     def f_limit(self) -> Field:
         if self._f_limit_fn is None:
@@ -191,14 +225,18 @@ class CallableSource(SourceTerm):
             Field(self.grid, self._f_limit_fn(self.grid.nodes))
         )
 
-    def dfdt(self, t: float) -> np.ndarray:
+    def dfdt(self, t) -> np.ndarray:
         if self._dfdt_fn is None:
             return super().dfdt(t)
-        return np.asarray(self._dfdt_fn(self.grid.nodes, t), dtype=float)
+        return self._rows(self._dfdt_fn, t)
 
 
 class TabulatedSource(SourceTerm):
-    """Forcing tabulated at time stamps, linearly interpolated in t."""
+    """Forcing tabulated at time stamps, linearly interpolated in t.
+
+    Past the last time stamp f stays at its last profile, the limit, so f_t
+    is zero there and f has a kink at every time stamp after the first.
+    """
 
     kind = "tabulated"
 
@@ -211,34 +249,40 @@ class TabulatedSource(SourceTerm):
         super().__init__(fields[0].grid)
         self.times = times
         self._table = np.stack([f.values for f in fields])
-        self.breakpoints = tuple(times[1:-1])
+        self.breakpoints = tuple(times[1:])
 
-    def _interval(self, t: float):
+    def _interval(self, t):
         """t clamped into the table, and the k with times[k] <= t <= times[k+1]."""
-        t = min(max(t, self.times[0]), self.times[-1])
+        t = np.clip(t, self.times[0], self.times[-1])
         k = np.searchsorted(self.times, t, side="right") - 1
-        return t, min(k, len(self.times) - 2)
+        return t, np.minimum(k, len(self.times) - 2)
 
-    def _raw(self, t: float) -> np.ndarray:
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
+    def _raw(self, t) -> np.ndarray:
+        lo, hi = np.min(t), np.max(t)
+        if lo < self.times[0] - 1e-12 or hi > self.times[-1] + 1e-12:
             raise ConfigError(
-                f"t={t} outside tabulated range [{self.times[0]}, {self.times[-1]}]"
+                f"t={lo if lo < self.times[0] - 1e-12 else hi} outside tabulated "
+                f"range [{self.times[0]}, {self.times[-1]}]"
             )
         if len(self.times) == 1:
-            return self._table[0]
+            return self._table[np.zeros(np.shape(t), dtype=int)]
         t, k = self._interval(t)
-        w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
+        w = ((t - self.times[k]) / (self.times[k + 1] - self.times[k]))[..., None]
         return (1 - w) * self._table[k] + w * self._table[k + 1]
 
     def f_limit(self) -> Field:
         return project_mean_zero(Field(self.grid, self._table[-1]))
 
-    def dfdt(self, t: float) -> np.ndarray:
+    def dfdt(self, t) -> np.ndarray:
         if len(self.times) < 2:
             raise ConfigError("tabulated source has no time resolution")
         _, k = self._interval(t)
-        dt = self.times[k + 1] - self.times[k]
-        return (self._table[k + 1] - self._table[k]) / dt
+        dt = (self.times[k + 1] - self.times[k])[..., None]
+        slope = (self._table[k + 1] - self._table[k]) / dt
+        return np.where((np.asarray(t) > self.times[-1])[..., None], 0.0, slope)
+
+    def tail_norm_integral(self, t_cut: float):
+        return 0.0 if t_cut >= self.times[-1] else None
 
 
 @dataclass(frozen=True)
@@ -262,8 +306,28 @@ def compute_P(src: SourceTerm, t: float) -> float:
     return l2_norm(antiderivative(src.evaluate(t)))
 
 
-def _norm_of_primitive_dfdt(src: SourceTerm, t: float) -> float:
-    return l2_norm(antiderivative(Field(src.grid, src.dfdt(t))))
+def over_time(kernel, ts, n: int) -> np.ndarray:
+    """kernel(block) for consecutive blocks of the times `ts`, concatenated.
+
+    `kernel` maps a 1-D block of times to one value per time, computed from
+    that block's (times x n) rows of samples; a block holds at most
+    _BLOCK_VALUES samples.  A non-finite sample makes its time's value
+    non-finite, which raises ValueError, as a Field of it would.
+    """
+    ts = np.asarray(ts, dtype=float)
+    rows = max(1, _BLOCK_VALUES // n)
+    out = np.concatenate(
+        [kernel(ts[i:i + rows]) for i in range(0, len(ts), rows)] or [np.empty(0)]
+    )
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise ValueError(f"non-finite source samples at t={ts[bad][0]}")
+    return out
+
+
+def _primitive_norms(rows: np.ndarray, dx: float) -> np.ndarray:
+    """||primitive of each row||_2."""
+    return l2(primitive(rows, dx), dx)
 
 
 def _segments(src: SourceTerm, t_cut: float):
@@ -286,7 +350,7 @@ def compute_N_infinity(
         return 0.0, False
     if t_cut <= 0:
         raise ValueError("t_cut must be positive")
-    total = 0.0
+    total, dx = 0.0, src.grid.dx
     for a, b in _segments(src, t_cut):
         m = max(2, int(np.ceil((b - a) / dt_quad)) + 1)
         ts = np.linspace(a, b, m)
@@ -295,7 +359,8 @@ def compute_N_infinity(
         ts_eval = ts.copy()
         ts_eval[0] += eps
         ts_eval[-1] -= eps
-        vals = np.array([_norm_of_primitive_dfdt(src, t) for t in ts_eval])
+        vals = over_time(lambda block: _primitive_norms(src.dfdt(block), dx),
+                         ts_eval, src.grid.n)
         total += np.trapezoid(vals, ts)
     tail = src.tail_norm_integral(t_cut)
     if tail is None:
@@ -310,8 +375,9 @@ def compute_functionals(
     times = np.asarray(times, dtype=float)
     P0 = compute_P0(src)
     if src.time_dependent:
-        P = np.array([compute_P(src, t) for t in times])
-        rates = np.array([_norm_of_primitive_dfdt(src, t) for t in times])
+        dx, n = src.grid.dx, src.grid.n
+        P = over_time(lambda block: _primitive_norms(src.samples(block), dx), times, n)
+        rates = over_time(lambda block: _primitive_norms(src.dfdt(block), dx), times, n)
         N = np.concatenate(
             [[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(times))]
         )

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from singheat.constants import TheoremConstants
 from singheat.decay import (
     DecayReport,
+    _forcing_gap_sq,
     check_direct_convergence,
     check_gradient_energy_envelope,
     check_homogeneous_envelope,
@@ -14,9 +16,9 @@ from singheat.decay import (
     fit_rate,
 )
 from singheat.errors import HypothesisError, SolverError
-from singheat.grid import Field, Grid
+from singheat.grid import Field, Grid, l2_norm
 from singheat.solver import SimulationConfig, simulate
-from singheat.source import make_source
+from singheat.source import CallableSource, TabulatedSource, make_source
 
 
 class TestFitRate:
@@ -143,6 +145,41 @@ class TestGradientEnergyEnvelope:
         report = check_gradient_energy_envelope(rec, consts, src)
         assert math.isfinite(report.envelope_margin)
         assert report.envelope_ok
+
+
+class TestForcingGap:
+    @staticmethod
+    def per_time(record, src):
+        f_inf = src.f_limit()
+        return np.array([l2_norm(src.evaluate(t) - f_inf) ** 2 for t in record.times])
+
+    def test_equals_per_time_loop(self, ex33_record):
+        src = ex33_record.config.source
+        assert np.array_equal(_forcing_gap_sq(ex33_record, src),
+                              self.per_time(ex33_record, src))
+
+    @pytest.mark.parametrize("spec", ["cosine_exp 0.7", "cosine_static 1.5", "tabulated"])
+    def test_other_families_equal_per_time_loop(self, spec):
+        g = Grid(201)
+        if spec == "tabulated":
+            cos = np.cos(np.pi * g.nodes)
+            src = TabulatedSource([0.0, 1.0, 2.0],
+                                  [Field(g, (1 - t / 2) * cos) for t in (0.0, 1.0, 2.0)])
+        else:
+            src = make_source(g, spec)
+        record = SimpleNamespace(times=[k * 1e-3 for k in range(2001)])
+        assert np.array_equal(_forcing_gap_sq(record, src), self.per_time(record, src))
+
+    def test_nan_sample_raises(self, ex33_record, ex33_consts):
+        bad_t = ex33_record.times[100]
+
+        def fn(x, t):
+            scale = np.nan if t == bad_t else min(1.0, 1.0 / t if t > 0 else 1.0)
+            return scale * np.cos(np.pi * x)
+
+        src = CallableSource(ex33_record.config.grid, fn, f_limit_fn=lambda x: 0.0 * x)
+        with pytest.raises(ValueError, match="non-finite"):
+            check_gradient_energy_envelope(ex33_record, ex33_consts, src)
 
 
 class TestInhomogeneousEnvelope:

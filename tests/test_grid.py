@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from singheat.grid import (
     Field,
@@ -8,7 +11,10 @@ from singheat.grid import (
     derivative,
     gradient,
     h1_norm,
+    l2,
     l2_norm,
+    pow2,
+    primitive,
     read_field_csv,
     trapezoid,
     trapezoid_integral,
@@ -155,3 +161,29 @@ def test_array_kernels_match_numpy_bit_for_bit(n):
         y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6)
         assert np.array_equal(gradient(y, dx), np.gradient(y, dx, edge_order=2))
         assert trapezoid(y, dx) == float(np.trapezoid(y, dx=dx))
+
+
+@pytest.mark.parametrize("n", [3, 4, 401])
+def test_row_kernels_match_one_row_at_a_time(n):
+    # each row of a (rows x nodes) array gets the bits of the 1-D kernels,
+    # which repeat numpy's trapezoid and scipy's cumulative_trapezoid
+    rng = np.random.default_rng(n)
+    dx = Grid(n).dx
+    rows = rng.standard_normal((7, n)) * 10.0 ** rng.uniform(-6, 6, (7, 1))
+    sums, norms, prims = trapezoid(rows, dx), l2(rows, dx), primitive(rows, dx)
+    assert sums.shape == norms.shape == (7,) and prims.shape == rows.shape
+    for y, s, nrm, p in zip(rows, sums, norms, prims):
+        assert s == trapezoid(y, dx) == float(np.trapezoid(y, dx=dx))
+        assert nrm == l2(y, dx) == math.sqrt(np.trapezoid(y * y, dx=dx))
+        assert np.array_equal(p, primitive(y, dx))
+        assert np.array_equal(p, cumulative_trapezoid(y, dx=dx, initial=0.0))
+    assert isinstance(trapezoid(rows[0], dx), float)
+    assert isinstance(l2(rows[0], dx), float)
+
+
+def test_pow2_is_the_scalar_square():
+    # with glibc's pow, x * x differs from pow(x, 2) in the last bit at the
+    # first two values
+    x = np.array([95.97, 96.03, 0.5])
+    assert np.array_equal(pow2(x), [float(v) ** 2 for v in x])
+    assert pow2(3.0) == 9.0

@@ -1,5 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from singheat.errors import ConfigError
 from singheat.grid import Field, Grid, l2_norm, trapezoid_integral
@@ -195,6 +199,24 @@ class TestTabulated:
         with pytest.raises(ConfigError):
             TabulatedSource([0.0, 0.0], [z, z])
 
+    def test_derivative_is_zero_past_the_table(self):
+        # f decays linearly to zero at t = 2 and stays there
+        g = Grid(51)
+        cos = 0.5 * np.cos(np.pi * g.nodes)
+        src = TabulatedSource([0.0, 1.0, 2.0],
+                              [Field(g, (1 - t / 2) * cos) for t in (0.0, 1.0, 2.0)])
+        assert np.array_equal(src.dfdt(1.5), src._table[2] - src._table[1])
+        assert np.array_equal(src.dfdt(2.0), src._table[2] - src._table[1])
+        assert np.all(src.dfdt(2.0 + 1e-9) == 0.0)
+        assert np.all(src.dfdt(np.array([2.5, 50.0])) == 0.0)
+        assert src.tail_norm_integral(2.0) == 0.0
+        assert src.tail_norm_integral(100.0) == 0.0
+        assert src.tail_norm_integral(1.5) is None
+        # f_t = -cos(pi x) / 4 on (0, 2): N_inf = 2 * ||sin(pi x) / pi||_2 / 4
+        val, truncated = compute_N_infinity(src)
+        assert not truncated
+        assert val == pytest.approx(COS_PRIMITIVE_NORM / 2, rel=1e-3)
+
     def test_csv_roundtrip(self, tmp_path):
         g = Grid(21)
         times = [0.0, 1.0]
@@ -228,3 +250,142 @@ class TestMakeSource:
     def test_bad_specs(self, grid, spec):
         with pytest.raises(ConfigError):
             make_source(grid, spec)
+
+
+# --- time-axis rows: the batched code keeps the bits of the one-time code ---
+
+def _cos(g):
+    return np.cos(np.pi * g.nodes)
+
+
+def _tabulated(g):
+    return TabulatedSource([0.0, 1.0, 2.0],
+                           [Field(g, (1 - t / 2) * 0.5 * _cos(g)) for t in (0.0, 1.0, 2.0)])
+
+
+def _callable(g):
+    return CallableSource(g, lambda x, t: np.exp(-t) * np.cos(np.pi * x),
+                          f_limit_fn=lambda x: 0.0 * x,
+                          dfdt_fn=lambda x, t: -np.exp(-t) * np.cos(np.pi * x))
+
+
+# t = 0, t < 1, t = 1, t > 1, and a t where x * x and pow(x, 2) differ
+DECAY_TIMES = np.array([0.0, 0.25, 1.0, 1.5, 95.97])
+SOURCES = {
+    "cosine_decay": (CosineDecaySource, DECAY_TIMES),
+    "cosine_exp": (lambda g: CosineExpSource(g, 0.7), np.array([0.0, 0.3, 1.0, 40.0])),
+    "tabulated": (_tabulated, np.array([0.0, 0.5, 1.0, 1.25, 2.0])),
+    "callable": (_callable, np.array([0.0, 0.5, 2.0])),
+    "cosine_static": (lambda g: CosineStaticSource(g, 1.5), np.array([0.0, 3.0])),
+}
+
+
+@pytest.mark.parametrize("kind", SOURCES)
+def test_rows_equal_one_time_calls(kind):
+    make, times = SOURCES[kind]
+    g = Grid(41)
+    src = make(g)
+    for method in (src._raw, src.dfdt, src.samples):
+        rows = method(times)
+        assert rows.shape == (len(times), g.n)
+        for t, row in zip(times, rows):
+            assert np.array_equal(row, method(t))
+            assert np.array_equal(row, method(float(t)))
+    for t, row in zip(times, src.samples(times)):
+        assert np.array_equal(row, src.evaluate(t).values)
+
+
+def test_cosine_rows_keep_the_scalar_formulas():
+    # the formulas as scalar code wrote them, with numpy's and Python's pow
+    g = Grid(41)
+    cos = _cos(g)
+    decay = CosineDecaySource(g).dfdt(DECAY_TIMES)
+    for t, row in zip(DECAY_TIMES, decay):
+        assert np.array_equal(row, np.zeros(g.n) if t <= 1.0 else -cos / t**2)
+    raw = CosineDecaySource(g)._raw(DECAY_TIMES)
+    for t, row in zip(DECAY_TIMES, raw):
+        assert np.array_equal(row, min(1.0, 1.0 / t if t > 0 else 1.0) * cos)
+    src = CosineExpSource(g, 0.7)
+    for t, row in zip(DECAY_TIMES, src.dfdt(DECAY_TIMES)):
+        assert np.array_equal(row, -0.7 * np.exp(-0.7 * t) * cos)
+
+
+def _per_time_N_infinity(src, t_cut, dt_quad=1e-2):
+    """compute_N_infinity one time at a time, on numpy's and scipy's quadratures."""
+    dx = src.grid.dx
+
+    def rate(t):
+        y = cumulative_trapezoid(src.dfdt(t), dx=dx, initial=0.0)
+        return math.sqrt(np.trapezoid(y * y, dx=dx))
+
+    cuts = sorted({0.0, t_cut, *(b for b in src.breakpoints if 0.0 < b < t_cut)})
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        ts = np.linspace(a, b, max(2, int(np.ceil((b - a) / dt_quad)) + 1))
+        ts_eval = ts.copy()
+        ts_eval[0] += 1e-9 * (b - a)
+        ts_eval[-1] -= 1e-9 * (b - a)
+        total += np.trapezoid(np.array([rate(t) for t in ts_eval]), ts)
+    tail = src.tail_norm_integral(t_cut)
+    return (total, True) if tail is None else (total + tail, False)
+
+
+@pytest.mark.parametrize("kind,t_cut", [
+    ("cosine_decay", 100.0), ("cosine_exp", 100.0), ("tabulated", 5.0), ("callable", 5.0),
+])
+def test_N_infinity_equals_per_time_loop(kind, t_cut):
+    src = SOURCES[kind][0](Grid(201))
+    assert compute_N_infinity(src, t_cut=t_cut) == _per_time_N_infinity(src, t_cut)
+
+
+@pytest.mark.parametrize("kind", ["cosine_decay", "cosine_exp", "tabulated", "callable"])
+def test_functionals_equal_per_time_loop(kind):
+    src = SOURCES[kind][0](Grid(101))
+    times = np.linspace(0.0, 2.0, 401)
+    fn = compute_functionals(src, times, t_cut=3.0)
+    dx = src.grid.dx
+    P = [compute_P(src, t) for t in times]
+    rates = np.array([math.sqrt(np.trapezoid(y * y, dx=dx)) for y in
+                      (cumulative_trapezoid(src.dfdt(t), dx=dx, initial=0.0)
+                       for t in times)])
+    N = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(times))])
+    assert np.array_equal(fn.P_of_t, P)
+    assert np.array_equal(fn.N_of_t, N)
+    assert (fn.N_infinity, fn.tail_truncated) == compute_N_infinity(src, t_cut=3.0)
+
+
+def test_nan_sample_raises():
+    g = Grid(41)
+
+    def dfdt(x, t):
+        return np.full_like(x, np.nan) if abs(t - 0.5) < 1e-12 else -np.cos(np.pi * x)
+
+    src = CallableSource(g, lambda x, t: np.cos(np.pi * x) * (1 - t), dfdt_fn=dfdt)
+    with pytest.raises(ValueError, match="non-finite"):
+        compute_N_infinity(src, t_cut=1.0, dt_quad=0.1)
+    with pytest.raises(ValueError):
+        compute_functionals(src, [0.0, 0.5, 1.0], t_cut=1.0, dt_quad=0.1)
+
+
+def test_negative_time_rejected_in_rows(grid):
+    with pytest.raises(ValueError, match="negative time"):
+        CosineExpSource(grid, 1.0).samples(np.array([0.0, -0.5]))
+
+
+def test_tabulated_range_checked_in_rows():
+    src = _tabulated(Grid(41))
+    with pytest.raises(ConfigError, match="t=2.5 outside"):
+        src.samples(np.array([0.0, 2.5]))
+
+
+def test_N_infinity_memory_is_bounded():
+    # row blocks keep the working set small at n = 2001; the whole
+    # (times x nodes) array would be about 160 MB
+    src = CosineExpSource(Grid(2001), 0.7)
+    tracemalloc.start()
+    try:
+        compute_N_infinity(src)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
