@@ -67,6 +67,9 @@ RUNS = (
      ["transform"]),
     ("ssm-crosscheck", "nu = 1\nM = 1\nh0 = cosine_bump 0.1\nv0 = sine 0.5\nn = 201\n",
      ["ssm-crosscheck"]),
+    # the sheet map at the benchmark's finest grid
+    ("transform-fine", "nu = 1\nM = 1\nh0 = cosine_bump 0.3\nv0 = sine 0.5\nn = 6401\n",
+     ["transform"]),
 )
 
 

@@ -231,7 +231,7 @@ def cmd_transform(args) -> int:
     nu = float(_require(cfg, "nu"))
     h0 = _sheet_profile(grid, cfg.get("h0", "constant 1"), M)
     v0 = _sheet_velocity(grid, cfg.get("v0", "zero"))
-    f0 = lagrangian.source_from_sheet(h0, v0, M, nu)
+    f0 = lagrangian.source_from_sheet(lagrangian.initial_map(h0, M), v0, nu)
     write_field_csv(out / "f0.csv", f0, header=("x", "f0"))
     print(f"P0 = {compute_P0(HomogeneousSource(f0)):.6g}")
     return EXIT_OK
@@ -267,8 +267,8 @@ def cmd_ssm_crosscheck(args) -> int:
     v0 = _sheet_velocity(grid, cfg.get("v0", "sine 0.5"))
     dt_ssm = args.dt or float(cfg.get("dt_ssm", 2e-3))
 
-    f0 = lagrangian.source_from_sheet(h0, v0, M, nu)
     lmap = lagrangian.initial_map(h0, M)
+    f0 = lagrangian.source_from_sheet(lmap, v0, nu)
     sim_cfg = SimulationConfig(
         nu=nu, grid=grid, u0=lmap.u, source=HomogeneousSource(f0),
         dt=float(cfg.get("dt", 1e-3)), t_end=t_check,

@@ -10,6 +10,7 @@ at the percent level.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,14 @@ class SheetState:
 
 @dataclass(frozen=True)
 class LagrangianMap:
-    """Monotone map y(x) with its derivative u = y_x = M/h(y)."""
+    """Monotone map y(x) with its derivative u = y_x = M/h(y).
+
+    h_spline is the cubic interpolant of h0 the map was integrated through.
+    """
 
     y_of_x: Field
     u: Field
+    h_spline: CubicSpline
 
     def __post_init__(self):
         y = self.y_of_x.values
@@ -76,6 +81,33 @@ class SheetView:
     M: float
 
 
+def _scalar_spline(spline: CubicSpline):
+    """y -> float(spline(clip(y, 0, 1))) for a float y, in Python floats.
+
+    Bit for bit what scipy's PPoly evaluation gives, without numpy's per-call
+    overhead: the piece is the last knot at or left of y (the last piece at
+    y = 1, as in scipy's find_interval), and its terms are added to 0.0 lowest
+    power first, in scipy's evaluate_poly1 order.
+    """
+    knots = spline.x.tolist()
+    c3, c2, c1, c0 = spline.c.tolist()  # c3 multiplies the cube
+    last = len(knots) - 2
+
+    def value(y):
+        if y < 0.0:
+            y = 0.0
+        elif y > 1.0:
+            y = 1.0
+        i = bisect_right(knots, y) - 1
+        if i > last:
+            i = last
+        s = y - knots[i]
+        z = s * s
+        return ((0.0 + c0[i] + c1[i] * s) + c2[i] * z) + c3[i] * (z * s)
+
+    return value
+
+
 def initial_map(h0: Field, M: float) -> LagrangianMap:
     """Solve y' = M/h0(y), y(0) = 0 on the x-grid (classical RK4).
 
@@ -86,40 +118,40 @@ def initial_map(h0: Field, M: float) -> LagrangianMap:
         raise ValueError("h0 must be positive")
     grid = h0.grid
     spline = CubicSpline(grid.nodes, h0.values)
-
-    def slope(y):
-        return M / float(spline(np.clip(y, 0.0, 1.0)))
-
-    y = np.empty(grid.n)
-    y[0] = 0.0
+    h = _scalar_spline(spline)
+    M = float(M)  # keeps the loop in Python floats
     dx = grid.dx
-    for i in range(grid.n - 1):
-        k1 = slope(y[i])
-        k2 = slope(y[i] + 0.5 * dx * k1)
-        k3 = slope(y[i] + 0.5 * dx * k2)
-        k4 = slope(y[i] + dx * k3)
-        y[i + 1] = y[i] + dx * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-    if abs(y[-1] - 1.0) > 1e-6:
+    y = [0.0] * grid.n
+    yi = 0.0
+    for i in range(1, grid.n):
+        k1 = M / h(yi)
+        k2 = M / h(yi + 0.5 * dx * k1)
+        k3 = M / h(yi + 0.5 * dx * k2)
+        k4 = M / h(yi + dx * k3)
+        yi = yi + dx * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        y[i] = yi
+    if abs(yi - 1.0) > 1e-6:
         raise ConfigError(
-            f"map endpoint y(1)={y[-1]!r}: h0 mass and M are inconsistent"
+            f"map endpoint y(1)={yi!r}: h0 mass and M are inconsistent"
         )
     y[-1] = 1.0
+    y = np.array(y)
     u = M / spline(np.clip(y, 0.0, 1.0))
-    return LagrangianMap(y_of_x=Field(grid, y), u=Field(grid, u))
+    return LagrangianMap(y_of_x=Field(grid, y), u=Field(grid, u), h_spline=spline)
 
 
-def source_from_sheet(h0: Field, v0: Field, M: float, nu: float) -> Field:
+def source_from_sheet(lmap: LagrangianMap, v0: Field, nu: float) -> Field:
     """Forcing profile induced by thin-sheet initial data.
 
-    Uses the identity (M/h0) d/dy = d/dx along the initial map, so the
-    bracket v0 + nu h0'/h0 is composed with the map and differentiated in x.
+    lmap is the initial map of the sheet height h0.  Uses the identity
+    (M/h0) d/dy = d/dx along it, so the bracket v0 + nu h0'/h0 is composed
+    with the map and differentiated in x.
     """
     if abs(v0.values[0]) > 1e-12 or abs(v0.values[-1]) > 1e-12:
         raise ValueError("v0 must vanish at both ends")
-    lmap = initial_map(h0, M)
-    grid = h0.grid
+    grid = lmap.y_of_x.grid
     y = lmap.y_of_x.values
-    h_spline = CubicSpline(grid.nodes, h0.values)
+    h_spline = lmap.h_spline
     v_spline = CubicSpline(grid.nodes, v0.values)
     bracket = v_spline(y) + nu * h_spline(y, 1) / h_spline(y)
     f0 = derivative(Field(grid, bracket))
@@ -236,7 +268,10 @@ def solve_ssm(initial: SheetState, dt: float, t_end: float,
             lower[1:-1] = -c[1:-1] * hc_new[:-1]
             upper[1:-1] = -c[1:-1] * hc_new[1:]
             diag[1:-1] = 1.0 + c[1:-1] * (hc_new[:-1] + hc_new[1:])
-            v = tridiag_solve(lower, diag, upper, v_star)
+            try:
+                v = tridiag_solve(lower, diag, upper, v_star)
+            except ValueError as err:  # LinAlgError included
+                raise SolverError(f"viscous solve failed at t={t:.6g}: {err}") from err
             v[0] = v[-1] = 0.0
 
             hc = hc_new

@@ -177,7 +177,11 @@ def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
             raise SolverError(
                 f"Newton stalled at t={t + dt:.6g} with residual {res_norm:.3g}"
             )
-        dv = tridiag_solve(*_jacobian_bands(mid, d, nu, dx, dt), -res)
+        bands = _jacobian_bands(mid, d, nu, dx, dt)
+        try:
+            dv = tridiag_solve(*bands, -res)
+        except ValueError as err:  # LinAlgError included
+            raise SolverError(f"Newton solve failed at t={t + dt:.6g}: {err}") from err
         lam = 1.0
         for _ in range(10):
             trial = v + lam * dv

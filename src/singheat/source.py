@@ -258,11 +258,10 @@ class TabulatedSource(SourceTerm):
         return t, np.minimum(k, len(self.times) - 2)
 
     def _raw(self, t) -> np.ndarray:
-        lo, hi = np.min(t), np.max(t)
-        if lo < self.times[0] - 1e-12 or hi > self.times[-1] + 1e-12:
+        lo = np.min(t)
+        if lo < self.times[0] - 1e-12:
             raise ConfigError(
-                f"t={lo if lo < self.times[0] - 1e-12 else hi} outside tabulated "
-                f"range [{self.times[0]}, {self.times[-1]}]"
+                f"t={lo} before the tabulated range [{self.times[0]}, {self.times[-1]}]"
             )
         if len(self.times) == 1:
             return self._table[np.zeros(np.shape(t), dtype=int)]

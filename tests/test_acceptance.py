@@ -19,6 +19,7 @@ from singheat.grid import Field, Grid, h1_norm, trapezoid_integral
 from singheat.lagrangian import (
     SheetState,
     crosscheck_heights,
+    initial_map,
     limit_sheet,
     pde_time_derivative,
     sheet_from_u,
@@ -231,7 +232,7 @@ def test_criterion_10_lagrangian_round_trip(criterion):
     g = Grid(4097)
     h0 = Field(g, np.ones(g.n))
     v0 = Field(g, 0.5 * np.sin(np.pi * g.nodes))
-    f0 = source_from_sheet(h0, v0, M=1.0, nu=1.0)
+    f0 = source_from_sheet(initial_map(h0, 1.0), v0, nu=1.0)
     f_err = float(np.max(np.abs(f0.values - (np.pi / 2) * np.cos(np.pi * g.nodes))))
 
     # velocity recovery at t = 0: v_x = u_t = f0 at the flat state

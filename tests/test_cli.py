@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+from singheat import lagrangian, solver
 from singheat.cli import main
+from singheat.grid import Grid
+from singheat.lagrangian import initial_map
 
 
 def run(argv):
@@ -162,6 +166,44 @@ class TestSSMCrosscheck:
         data = json.loads((out / "crosscheck.json").read_text())
         assert data["max_rel_error_h"] <= 0.02
         assert (out / "sheet_final.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["ssm-crosscheck", "transform"])
+def test_sheet_commands_build_one_map(tmp_path, monkeypatch, command):
+    calls = []
+
+    def counted(h0, M):
+        calls.append(M)
+        return initial_map(h0, M)
+
+    monkeypatch.setattr(lagrangian, "initial_map", counted)
+    cfg = write_config(tmp_path, "nu = 1\nh0 = constant 1\nv0 = sine 0.5\n")
+    assert run([command, "--config", cfg, "--n", "51",
+                "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_simulate_past_tabulated_source_end(tmp_path):
+    # the table ends at t = 2; past it f is held at its last profile
+    g = Grid(51)
+    path = tmp_path / "source.csv"
+    path.write_text("t,x,f\n" + "".join(
+        f"{t!r},{x!r},{(1 - t / 2) * 0.5 * math.cos(math.pi * x)!r}\n"
+        for t in (0.0, 1.0, 2.0) for x in g.nodes.tolist()))
+    cfg = write_config(tmp_path, f"source = csv {path}\nnu = 30\nn = 51\nt_end = 2.5\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "u_t00002.5000.csv").exists()
+
+
+def test_failed_newton_solve_exits_as_solver_failure(tmp_path, monkeypatch, capsys):
+    def singular(*args):
+        raise LinAlgError("singular matrix")
+
+    monkeypatch.setattr(solver, "tridiag_solve", singular)
+    cfg = write_config(tmp_path, "source = zero\nnu = 1\nn = 21\nt_end = 0.01\n")
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "solver failure: Newton solve failed at t=0.001" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("slot", ["u0", "h0", "v0"])

@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.linalg import LinAlgError
 
-from singheat.errors import ConfigError
+from singheat import lagrangian
+from singheat.errors import ConfigError, SolverError
 from singheat.grid import Field, Grid, derivative, trapezoid_integral
 from singheat.lagrangian import (
     LagrangianMap,
@@ -59,12 +62,54 @@ class TestInitialMap:
         with pytest.raises(ConfigError):
             initial_map(Field(g, np.ones(101)), 1.5)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.17, 0.3])
+    @pytest.mark.parametrize("n", [201, 1601, 6401])
+    def test_bits_match_cubic_spline_reference(self, n, eps):
+        g = Grid(n)
+        vals = 1.0 + eps * np.cos(np.pi * g.nodes)
+        h0 = Field(g, vals / trapezoid_integral(Field(g, vals)))
+        m = initial_map(h0, 1.0)
+        y, u = _reference_map(h0, 1.0)
+        assert np.array_equal(m.y_of_x.values, y)
+        assert np.array_equal(m.u.values, u)
+
+    def test_scalar_spline_matches_scipy_at_knots_and_clamps(self):
+        g = Grid(11)
+        spline = CubicSpline(g.nodes, 1.0 + 0.3 * np.cos(np.pi * g.nodes) ** 3)
+        h = lagrangian._scalar_spline(spline)
+        mids = 0.5 * (g.nodes[:-1] + g.nodes[1:])
+        points = [*g.nodes, *mids, -0.0, -1e-3, -5.0, 1.0 + 1e-12, 3.0,
+                  np.nextafter(0.3, 0.0), np.nextafter(1.0, 0.0)]
+        for y in map(float, points):
+            assert h(y) == float(spline(np.clip(y, 0.0, 1.0))), y
+
     def test_folding_rejected(self):
         g = Grid(11)
         y = g.nodes.copy()
         y[5] = y[4]  # non-increasing
         with pytest.raises(ValueError):
-            LagrangianMap(y_of_x=Field(g, y), u=Field(g, np.ones(11)))
+            LagrangianMap(y_of_x=Field(g, y), u=Field(g, np.ones(11)),
+                          h_spline=CubicSpline(g.nodes, np.ones(11)))
+
+
+def _reference_map(h0, M):
+    """initial_map's RK4 with one scipy CubicSpline call per stage."""
+    spline = CubicSpline(h0.grid.nodes, h0.values)
+
+    def slope(y):
+        return M / float(spline(np.clip(y, 0.0, 1.0)))
+
+    y = np.empty(h0.grid.n)
+    y[0] = 0.0
+    dx = h0.grid.dx
+    for i in range(h0.grid.n - 1):
+        k1 = slope(y[i])
+        k2 = slope(y[i] + 0.5 * dx * k1)
+        k3 = slope(y[i] + 0.5 * dx * k2)
+        k4 = slope(y[i] + dx * k3)
+        y[i + 1] = y[i] + dx * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    y[-1] = 1.0
+    return y, M / spline(np.clip(y, 0.0, 1.0))
 
 
 class TestSourceFromSheet:
@@ -73,7 +118,7 @@ class TestSourceFromSheet:
         g = Grid(801)
         h0 = Field(g, np.ones(g.n))
         v0 = Field(g, 0.5 * np.sin(np.pi * g.nodes))
-        f0 = source_from_sheet(h0, v0, M=1.0, nu=1.0)
+        f0 = source_from_sheet(initial_map(h0, 1.0), v0, nu=1.0)
         expect = (np.pi / 2) * np.cos(np.pi * g.nodes)
         assert np.max(np.abs(f0.values - expect)) < 3e-5
 
@@ -82,9 +127,9 @@ class TestSourceFromSheet:
         for n in (201, 401):
             g = Grid(n)
             f0 = source_from_sheet(
-                Field(g, np.ones(n)),
+                initial_map(Field(g, np.ones(n)), 1.0),
                 Field(g, 0.5 * np.sin(np.pi * g.nodes)),
-                M=1.0, nu=1.0,
+                nu=1.0,
             )
             errs.append(
                 np.max(np.abs(f0.values - (np.pi / 2) * np.cos(np.pi * g.nodes)))
@@ -94,7 +139,8 @@ class TestSourceFromSheet:
     def test_still_sheet_no_force(self):
         g = Grid(101)
         f0 = source_from_sheet(
-            Field(g, np.full(101, 3.0)), Field(g, np.zeros(101)), M=3.0, nu=1.0
+            initial_map(Field(g, np.full(101, 3.0)), 3.0), Field(g, np.zeros(101)),
+            nu=1.0,
         )
         assert np.max(np.abs(f0.values)) < 1e-10
 
@@ -107,9 +153,7 @@ class TestSourceFromSheet:
         h0 = Field(g, h0_vals)
         M = trapezoid_integral(h0)
         v0 = Field(g, np.zeros(g.n))
-        f_a = source_from_sheet(h0, v0, M=M, nu=1.0)
-
-        from scipy.interpolate import CubicSpline
+        f_a = source_from_sheet(initial_map(h0, M), v0, nu=1.0)
 
         m = initial_map(h0, M)
         spline = CubicSpline(g.nodes, h0_vals)
@@ -123,9 +167,9 @@ class TestSourceFromSheet:
         g = Grid(101)
         with pytest.raises(ValueError):
             source_from_sheet(
-                Field(g, np.ones(101)),
+                initial_map(Field(g, np.ones(101)), 1.0),
                 Field(g, np.cos(np.pi * g.nodes)),
-                M=1.0, nu=1.0,
+                nu=1.0,
             )
 
 
@@ -219,6 +263,16 @@ class TestSolveSSM:
                            sample_times=[0.25, 0.5, 1.0])
         for st in states:
             assert st.mass() == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("err", [LinAlgError("singular matrix"),
+                                     ValueError("infs or NaNs")])
+    def test_failed_viscous_solve_is_solver_error(self, monkeypatch, err):
+        def fail(*args):
+            raise err
+
+        monkeypatch.setattr(lagrangian, "tridiag_solve", fail)
+        with pytest.raises(SolverError, match="viscous solve failed"):
+            solve_ssm(ex24_sheet(21), dt=1e-3, t_end=0.01)
 
     def test_long_time_limit(self):
         states = solve_ssm(ex24_sheet(), dt=1e-3, t_end=8.0)

@@ -217,6 +217,19 @@ class TestFailureHandling:
         assert len(rec.times) >= 1
 
 
+    @pytest.mark.parametrize("err", [LinAlgError("singular matrix"),
+                                     ValueError("infs or NaNs")])
+    def test_failed_newton_solve_is_recorded(self, monkeypatch, err):
+        def fail(*args):
+            raise err
+
+        monkeypatch.setattr(solver, "tridiag_solve", fail)
+        rec = simulate(flat_config(21, t_end=0.01))
+        assert rec.failure.startswith("Newton solve failed at t=0.001")
+        assert rec.failure_time == 0.0
+        assert len(rec.times) == 1
+
+
 def test_diagnostics_flat_state():
     from singheat.solver import diagnostics
 

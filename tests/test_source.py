@@ -190,9 +190,19 @@ class TestTabulated:
         assert np.max(np.abs(mid - 2 * np.cos(np.pi * grid.nodes))) < 1e-13
 
     def test_out_of_range_rejected(self, grid):
-        src = TabulatedSource([0.0, 1.0], [Field(grid, np.zeros(grid.n))] * 2)
+        # only times before the table are out of range; past it f is held
+        src = TabulatedSource([0.5, 1.0], [Field(grid, np.zeros(grid.n))] * 2)
         with pytest.raises(ConfigError):
-            src.evaluate(2.0)
+            src.evaluate(0.25)
+
+    def test_last_profile_held_past_the_table(self, grid):
+        f0 = Field(grid, np.cos(np.pi * grid.nodes))
+        f1 = Field(grid, 3 * np.cos(np.pi * grid.nodes))
+        src = TabulatedSource([0.0, 2.0], [f0, f1])
+        last = src.evaluate(2.0).values
+        assert np.array_equal(src.evaluate(2.5).values, last)
+        assert np.array_equal(src.samples(np.array([1.0, 7.0]))[1], last)
+        assert np.array_equal(src.evaluate(100.0).values, src.f_limit().values)
 
     def test_nonincreasing_times_rejected(self, grid):
         z = Field(grid, np.zeros(grid.n))
@@ -373,9 +383,10 @@ def test_negative_time_rejected_in_rows(grid):
 
 
 def test_tabulated_range_checked_in_rows():
-    src = _tabulated(Grid(41))
-    with pytest.raises(ConfigError, match="t=2.5 outside"):
-        src.samples(np.array([0.0, 2.5]))
+    g = Grid(41)
+    src = TabulatedSource([1.0, 2.0], [Field(g, _cos(g)), Field(g, 2 * _cos(g))])
+    with pytest.raises(ConfigError, match="t=0.5 before"):
+        src.samples(np.array([1.5, 0.5]))
 
 
 def test_N_infinity_memory_is_bounded():
