@@ -22,6 +22,7 @@ from .decay import (
     check_gradient_energy_envelope,
     check_homogeneous_envelope,
     envelope_csv,
+    homogeneous_bound,
 )
 from .errors import ConfigError, HypothesisError, SingheatError, SolverError
 from .grid import (
@@ -89,20 +90,24 @@ def _make_u0(grid: Grid, spec: str) -> Field:
 
 
 def _build_sim_config(cfg: dict, args) -> SimulationConfig:
-    n = args.n or int(cfg.get("n", 401))
+    n = args.n if args.n is not None else int(cfg.get("n", 401))
     grid = Grid(n)
     source = make_source(grid, _require(cfg, "source"))
     u0 = _make_u0(grid, cfg.get("u0", "constant 1"))
+    # SimulationConfig takes 0, a march whose every unsolved step stalls; a config may not
+    newton_max_iter = int(cfg.get("newton_max_iter", 50))
+    if newton_max_iter < 1:
+        raise ConfigError(f"newton_max_iter must be at least 1, got {newton_max_iter}")
     return SimulationConfig(
         nu=float(_require(cfg, "nu")),
         grid=grid,
         u0=u0,
         source=source,
-        dt=args.dt or float(cfg.get("dt", 1e-3)),
-        t_end=args.t_end or float(cfg.get("t_end", 1.0)),
+        dt=args.dt if args.dt is not None else float(cfg.get("dt", 1e-3)),
+        t_end=args.t_end if args.t_end is not None else float(cfg.get("t_end", 1.0)),
         snapshot_stride=int(cfg.get("snapshot_stride", 100)),
         newton_tol=float(cfg.get("newton_tol", 1e-12)),
-        newton_max_iter=int(cfg.get("newton_max_iter", 50)),
+        newton_max_iter=newton_max_iter,
         positivity_floor=float(cfg.get("positivity_floor", 1e-8)),
     )
 
@@ -119,7 +124,7 @@ def _write_manifest(out: Path, command: str, config_path) -> None:
 def cmd_steady(args) -> int:
     cfg = read_config(args.config)
     out = _prepare_out(args, "steady")
-    n = args.n or int(cfg.get("n", 4097))
+    n = args.n if args.n is not None else int(cfg.get("n", 4097))
     grid = Grid(n)
     source = make_source(grid, _require(cfg, "source"))
     nu = float(_require(cfg, "nu"))
@@ -141,7 +146,7 @@ def cmd_steady(args) -> int:
 def cmd_constants(args) -> int:
     cfg = read_config(args.config)
     out = _prepare_out(args, "constants")
-    n = args.n or int(cfg.get("n", 2001))
+    n = args.n if args.n is not None else int(cfg.get("n", 2001))
     grid = Grid(n)
     source = make_source(grid, _require(cfg, "source"))
     u0 = _make_u0(grid, cfg.get("u0", "constant 1"))
@@ -174,25 +179,22 @@ def _run_and_report(sim_cfg: SimulationConfig, out: Path, mode: str) -> int:
     if mode == "homogeneous":
         report = check_homogeneous_envelope(record, consts)
         report.to_json(out / "decay_report.json")
-        times = np.asarray(record.times)
-        bound = record.h1_error_inverse[0] * np.exp(-consts.lambda_hom * times)
-        envelope_csv(out / "envelope.csv", times, bound, record.h1_error_inverse)
+        envelope_csv(out / "envelope.csv", record.times,
+                     homogeneous_bound(record, consts.lambda_hom), record.h1_error_inverse)
         lo, hi = consts.homogeneous_bounds()
-        bounds_ok = min(record.min_u) >= lo - 1e-12 and max(record.max_u) <= hi + 1e-12
-        ok = report.envelope_ok and bounds_ok
+    else:
+        report = check_gradient_energy_envelope(record, consts, sim_cfg.source)
+        report.to_json(out / "energy_envelope_report.json")
+        lo, hi = consts.A_minus, consts.A_plus
+    bounds_ok = bool(record.min_u.min() >= lo - 1e-12
+                     and record.max_u.max() <= hi + 1e-12)
+    if mode == "homogeneous":
         print(f"envelope_ok={report.envelope_ok} bounds_ok={bounds_ok} "
               f"rate={consts.lambda_hom:.4f}")
     else:
-        energy = check_gradient_energy_envelope(record, consts, sim_cfg.source)
-        energy.to_json(out / "energy_envelope_report.json")
-        bounds_ok = (
-            min(record.min_u) >= consts.A_minus - 1e-12
-            and max(record.max_u) <= consts.A_plus + 1e-12
-        )
-        ok = bounds_ok and energy.envelope_ok
-        print(f"bounds_ok={bounds_ok} energy_envelope_ok={energy.envelope_ok} "
+        print(f"bounds_ok={bounds_ok} energy_envelope_ok={report.envelope_ok} "
               f"B={consts.B:.4f}")
-    return EXIT_OK if ok else EXIT_SOLVER
+    return EXIT_OK if report.envelope_ok and bounds_ok else EXIT_SOLVER
 
 
 def cmd_simulate(args) -> int:
@@ -210,14 +212,14 @@ def cmd_example(args) -> int:
         raise ConfigError("example runs its built-in data and takes no --config")
     out = _prepare_out(args, f"example-{args.name}")
     nu, n, source, t_end, mode = EXAMPLES[args.name]
-    grid = Grid(args.n or n)
+    grid = Grid(args.n if args.n is not None else n)
     sim_cfg = SimulationConfig(
         nu=nu,
         grid=grid,
         u0=Field(grid, np.ones(grid.n)),
         source=make_source(grid, source),
-        dt=args.dt or 1e-3,
-        t_end=args.t_end or t_end,
+        dt=args.dt if args.dt is not None else 1e-3,
+        t_end=args.t_end if args.t_end is not None else t_end,
     )
     return _run_and_report(sim_cfg, out, mode)
 
@@ -225,7 +227,7 @@ def cmd_example(args) -> int:
 def cmd_transform(args) -> int:
     cfg = read_config(args.config)
     out = _prepare_out(args, "transform")
-    n = args.n or int(cfg.get("n", 401))
+    n = args.n if args.n is not None else int(cfg.get("n", 401))
     grid = Grid(n)
     M = float(cfg.get("M", 1.0))
     nu = float(_require(cfg, "nu"))
@@ -258,14 +260,14 @@ def _sheet_velocity(grid: Grid, spec: str) -> Field:
 def cmd_ssm_crosscheck(args) -> int:
     cfg = read_config(args.config) if args.config else {}
     out = _prepare_out(args, "ssm-crosscheck")
-    n = args.n or int(cfg.get("n", 201))
+    n = args.n if args.n is not None else int(cfg.get("n", 201))
     grid = Grid(n)
     M = float(cfg.get("M", 1.0))
     nu = float(cfg.get("nu", 1.0))
-    t_check = args.t_end or float(cfg.get("t_check", 1.0))
+    t_check = args.t_end if args.t_end is not None else float(cfg.get("t_check", 1.0))
     h0 = _sheet_profile(grid, cfg.get("h0", "constant 1"), M)
     v0 = _sheet_velocity(grid, cfg.get("v0", "sine 0.5"))
-    dt_ssm = args.dt or float(cfg.get("dt_ssm", 2e-3))
+    dt_ssm = args.dt if args.dt is not None else float(cfg.get("dt_ssm", 2e-3))
 
     lmap = lagrangian.initial_map(h0, M)
     f0 = lagrangian.source_from_sheet(lmap, v0, nu)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import HypothesisError, SolverError
 from .constants import TheoremConstants
-from .grid import h1_norm, l2, pow2, write_csv, write_json
+from .grid import h1, l2, pow2, write_csv, write_json
 from .solver import SimulationRecord
 from .source import SourceTerm, over_time
 
@@ -65,8 +65,6 @@ def fit_rate(times, errors, floor: float = DEFAULT_FLOOR):
 
 
 def _envelope_report(times, observed, bound, theory_rate, floor, tol=ENVELOPE_TOL):
-    observed = np.asarray(observed, dtype=float)
-    bound = np.asarray(bound, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = observed / ((1 + tol) * bound)
     # samples at or below the noise floor carry no envelope information
@@ -96,10 +94,13 @@ def check_homogeneous_envelope(record: SimulationRecord,
     if not consts.hom_ok:
         raise HypothesisError("homogeneous theorem hypotheses do not hold")
     lam = consts.lambda_hom if rate is None else rate
-    times = np.asarray(record.times)
-    err = np.asarray(record.h1_error_inverse)
-    bound = err[0] * np.exp(-lam * times)
-    return _envelope_report(times, err, bound, lam, floor)
+    return _envelope_report(record.times, record.h1_error_inverse,
+                            homogeneous_bound(record, lam), lam, floor)
+
+
+def homogeneous_bound(record: SimulationRecord, rate: float) -> np.ndarray:
+    """The homogeneous envelope: the initial H1 error of 1/u times exp(-rate t)."""
+    return record.h1_error_inverse[0] * np.exp(-rate * record.times)
 
 
 def _forcing_gap_sq(record: SimulationRecord, src: SourceTerm) -> np.ndarray:
@@ -140,8 +141,7 @@ def check_gradient_energy_envelope(record: SimulationRecord,
     q - q_inf) is bounded by e^{-Bt} [initial value + integral of
     (A-^{-2} + A+^{-2}) ||f - f_inf||_2^2 e^{Bs} ds].
     """
-    return _forced_envelope(record, consts, src,
-                            2.0 * np.asarray(record.relative_energy),
+    return _forced_envelope(record, consts, src, 2.0 * record.relative_energy,
                             1 / consts.A_minus**2 + 1 / consts.A_plus**2, floor)
 
 
@@ -149,8 +149,7 @@ def _forced_envelope(record, consts, src, observed, coeff, floor):
     """observed against e^{-Bt} observed[0] + coeff * (weighted forcing gap)."""
     if not consts.inhom_ok:
         raise HypothesisError("inhomogeneous theorem hypotheses do not hold")
-    times = np.asarray(record.times)
-    observed = np.asarray(observed)
+    times = record.times
     gap_sq = _forcing_gap_sq(record, src)
     weighted = _exp_weighted_cumulative(times, gap_sq, consts.B)
     bound = np.exp(-consts.B * times) * observed[0] + coeff * weighted
@@ -185,7 +184,8 @@ def check_direct_convergence(record: SimulationRecord,
     """
     u_inf = record.steady.u_infinity
     times = np.asarray(record.snapshot_times)
-    err = np.array([h1_norm(u - u_inf) for u in record.snapshots])
+    err = np.array([h1(u.values - u_inf.values, u_inf.grid.dx)
+                    for u in record.snapshots])
     rate, prefactor, window = fit_rate(times, err, floor)
     return DecayReport(
         fitted_rate=rate,

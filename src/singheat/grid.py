@@ -53,21 +53,6 @@ class Field:
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)
 
-    def __add__(self, other):
-        return self.with_values(self.values + _vals(other))
-
-    def __sub__(self, other):
-        return self.with_values(self.values - _vals(other))
-
-    def __mul__(self, other):
-        return self.with_values(self.values * _vals(other))
-
-    __rmul__ = __mul__
-
-
-def _vals(x):
-    return x.values if isinstance(x, Field) else x
-
 
 def trapezoid(y: np.ndarray, dx: float):
     """np.trapezoid(y, dx=dx) along the last axis, with the same operations in order.
@@ -175,7 +160,9 @@ def write_field_csv(path, g: Field, header=("x", "value")) -> None:
 
 def read_field_csv(path, grid: Grid | None = None) -> Field:
     """A field read from (x, value) rows; on `grid` if given, which must match."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] < 2:
+        raise ValueError(f"{path} needs (x, value) rows")
     x, v = data[:, 0], data[:, 1]
     if grid is None:
         grid = Grid(len(x))

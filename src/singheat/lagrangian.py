@@ -201,6 +201,8 @@ def solve_ssm(initial: SheetState, dt: float, t_end: float,
     solve of (nu/h)(h v_y)_y with v = 0 at both ends.  The time step is
     lowered adaptively to keep the advective CFL at 0.4.
     """
+    if dt <= 0:
+        raise ValueError(f"sheet time step must be positive, got dt={dt}")
     grid = initial.grid
     n = grid.n
     dx = grid.dx

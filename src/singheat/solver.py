@@ -42,6 +42,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.nu <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise ValueError("nu, dt and t_end must be positive")
+        if self.snapshot_stride < 1:
+            raise ValueError(f"snapshot_stride must be at least 1, got {self.snapshot_stride}")
         if self.u0.grid.n != self.grid.n:
             raise ValueError(
                 f"u0 has {self.u0.grid.n} nodes, the grid has n = {self.grid.n}"
@@ -60,33 +62,39 @@ DIAGNOSTIC_COLUMNS = (
 )
 
 
+def _series():
+    return field(default_factory=lambda: np.empty(0))
+
+
 @dataclass
 class SimulationRecord:
-    """Snapshots plus per-step diagnostics of one run."""
+    """Snapshots plus per-step diagnostics of one run.
+
+    The nine per-step series come in DIAGNOSTIC_COLUMNS order; `simulate`
+    makes them the columns of one array.
+    """
 
     config: SimulationConfig
     steady: SteadyState
     snapshot_times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
-    times: list = field(default_factory=list)
-    mass: list = field(default_factory=list)
-    energy: list = field(default_factory=list)
-    relative_energy: list = field(default_factory=list)
-    h1_error_inverse: list = field(default_factory=list)
-    qx_l2: list = field(default_factory=list)
-    min_u: list = field(default_factory=list)
-    max_u: list = field(default_factory=list)
-    newton_iters: list = field(default_factory=list)
+    times: np.ndarray = _series()
+    mass: np.ndarray = _series()
+    energy: np.ndarray = _series()
+    relative_energy: np.ndarray = _series()
+    h1_error_inverse: np.ndarray = _series()
+    qx_l2: np.ndarray = _series()
+    min_u: np.ndarray = _series()
+    max_u: np.ndarray = _series()
+    newton_iters: np.ndarray = _series()
     failure: str | None = None
     failure_time: float | None = None
 
-    def columns(self) -> list:
-        """The per-step series, in DIAGNOSTIC_COLUMNS order."""
-        return [self.times if c == "t" else getattr(self, c)
-                for c in DIAGNOSTIC_COLUMNS]
-
     def diagnostics_csv(self, path) -> None:
-        write_csv(path, DIAGNOSTIC_COLUMNS, self.columns())
+        # Python floats: the writer formats them faster than numpy scalars
+        write_csv(path, DIAGNOSTIC_COLUMNS,
+                  [getattr(self, "times" if c == "t" else c).tolist()
+                   for c in DIAGNOSTIC_COLUMNS])
 
 
 def _rhs_terms(u: np.ndarray, f: np.ndarray, nu: float, dx: float):
@@ -203,8 +211,8 @@ def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
 
 
 def diagnostics(u: Field, t: float, cfg: SimulationConfig,
-                steady: SteadyState) -> dict:
-    """Energy/norm diagnostics of one solution snapshot."""
+                steady: SteadyState) -> tuple:
+    """Energy/norm diagnostics of one snapshot: DIAGNOSTIC_COLUMNS but the last."""
     dx = cfg.grid.dx
     uv = u.values
     sqrt_nu = math.sqrt(cfg.nu)
@@ -215,51 +223,48 @@ def diagnostics(u: Field, t: float, cfg: SimulationConfig,
     u_inf = steady.u_infinity.values
     # q - steady.q_infinity(), without building a Field
     wx = gradient(q - np.sqrt(steady.nu) / u_inf, dx)
-    return {
-        "t": t,
-        "mass": trapezoid(uv, dx),
-        "energy": energy,
-        "relative_energy": 0.5 * trapezoid(wx * wx, dx),
-        "h1_error_inverse": h1(1.0 / uv - 1.0 / u_inf, dx),
-        "qx_l2": l2(qx, dx),
-        "min_u": float(uv.min()),
-        "max_u": float(uv.max()),
-    }
+    return (
+        t,
+        trapezoid(uv, dx),
+        energy,
+        0.5 * trapezoid(wx * wx, dx),
+        h1(1.0 / uv - 1.0 / u_inf, dx),
+        l2(qx, dx),
+        float(uv.min()),
+        float(uv.max()),
+    )
 
 
 def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> SimulationRecord:
     """March to t_end, recording snapshots and per-step diagnostics.
 
-    On a solver failure the partial record is returned with the failure
-    annotated rather than lost.
+    The diagnostics fill one (steps + 1) x 9 array, a row per recorded time;
+    its columns, each contiguous, become the record's series.  On a solver
+    failure the array is cut at the last completed step and the partial
+    record is returned with the failure annotated rather than lost.
     """
     if steady is None:
         which = "limit" if cfg.source.time_dependent else "initial"
         steady = steady_profile(cfg.source, cfg.nu, which=which)
-    rec = SimulationRecord(config=cfg, steady=steady)
-
-    def record(u, t, iters):
-        d = diagnostics(u, t, cfg, steady)
-        d["newton_iters"] = iters
-        for name, series in zip(DIAGNOSTIC_COLUMNS, rec.columns()):
-            series.append(d[name])
-
-    u = cfg.u0
-    record(u, 0.0, 0)
-    rec.snapshot_times.append(0.0)
-    rec.snapshots.append(u)
     n_steps = int(round(cfg.t_end / cfg.dt))
+    data = np.empty((n_steps + 1, len(DIAGNOSTIC_COLUMNS)), order="F")
+    u = cfg.u0
+    data[0] = (*diagnostics(u, 0.0, cfg, steady), 0)
+    snapshot_times, snapshots = [0.0], [u]
+    failure = failure_time = None
+    done = n_steps
     for k in range(n_steps):
         t = k * cfg.dt
         try:
             u, iters = step(u, t, cfg)
         except SolverError as err:
-            rec.failure = str(err)
-            rec.failure_time = t
-            return rec
+            failure, failure_time, done = str(err), t, k
+            break
         t_new = (k + 1) * cfg.dt
-        record(u, t_new, iters)
+        data[k + 1] = (*diagnostics(u, t_new, cfg, steady), iters)
         if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == n_steps:
-            rec.snapshot_times.append(t_new)
-            rec.snapshots.append(u)
-    return rec
+            snapshot_times.append(t_new)
+            snapshots.append(u)
+    return SimulationRecord(cfg, steady, snapshot_times, snapshots,
+                            *data[:done + 1].T,
+                            failure=failure, failure_time=failure_time)

@@ -3,20 +3,19 @@
 Every evaluated field is mean-zero projected against the trapezoid quadrature:
 nodal sampling of an analytically mean-zero function is not discretely
 mean-zero, and the discrete zero mean is what makes the solver conserve mass
-exactly.  The functionals P0, P(t), N(t), N_infinity computed here are the
-data constants entering the convergence theorems.
+exactly.  The functionals P0 and N_infinity computed here are the data
+constants entering the convergence theorems.
 
 Each family writes f and f_t once, for a time or for a 1-D array of times
-(one row of nodal samples per time).  The time-axis norms (N_infinity, P(t),
-N(t) and the envelopes' forcing gap) run on blocks of such rows, with the
-operations of the one-time code, so they keep its bits.
+(one row of nodal samples per time).  The time-axis norms (N_infinity and the
+envelopes' forcing gap) run on blocks of such rows, with the operations of
+the one-time code, so they keep its bits.
 """
 
 from __future__ import annotations
 
 import inspect
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -284,25 +283,9 @@ class TabulatedSource(SourceTerm):
         return 0.0 if t_cut >= self.times[-1] else None
 
 
-@dataclass(frozen=True)
-class SourceFunctionals:
-    """P0, N_infinity and sampled P(t), N(t) for a forcing."""
-
-    P0: float
-    N_infinity: float
-    tail_truncated: bool
-    times: np.ndarray
-    P_of_t: np.ndarray
-    N_of_t: np.ndarray
-
-
 def compute_P0(src: SourceTerm) -> float:
     """L2 norm of the primitive of the initial forcing profile."""
     return l2_norm(antiderivative(src.f_initial()))
-
-
-def compute_P(src: SourceTerm, t: float) -> float:
-    return l2_norm(antiderivative(src.evaluate(t)))
 
 
 def over_time(kernel, ts, n: int) -> np.ndarray:
@@ -365,33 +348,6 @@ def compute_N_infinity(
     if tail is None:
         return total, True
     return total + tail, False
-
-
-def compute_functionals(
-    src: SourceTerm, times, t_cut: float = 100.0, dt_quad: float = 1e-2
-) -> SourceFunctionals:
-    """Sample P(t) and N(t) at the given times and compute P0, N_infinity."""
-    times = np.asarray(times, dtype=float)
-    P0 = compute_P0(src)
-    if src.time_dependent:
-        dx, n = src.grid.dx, src.grid.n
-        P = over_time(lambda block: _primitive_norms(src.samples(block), dx), times, n)
-        rates = over_time(lambda block: _primitive_norms(src.dfdt(block), dx), times, n)
-        N = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(times))]
-        )
-    else:
-        P = np.full(len(times), P0)
-        N = np.zeros(len(times))
-    n_inf, truncated = compute_N_infinity(src, t_cut=t_cut, dt_quad=dt_quad)
-    return SourceFunctionals(
-        P0=P0,
-        N_infinity=n_inf,
-        tail_truncated=truncated,
-        times=times,
-        P_of_t=P,
-        N_of_t=N,
-    )
 
 
 def parse_spec(slot: str, spec: str, builders: dict):

@@ -17,8 +17,8 @@ from .errors import NoRootError, SingularSteadyStateError
 from .grid import (
     Field,
     antiderivative,
-    derivative,
-    l2_norm,
+    gradient,
+    l2,
     trapezoid_integral,
     write_field_csv,
     write_json,
@@ -115,9 +115,9 @@ def solve_cnu(F2: Field, nu: float) -> float:
 
 def pde_residual(u: Field, f: Field, nu: float) -> float:
     """L2 norm of the discrete nu*(u^-2 u_x)_x + f (diagnostic only)."""
-    ux = derivative(u)
-    flux = u.with_values(ux.values / u.values**2)
-    return l2_norm(derivative(flux) * nu + f)
+    dx = u.grid.dx
+    flux = gradient(u.values, dx) / u.values**2
+    return l2(gradient(flux, dx) * nu + f.values, dx)
 
 
 def steady_profile(src: SourceTerm, nu: float, which: str = "limit") -> SteadyState:

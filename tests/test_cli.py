@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,20 +207,58 @@ def test_failed_newton_solve_exits_as_solver_failure(tmp_path, monkeypatch, caps
     assert "solver failure: Newton solve failed at t=0.001" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("slot", ["u0", "h0", "v0"])
-def test_csv_initial_data_must_match_grid(tmp_path, capsys, slot):
-    x = np.linspace(0.0, 1.0, 21)
+#: initial-data files that do not fit a 51-node grid: rows after the header,
+#: and the phrases the error names
+CSV_MISFITS = {
+    "": ("".join(f"{a:.17g},1.0\n" for a in np.linspace(0.0, 1.0, 21)),
+         ("21 nodes", "n = 51")),
+    "-one-row": ("0,1.0\n", ("1 nodes", "n = 51")),
+    "-header-only": ("", ("(x, value) rows",)),
+}
+
+
+@pytest.mark.parametrize("slot,rows,phrases", [
+    pytest.param(slot, rows, phrases, id=slot + case)
+    for case, (rows, phrases) in CSV_MISFITS.items() for slot in ("u0", "h0", "v0")
+])
+def test_csv_initial_data_must_match_grid(tmp_path, capsys, slot, rows, phrases):
     path = tmp_path / "data.csv"
-    path.write_text("x,value\n" + "".join(f"{a:.17g},1.0\n" for a in x))
+    path.write_text("x,value\n" + rows)
     if slot == "u0":
         command, base = "simulate", "source = zero\nnu = 1\n"
     else:
         command, base = "transform", "nu = 1\n"
     cfg = write_config(tmp_path, f"{base}n = 51\n{slot} = csv {path}\n")
-    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt: no data
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert f"config error: {slot} spec" in err
-    assert "21 nodes" in err and "n = 51" in err
+    assert all(phrase in err for phrase in phrases)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "0"],
+    ["simulate", "--dt", "0"],
+    ["simulate", "--t-end", "0"],
+    ["example", "ex-3-3", "--n", "0"],
+    ["example", "ex-3-3", "--dt", "0"],
+    ["example", "ex-3-3", "--t-end", "0"],
+    ["ssm-crosscheck", "--n", "21", "--t-end", "0.01", "--dt", "0"],
+], ids=" ".join)
+def test_zero_flag_is_config_error(tmp_path, capsys, argv):
+    # an explicit 0 is a value, not an absent flag, and every one is invalid
+    if argv[0] == "simulate":
+        argv = argv + ["--config", write_config(tmp_path, "source = zero\nnu = 1\nn = 21\n")]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 4
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["snapshot_stride", "newton_max_iter"])
+def test_config_count_below_one_is_config_error(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, f"source = zero\nnu = 1\nn = 21\nt_end = 0.01\n{key} = 0\n")
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert f"config error: {key} must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_example_rejects_config(tmp_path, capsys):

@@ -206,7 +206,7 @@ class TestSheetFromU:
         ss = steady_profile(CosineStaticSource(g, np.pi / 2), 1.0, which="initial")
         u = ss.u_infinity
         view = sheet_from_u(u, u.with_values(np.zeros(g.n)), 2.5)
-        prod = view.h_on_map * u
+        prod = u.with_values(view.h_on_map.values * u.values)
         assert trapezoid_integral(prod) == pytest.approx(
             2.5 * trapezoid_integral(u), rel=1e-12
         )
@@ -223,7 +223,7 @@ class TestLimitSheet:
     def test_profile_without_unit_mass_rejected(self):
         g = Grid(101)
         ss = steady_profile(make_source(g, "zero"), 1.0, which="initial")
-        doubled = replace(ss, u_infinity=ss.u_infinity * 2.0)
+        doubled = replace(ss, u_infinity=ss.u_infinity.with_values(ss.u_infinity.values * 2.0))
         with pytest.raises(ValueError, match="unit mass"):
             limit_sheet(doubled, 1.0)
 

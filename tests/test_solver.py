@@ -8,6 +8,7 @@ from singheat import solver
 from singheat.errors import QuenchError
 from singheat.grid import Field, Grid, derivative, h1_norm, l2_norm, trapezoid_integral
 from singheat.solver import (
+    DIAGNOSTIC_COLUMNS,
     SimulationConfig,
     SimulationRecord,
     diagnostics,
@@ -235,7 +236,7 @@ def test_diagnostics_flat_state():
 
     cfg = flat_config()
     ss = steady_profile(cfg.source, cfg.nu, which="initial")
-    d = diagnostics(cfg.u0, 0.0, cfg, ss)
+    d = dict(zip(DIAGNOSTIC_COLUMNS, diagnostics(cfg.u0, 0.0, cfg, ss)))
     assert d["energy"] == pytest.approx(0.0, abs=1e-14)
     assert d["relative_energy"] == pytest.approx(0.0, abs=1e-14)
     assert d["mass"] == pytest.approx(1.0, abs=1e-14)
@@ -247,6 +248,33 @@ def test_diagnostics_csv(tmp_path, ex33_record):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("t,mass,energy")
     assert len(lines) == len(ex33_record.times) + 1
+
+
+def test_record_series_are_the_rows_of_each_step(tmp_path, monkeypatch):
+    # one row of diagnostics and Newton count per recorded time, in
+    # DIAGNOSTIC_COLUMNS order; a failure cuts the rows at the last good step
+    g = Grid(21)
+    cfg = flat_config(21, source=make_source(g, "cosine_static 0.5"), t_end=0.01)
+    ss = steady_profile(cfg.source, cfg.nu, which="initial")
+    u, rows = cfg.u0, [(*diagnostics(cfg.u0, 0.0, cfg, ss), 0)]
+    for k in range(3):
+        u, iters = step(u, k * cfg.dt, cfg)
+        rows.append((*diagnostics(u, (k + 1) * cfg.dt, cfg, ss), iters))
+
+    def step_until_fourth(u, t, cfg):
+        if t > 2.5 * cfg.dt:
+            raise QuenchError("stopped")
+        return step(u, t, cfg)
+
+    monkeypatch.setattr(solver, "step", step_until_fourth)
+    rec = simulate(cfg, ss)
+    assert (rec.failure, rec.failure_time) == ("stopped", 3 * cfg.dt)
+    series = [rec.times if c == "t" else getattr(rec, c) for c in DIAGNOSTIC_COLUMNS]
+    assert all(s.dtype == float and s.flags.c_contiguous for s in series)
+    assert np.array_equal(np.column_stack(series), np.array(rows))
+    rec.diagnostics_csv(tmp_path / "diag.csv")
+    lines = (tmp_path / "diag.csv").read_text().splitlines()
+    assert lines[1:] == [",".join(f"{v:.17g}" for v in row) for row in rows]
 
 
 def dense(lower, diag, upper):
@@ -308,18 +336,18 @@ def test_diagnostics_match_field_reference_exactly(spec):
         q = u.with_values(sqrt_nu / u.values)
         qx = derivative(q)
         f = src.evaluate(t)
-        wx = derivative(q - ss.q_infinity())
-        expected = {
-            "t": t,
-            "mass": trapezoid_integral(u),
-            "energy": trapezoid_integral(qx * qx * 0.5 + f * q * (1.0 / sqrt_nu)),
-            "relative_energy": 0.5 * trapezoid_integral(wx * wx),
-            "h1_error_inverse": h1_norm(
-                u.with_values(1.0 / u.values - 1.0 / ss.u_infinity.values)),
-            "qx_l2": l2_norm(qx),
-            "min_u": float(np.min(u.values)),
-            "max_u": float(np.max(u.values)),
-        }
+        wx = derivative(q.with_values(q.values - ss.q_infinity().values))
+        expected = (
+            t,
+            trapezoid_integral(u),
+            trapezoid_integral(qx.with_values(
+                qx.values * qx.values * 0.5 + f.values * q.values * (1.0 / sqrt_nu))),
+            0.5 * trapezoid_integral(wx.with_values(wx.values * wx.values)),
+            h1_norm(u.with_values(1.0 / u.values - 1.0 / ss.u_infinity.values)),
+            l2_norm(qx),
+            float(np.min(u.values)),
+            float(np.max(u.values)),
+        )
         assert diagnostics(u, t, cfg, ss) == expected
 
 

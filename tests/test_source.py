@@ -14,9 +14,7 @@ from singheat.source import (
     CosineStaticSource,
     HomogeneousSource,
     TabulatedSource,
-    compute_functionals,
     compute_N_infinity,
-    compute_P,
     compute_P0,
     load_tabulated_csv,
     make_source,
@@ -122,10 +120,6 @@ class TestP:
         b = compute_P0(CosineStaticSource(grid, 3.0))
         assert b == pytest.approx(3 * a, rel=1e-13)
 
-    def test_P_of_t_decay(self, grid):
-        src = CosineDecaySource(grid)
-        assert compute_P(src, 5.0) == pytest.approx(compute_P0(src) / 5.0, rel=1e-12)
-
 
 class TestNInfinity:
     def test_static_source_zero(self, grid):
@@ -164,21 +158,6 @@ class TestNInfinity:
         # both quadratures are second order; agreement limited by the
         # production step dt_quad = 1e-2 near t = 1
         assert val == pytest.approx(brute, rel=1e-4)
-
-
-def test_compute_functionals_decay(grid):
-    src = CosineDecaySource(grid)
-    times = np.linspace(0.0, 10.0, 2001)
-    fn = compute_functionals(src, times)
-    assert fn.P0 == pytest.approx(COS_PRIMITIVE_NORM, abs=1e-6)
-    assert not fn.tail_truncated
-    assert np.all(np.diff(fn.N_of_t) >= 0)
-    # N(t) = P0 (1 - 1/t) for t > 1
-    k = np.searchsorted(times, 5.0)
-    # sampled cumulative trapezoid crosses the kink at t = 1, so the
-    # accuracy there is first order in the sampling step
-    assert fn.N_of_t[k] == pytest.approx(COS_PRIMITIVE_NORM * (1 - 1 / 5.0), rel=5e-3)
-    assert fn.N_infinity == pytest.approx(COS_PRIMITIVE_NORM, rel=1e-4)
 
 
 class TestTabulated:
@@ -348,22 +327,6 @@ def test_N_infinity_equals_per_time_loop(kind, t_cut):
     assert compute_N_infinity(src, t_cut=t_cut) == _per_time_N_infinity(src, t_cut)
 
 
-@pytest.mark.parametrize("kind", ["cosine_decay", "cosine_exp", "tabulated", "callable"])
-def test_functionals_equal_per_time_loop(kind):
-    src = SOURCES[kind][0](Grid(101))
-    times = np.linspace(0.0, 2.0, 401)
-    fn = compute_functionals(src, times, t_cut=3.0)
-    dx = src.grid.dx
-    P = [compute_P(src, t) for t in times]
-    rates = np.array([math.sqrt(np.trapezoid(y * y, dx=dx)) for y in
-                      (cumulative_trapezoid(src.dfdt(t), dx=dx, initial=0.0)
-                       for t in times)])
-    N = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(times))])
-    assert np.array_equal(fn.P_of_t, P)
-    assert np.array_equal(fn.N_of_t, N)
-    assert (fn.N_infinity, fn.tail_truncated) == compute_N_infinity(src, t_cut=3.0)
-
-
 def test_nan_sample_raises():
     g = Grid(41)
 
@@ -373,8 +336,6 @@ def test_nan_sample_raises():
     src = CallableSource(g, lambda x, t: np.cos(np.pi * x) * (1 - t), dfdt_fn=dfdt)
     with pytest.raises(ValueError, match="non-finite"):
         compute_N_infinity(src, t_cut=1.0, dt_quad=0.1)
-    with pytest.raises(ValueError):
-        compute_functionals(src, [0.0, 0.5, 1.0], t_cut=1.0, dt_quad=0.1)
 
 
 def test_negative_time_rejected_in_rows(grid):
