@@ -51,6 +51,10 @@ RUNS = (
     ("example-ex-3-3", None, ["example", "ex-3-3"]),
     ("steady", f"source = cosine_static {math.pi / 2!r}\nnu = 1\n", ["steady"]),
     ("constants", "source = cosine_decay\nnu = 10\n", ["constants"]),
+    # the limit profile of a time-dependent source, and a static source's
+    # homogeneous constants: the two paths the forcing alone now picks
+    ("steady-decay", "source = cosine_decay\nnu = 10\n", ["steady"]),
+    ("constants-static", "source = cosine_static 0.5\nnu = 1\n", ["constants"]),
     # default n = 2001: the exp family's N-infinity over many row blocks
     ("constants-exp", "source = cosine_exp 0.7\nnu = 10\n", ["constants"]),
     ("simulate-homogeneous",

@@ -3,8 +3,9 @@ CSV/JSON artifacts, including one-command reproductions of the two worked
 examples (constant-height sheet with a sine kick; decaying cosine forcing).
 
 Exit codes: 0 success, 2 hypothesis violation, 3 solver failure, 4 config
-error.  All commands are deterministic: identical configs give byte-identical
-outputs.
+error (usage errors and config keys a command does not read included).  The
+forcing picks the theorem: homogeneous for a time-independent source,
+inhomogeneous otherwise.  Identical configs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -19,20 +20,10 @@ import numpy as np
 from . import lagrangian
 from .constants import TheoremConstants
 from .decay import (
-    check_gradient_energy_envelope,
-    check_homogeneous_envelope,
-    envelope_csv,
-    homogeneous_bound,
+    check_gradient_energy_envelope, check_homogeneous_envelope, envelope_csv, homogeneous_bound,
 )
 from .errors import ConfigError, HypothesisError, SingheatError, SolverError
-from .grid import (
-    Field,
-    Grid,
-    read_field_csv,
-    trapezoid_integral,
-    write_field_csv,
-    write_json,
-)
+from .grid import Field, Grid, read_field_csv, trapezoid_integral, write_field_csv, write_json
 from .solver import SimulationConfig, simulate
 from .source import HomogeneousSource, compute_P0, make_source, parse_spec
 from .steady import steady_profile
@@ -42,16 +33,38 @@ EXIT_HYPOTHESIS = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
-#: worked examples: name -> (nu, default n, source spec, default t_end, mode);
-#: each starts from u0 = 1 with dt = 1e-3 unless overridden
+#: worked examples: name -> the simulate config it runs, with u0 = 1 and
+#: SimulationConfig's dt unless a flag sets them
 EXAMPLES = {
-    "ex-2-4": (1.0, 401, f"cosine_static {math.pi / 2}", 8.0, "homogeneous"),
-    "ex-3-3": (10.0, 201, "cosine_decay", 3.0, "inhomogeneous"),
+    "ex-2-4": {"nu": 1.0, "n": 401, "source": f"cosine_static {math.pi / 2}", "t_end": 8.0},
+    "ex-3-3": {"nu": 10.0, "n": 201, "source": "cosine_decay", "t_end": 3.0},
+}
+
+#: march settings a simulate config may set, with their parsers; an unset one
+#: keeps SimulationConfig's default
+MARCH_KEYS = {"dt": float, "t_end": float, "snapshot_stride": int, "newton_tol": float,
+              "newton_max_iter": int, "positivity_floor": float}
+
+#: what --dt and --t-end set on the commands that take them: (config key, help)
+TIME_FLAGS = {
+    "simulate": (("dt", "time step"), ("t_end", "end time")),
+    "example": (("dt", "time step"), ("t_end", "end time")),
+    "ssm-crosscheck": (("dt_ssm", "time step of the sheet solver"),
+                       ("t_check", "time of the check")),
+}
+
+#: the config keys each command reads; any other key is a config error
+CONFIG_KEYS = {
+    "steady": ("source", "nu", "n"),
+    "constants": ("source", "nu", "n", "u0"),
+    "simulate": ("source", "nu", "n", "u0", *MARCH_KEYS),
+    "transform": ("nu", "n", "M", "h0", "v0"),
+    "ssm-crosscheck": ("nu", "n", "M", "h0", "v0", "dt", "dt_ssm", "t_check", "tolerance"),
 }
 
 
-def read_config(path) -> dict:
-    """Flat key = value text file; later keys override earlier ones."""
+def read_config(path, keys) -> dict:
+    """Flat key = value text file of the given keys; later keys override earlier ones."""
     cfg = {}
     try:
         text = Path(path).read_text()
@@ -63,8 +76,12 @@ def read_config(path) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown key '{key}' (expected one of: {', '.join(keys)})"
+            )
+        cfg[key] = value
     return cfg
 
 
@@ -89,27 +106,25 @@ def _make_u0(grid: Grid, spec: str) -> Field:
     })
 
 
-def _build_sim_config(cfg: dict, args) -> SimulationConfig:
-    n = args.n if args.n is not None else int(cfg.get("n", 401))
-    grid = Grid(n)
+def _settings(args) -> dict:
+    """The command's config, with the keys its flags set (n and its TIME_FLAGS) overridden."""
+    cfg = read_config(args.config, CONFIG_KEYS[args.command]) if args.config else {}
+    for key in ("n", *(key for key, _ in TIME_FLAGS.get(args.command, ()))):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    return cfg
+
+
+def _build_sim_config(cfg: dict) -> SimulationConfig:
+    grid = Grid(int(cfg.get("n", 401)))
     source = make_source(grid, _require(cfg, "source"))
     u0 = _make_u0(grid, cfg.get("u0", "constant 1"))
+    march = {key: parse(cfg[key]) for key, parse in MARCH_KEYS.items() if key in cfg}
     # SimulationConfig takes 0, a march whose every unsolved step stalls; a config may not
-    newton_max_iter = int(cfg.get("newton_max_iter", 50))
-    if newton_max_iter < 1:
-        raise ConfigError(f"newton_max_iter must be at least 1, got {newton_max_iter}")
-    return SimulationConfig(
-        nu=float(_require(cfg, "nu")),
-        grid=grid,
-        u0=u0,
-        source=source,
-        dt=args.dt if args.dt is not None else float(cfg.get("dt", 1e-3)),
-        t_end=args.t_end if args.t_end is not None else float(cfg.get("t_end", 1.0)),
-        snapshot_stride=int(cfg.get("snapshot_stride", 100)),
-        newton_tol=float(cfg.get("newton_tol", 1e-12)),
-        newton_max_iter=newton_max_iter,
-        positivity_floor=float(cfg.get("positivity_floor", 1e-8)),
-    )
+    if march.get("newton_max_iter", 1) < 1:
+        raise ConfigError(f"newton_max_iter must be at least 1, got {march['newton_max_iter']}")
+    return SimulationConfig(nu=float(_require(cfg, "nu")), grid=grid, u0=u0,
+                            source=source, **march)
 
 
 def _write_manifest(out: Path, command: str, config_path) -> None:
@@ -122,14 +137,11 @@ def _write_manifest(out: Path, command: str, config_path) -> None:
 
 
 def cmd_steady(args) -> int:
-    cfg = read_config(args.config)
+    cfg = _settings(args)
     out = _prepare_out(args, "steady")
-    n = args.n if args.n is not None else int(cfg.get("n", 4097))
-    grid = Grid(n)
+    grid = Grid(int(cfg.get("n", 4097)))
     source = make_source(grid, _require(cfg, "source"))
-    nu = float(_require(cfg, "nu"))
-    which = cfg.get("which", "limit" if source.time_dependent else "initial")
-    state = steady_profile(source, nu, which=which)
+    state = steady_profile(source, float(_require(cfg, "nu")))
     state.to_json(out / "steady.json")
     state.profile_csv(out / "u_infinity.csv")
     # sheet-side constant: h_inf(y_inf(x)) = M/u_inf scaled into 2 pi h form
@@ -144,91 +156,72 @@ def cmd_steady(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    cfg = read_config(args.config)
+    cfg = _settings(args)
     out = _prepare_out(args, "constants")
-    n = args.n if args.n is not None else int(cfg.get("n", 2001))
-    grid = Grid(n)
+    grid = Grid(int(cfg.get("n", 2001)))
     source = make_source(grid, _require(cfg, "source"))
     u0 = _make_u0(grid, cfg.get("u0", "constant 1"))
-    nu = float(_require(cfg, "nu"))
-    mode = cfg.get("mode", "inhomogeneous" if source.time_dependent else "homogeneous")
-    consts = TheoremConstants.from_problem(u0, source, nu, mode=mode)
+    consts = TheoremConstants.from_problem(u0, source, float(_require(cfg, "nu")))
     consts.to_json(out / "constants.json")
     print(
         f"R0={consts.R0:.6g} P0={consts.P0:.6g} N_inf={consts.N_infinity:.6g} "
         f"nu_plus={consts.nu_plus:.6g} hom={consts.hom_ok} inhom={consts.inhom_ok}"
     )
-    if mode == "homogeneous" and not consts.hom_ok:
-        raise HypothesisError("homogeneous admissibility conditions fail")
-    if mode == "inhomogeneous" and not consts.inhom_ok:
-        raise HypothesisError("inhomogeneous admissibility conditions fail")
+    theorem, ok = (("inhomogeneous", consts.inhom_ok) if source.time_dependent
+                   else ("homogeneous", consts.hom_ok))
+    if not ok:
+        raise HypothesisError(f"{theorem} admissibility conditions fail")
     return EXIT_OK
 
 
-def _run_and_report(sim_cfg: SimulationConfig, out: Path, mode: str) -> int:
+def _run_and_report(sim_cfg: SimulationConfig, out: Path) -> int:
+    """March, then check the theorem the source picks."""
     record = simulate(sim_cfg)
     if record.failure:
         raise SolverError(f"{record.failure} (t={record.failure_time})")
     record.diagnostics_csv(out / "diagnostics.csv")
     for t, snap in zip(record.snapshot_times, record.snapshots):
         write_field_csv(out / f"u_t{t:010.4f}.csv", snap, header=("x", "u"))
-    consts = TheoremConstants.from_problem(
-        sim_cfg.u0, sim_cfg.source, sim_cfg.nu, mode=mode
-    )
+    consts = TheoremConstants.from_problem(sim_cfg.u0, sim_cfg.source, sim_cfg.nu)
     consts.to_json(out / "constants.json")
-    if mode == "homogeneous":
+
+    def within(lo, hi):
+        return bool(record.min_u.min() >= lo - 1e-12 and record.max_u.max() <= hi + 1e-12)
+
+    if sim_cfg.source.time_dependent:
+        report = check_gradient_energy_envelope(record, consts, sim_cfg.source)
+        report.to_json(out / "energy_envelope_report.json")
+        bounds_ok = within(consts.A_minus, consts.A_plus)
+        print(f"bounds_ok={bounds_ok} energy_envelope_ok={report.envelope_ok} "
+              f"B={consts.B:.4f}")
+    else:
         report = check_homogeneous_envelope(record, consts)
         report.to_json(out / "decay_report.json")
         envelope_csv(out / "envelope.csv", record.times,
                      homogeneous_bound(record, consts.lambda_hom), record.h1_error_inverse)
-        lo, hi = consts.homogeneous_bounds()
-    else:
-        report = check_gradient_energy_envelope(record, consts, sim_cfg.source)
-        report.to_json(out / "energy_envelope_report.json")
-        lo, hi = consts.A_minus, consts.A_plus
-    bounds_ok = bool(record.min_u.min() >= lo - 1e-12
-                     and record.max_u.max() <= hi + 1e-12)
-    if mode == "homogeneous":
+        bounds_ok = within(*consts.homogeneous_bounds())
         print(f"envelope_ok={report.envelope_ok} bounds_ok={bounds_ok} "
               f"rate={consts.lambda_hom:.4f}")
-    else:
-        print(f"bounds_ok={bounds_ok} energy_envelope_ok={report.envelope_ok} "
-              f"B={consts.B:.4f}")
     return EXIT_OK if report.envelope_ok and bounds_ok else EXIT_SOLVER
 
 
 def cmd_simulate(args) -> int:
-    cfg = read_config(args.config)
+    cfg = _settings(args)
     out = _prepare_out(args, "simulate")
-    sim_cfg = _build_sim_config(cfg, args)
-    mode = cfg.get(
-        "mode", "inhomogeneous" if sim_cfg.source.time_dependent else "homogeneous"
-    )
-    return _run_and_report(sim_cfg, out, mode)
+    return _run_and_report(_build_sim_config(cfg), out)
 
 
 def cmd_example(args) -> int:
     if args.config:
         raise ConfigError("example runs its built-in data and takes no --config")
     out = _prepare_out(args, f"example-{args.name}")
-    nu, n, source, t_end, mode = EXAMPLES[args.name]
-    grid = Grid(args.n if args.n is not None else n)
-    sim_cfg = SimulationConfig(
-        nu=nu,
-        grid=grid,
-        u0=Field(grid, np.ones(grid.n)),
-        source=make_source(grid, source),
-        dt=args.dt if args.dt is not None else 1e-3,
-        t_end=args.t_end if args.t_end is not None else t_end,
-    )
-    return _run_and_report(sim_cfg, out, mode)
+    return _run_and_report(_build_sim_config({**EXAMPLES[args.name], **_settings(args)}), out)
 
 
 def cmd_transform(args) -> int:
-    cfg = read_config(args.config)
+    cfg = _settings(args)
     out = _prepare_out(args, "transform")
-    n = args.n if args.n is not None else int(cfg.get("n", 401))
-    grid = Grid(n)
+    grid = Grid(int(cfg.get("n", 401)))
     M = float(cfg.get("M", 1.0))
     nu = float(_require(cfg, "nu"))
     h0 = _sheet_profile(grid, cfg.get("h0", "constant 1"), M)
@@ -258,23 +251,22 @@ def _sheet_velocity(grid: Grid, spec: str) -> Field:
 
 
 def cmd_ssm_crosscheck(args) -> int:
-    cfg = read_config(args.config) if args.config else {}
+    cfg = _settings(args)
     out = _prepare_out(args, "ssm-crosscheck")
-    n = args.n if args.n is not None else int(cfg.get("n", 201))
-    grid = Grid(n)
+    grid = Grid(int(cfg.get("n", 201)))
     M = float(cfg.get("M", 1.0))
     nu = float(cfg.get("nu", 1.0))
-    t_check = args.t_end if args.t_end is not None else float(cfg.get("t_check", 1.0))
+    t_check = float(cfg.get("t_check", 1.0))
     h0 = _sheet_profile(grid, cfg.get("h0", "constant 1"), M)
     v0 = _sheet_velocity(grid, cfg.get("v0", "sine 0.5"))
-    dt_ssm = args.dt if args.dt is not None else float(cfg.get("dt_ssm", 2e-3))
+    dt_ssm = float(cfg.get("dt_ssm", 2e-3))
+    dt = float(cfg.get("dt", SimulationConfig.dt))
 
     lmap = lagrangian.initial_map(h0, M)
     f0 = lagrangian.source_from_sheet(lmap, v0, nu)
     sim_cfg = SimulationConfig(
-        nu=nu, grid=grid, u0=lmap.u, source=HomogeneousSource(f0),
-        dt=float(cfg.get("dt", 1e-3)), t_end=t_check,
-        snapshot_stride=max(1, int(round(t_check / float(cfg.get("dt", 1e-3))))),
+        nu=nu, grid=grid, u0=lmap.u, source=HomogeneousSource(f0), dt=dt, t_end=t_check,
+        snapshot_stride=max(1, int(round(t_check / dt))),
     )
     record = simulate(sim_cfg)
     if record.failure:
@@ -295,12 +287,19 @@ def cmd_ssm_crosscheck(args) -> int:
 def _prepare_out(args, command: str) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, command, getattr(args, "config", None))
+    _write_manifest(out, command, args.config)
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2, which is the hypothesis-violation code here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="singheat",
         description="Singular heat equation laboratory: steady states, "
         "convergence constants, simulations, and the thin-sheet transform.",
@@ -324,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=config_required, help=config_help)
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--n", type=int, default=None, help="grid node count")
-        sp.add_argument("--dt", type=float, default=None, help="time step")
-        sp.add_argument("--t-end", dest="t_end", type=float, default=None)
+        for flag, (key, text) in zip(("--dt", "--t-end"), TIME_FLAGS.get(name, ())):
+            sp.add_argument(flag, dest=key, type=float, default=None, help=f"{text} ({key})")
         sp.set_defaults(fn=fn)
     return p
 

@@ -105,27 +105,10 @@ class TheoremConstants:
         return cls(**fields)
 
     @classmethod
-    def from_problem(cls, u0: Field, src: SourceTerm, nu: float,
-                     mode: str = "homogeneous") -> "TheoremConstants":
-        """Evaluate the constants for initial data and a forcing.
-
-        The caller picks the theorem mode; a time-dependent source is
-        rejected in homogeneous mode because the two admissibility sets
-        differ and must never be silently swapped.
-        """
-        if mode not in ("homogeneous", "inhomogeneous"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "homogeneous" and src.time_dependent:
-            raise HypothesisError(
-                "time-dependent source passed in homogeneous theorem mode"
-            )
-        R0 = compute_R0(u0)
-        P0 = compute_P0(src)
-        if mode == "homogeneous":
-            N_inf = 0.0
-        else:
-            N_inf, _ = compute_N_infinity(src)
-        return cls.from_values(R0, P0, N_inf, nu)
+    def from_problem(cls, u0: Field, src: SourceTerm, nu: float) -> "TheoremConstants":
+        """The constants for initial data and a forcing; N_infinity is 0 for static forcing."""
+        R0, P0 = compute_R0(u0), compute_P0(src)
+        return cls.from_values(R0, P0, compute_N_infinity(src)[0], nu)
 
     def homogeneous_bounds(self):
         """Pointwise solution bounds of the homogeneous theorem."""

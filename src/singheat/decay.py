@@ -90,7 +90,9 @@ def check_homogeneous_envelope(record: SimulationRecord,
                                consts: TheoremConstants,
                                floor: float = DEFAULT_FLOOR,
                                rate: float | None = None) -> DecayReport:
-    """H1 error of 1/u against its initial value times exp(-lambda t)."""
+    """H1 error of 1/u against its initial value times exp(-lambda t); static forcing only."""
+    if record.config.source.time_dependent:
+        raise HypothesisError("homogeneous theorem applied to a time-dependent source")
     if not consts.hom_ok:
         raise HypothesisError("homogeneous theorem hypotheses do not hold")
     lam = consts.lambda_hom if rate is None else rate

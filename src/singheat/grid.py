@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,11 +159,22 @@ def write_field_csv(path, g: Field, header=("x", "value")) -> None:
     write_csv(path, header, (g.grid.nodes, g.values))
 
 
+def read_csv_rows(path, columns) -> np.ndarray:
+    """The rows after a CSV file's header line, one array row each.
+
+    No data rows, or fewer than len(columns) columns, is a ValueError, not a warning.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] < len(columns):
+        raise ValueError(f"{path} needs ({', '.join(columns)}) rows")
+    return data
+
+
 def read_field_csv(path, grid: Grid | None = None) -> Field:
     """A field read from (x, value) rows; on `grid` if given, which must match."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] < 2:
-        raise ValueError(f"{path} needs (x, value) rows")
+    data = read_csv_rows(path, ("x", "value"))
     x, v = data[:, 0], data[:, 1]
     if grid is None:
         grid = Grid(len(x))

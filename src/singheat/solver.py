@@ -244,8 +244,7 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
     record is returned with the failure annotated rather than lost.
     """
     if steady is None:
-        which = "limit" if cfg.source.time_dependent else "initial"
-        steady = steady_profile(cfg.source, cfg.nu, which=which)
+        steady = steady_profile(cfg.source, cfg.nu)
     n_steps = int(round(cfg.t_end / cfg.dt))
     data = np.empty((n_steps + 1, len(DIAGNOSTIC_COLUMNS)), order="F")
     u = cfg.u0

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import (
-    Field, Grid, antiderivative, l2, l2_norm, pow2, primitive, trapezoid,
-    trapezoid_integral,
+    Field, Grid, antiderivative, l2, l2_norm, pow2, primitive, read_csv_rows,
+    trapezoid, trapezoid_integral,
 )
 
 #: most samples (times x nodes) one block of rows holds; bounds the memory of
@@ -111,7 +111,7 @@ class HomogeneousSource(SourceTerm):
         return np.broadcast_to(self._f0.values, np.shape(t) + (self.grid.n,))
 
     def f_limit(self) -> Field:
-        return self._f0
+        return self._f
 
     def dfdt(self, t) -> np.ndarray:
         return np.zeros(np.shape(t) + (self.grid.n,))
@@ -397,7 +397,7 @@ def make_source(grid: Grid, spec: str) -> SourceTerm:
 
 def load_tabulated_csv(grid: Grid, path) -> TabulatedSource:
     """Load a tabulated source from CSV rows (t, x, f)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = read_csv_rows(path, ("t", "x", "f"))
     times = np.unique(data[:, 0])
     fields = []
     for t in times:

@@ -153,8 +153,7 @@ def test_criterion_06_inhomogeneous_constants(criterion):
 
 def test_criterion_07_inhomogeneous_envelope(criterion, ex33_record):
     cfg = ex33_record.config
-    consts = TheoremConstants.from_problem(cfg.u0, cfg.source, cfg.nu,
-                                           mode="inhomogeneous")
+    consts = TheoremConstants.from_problem(cfg.u0, cfg.source, cfg.nu)
     # The energy argument bounds the squared H1 seminorm of 1/u - 1/u_inf
     # (as ||(q - q_inf)_x||_2^2 with q = sqrt(nu)/u) by e^{-Bt} times its
     # initial value plus (A-^-2 + A+^-2) int_0^t e^{-B(t-s)} ||f - f_inf||_2^2.

@@ -1,6 +1,5 @@
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -217,24 +216,25 @@ CSV_MISFITS = {
 }
 
 
+@pytest.mark.filterwarnings("error")  # numpy's "no data" warning would fail the run
 @pytest.mark.parametrize("slot,rows,phrases", [
-    pytest.param(slot, rows, phrases, id=slot + case)
-    for case, (rows, phrases) in CSV_MISFITS.items() for slot in ("u0", "h0", "v0")
+    *(pytest.param(slot, rows, phrases, id=slot + case)
+      for case, (rows, phrases) in CSV_MISFITS.items() for slot in ("u0", "h0", "v0")),
+    # a tabulated source needs (t, x, f) rows
+    pytest.param("source", "0,0\n0,1\n", ("(t, x, f) rows",), id="source-two-columns"),
+    pytest.param("source", "", ("(t, x, f) rows",), id="source-header-only"),
 ])
 def test_csv_initial_data_must_match_grid(tmp_path, capsys, slot, rows, phrases):
     path = tmp_path / "data.csv"
     path.write_text("x,value\n" + rows)
-    if slot == "u0":
-        command, base = "simulate", "source = zero\nnu = 1\n"
-    else:
-        command, base = "transform", "nu = 1\n"
+    command, base = {"u0": ("simulate", "source = zero\nnu = 1\n"),
+                     "source": ("simulate", "nu = 1\n")}.get(slot, ("transform", "nu = 1\n"))
     cfg = write_config(tmp_path, f"{base}n = 51\n{slot} = csv {path}\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt: no data
-        assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert f"config error: {slot} spec" in err
     assert all(phrase in err for phrase in phrases)
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -259,6 +259,49 @@ def test_config_count_below_one_is_config_error(tmp_path, capsys, key):
     cfg = write_config(tmp_path, f"source = zero\nnu = 1\nn = 21\nt_end = 0.01\n{key} = 0\n")
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
     assert f"config error: {key} must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,line", [
+    ("simulate", "mode = homogeneous"),
+    ("simulate", "t_ned = 0.05"),
+    ("constants", "mode = inhomogeneous"),
+    ("steady", "which = initial"),
+    ("transform", "dt = 1e-3"),
+])
+def test_unread_key_is_config_error(tmp_path, capsys, command, line):
+    base = "nu = 1\nn = 21\n" + ("" if command == "transform" else "source = cosine_static 0.5\n")
+    cfg = write_config(tmp_path, line + "\n" + base)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 4
+    key = line.split("=")[0].strip()
+    assert f"config error: {cfg}:1: unknown key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+    # the time flags exist only on the commands that march
+    with pytest.raises(SystemExit) as help_exit:
+        run([command, "--help"])
+    assert help_exit.value.code == 0
+    assert ("--dt" in capsys.readouterr().out) == (command == "simulate")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "o"],
+    ["steady", "--config", "c.txt", "--dt", "1"],
+    ["constants", "--config", "c.txt", "--t-end", "1"],
+], ids=" ".join)
+def test_usage_error_is_config_error(capsys, argv):
+    # argparse's own code, 2, means a violated hypothesis here
+    with pytest.raises(SystemExit) as usage_exit:
+        run(argv)
+    assert usage_exit.value.code == 4
+    assert "error:" in capsys.readouterr().err
+
+
+def test_crosscheck_help_names_what_its_flags_set(capsys):
+    with pytest.raises(SystemExit) as help_exit:
+        run(["ssm-crosscheck", "--help"])
+    assert help_exit.value.code == 0
+    text = capsys.readouterr().out
+    assert "--dt DT_SSM" in text and "--t-end T_CHECK" in text
 
 
 def test_example_rejects_config(tmp_path, capsys):

@@ -12,7 +12,7 @@ from singheat.constants import (
 )
 from singheat.errors import HypothesisError
 from singheat.grid import Field, Grid
-from singheat.source import CosineDecaySource, CosineStaticSource
+from singheat.source import CosineStaticSource
 
 
 class TestR0:
@@ -158,7 +158,7 @@ class TestTheoremConstants:
         g = Grid(4001)
         u0 = Field(g, np.ones(g.n))
         src = CosineStaticSource(g, math.pi / 2)
-        tc = TheoremConstants.from_problem(u0, src, 1.0, mode="homogeneous")
+        tc = TheoremConstants.from_problem(u0, src, 1.0)
         assert tc.R0 == 0.0
         assert tc.P0 == pytest.approx(1 / (2 * math.sqrt(2)), abs=1e-6)
         assert tc.N_infinity == 0.0
@@ -171,20 +171,6 @@ class TestTheoremConstants:
         c_exact = math.sqrt(4 * math.pi**2 + 1)
         u_inf = Field(g, 2 * math.pi / (c_exact - np.cos(np.pi * g.nodes)))
         assert compute_R0(u_inf) == pytest.approx(1 / (2 * math.sqrt(2)), rel=1e-6)
-
-    def test_homogeneous_mode_rejects_time_dependent(self):
-        g = Grid(101)
-        u0 = Field(g, np.ones(101))
-        with pytest.raises(HypothesisError):
-            TheoremConstants.from_problem(u0, CosineDecaySource(g), 10.0,
-                                          mode="homogeneous")
-
-    def test_bad_mode(self):
-        g = Grid(101)
-        with pytest.raises(ValueError):
-            TheoremConstants.from_problem(
-                Field(g, np.ones(101)), CosineDecaySource(g), 1.0, mode="both"
-            )
 
     def test_json_roundtrip(self, tmp_path):
         import json

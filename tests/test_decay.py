@@ -56,15 +56,13 @@ class TestFitRate:
 @pytest.fixture(scope="module")
 def ex24_consts(ex24_record):
     cfg = ex24_record.config
-    return TheoremConstants.from_problem(cfg.u0, cfg.source, cfg.nu,
-                                         mode="homogeneous")
+    return TheoremConstants.from_problem(cfg.u0, cfg.source, cfg.nu)
 
 
 @pytest.fixture(scope="module")
 def ex33_consts(ex33_record):
     cfg = ex33_record.config
-    return TheoremConstants.from_problem(cfg.u0, cfg.source, cfg.nu,
-                                         mode="inhomogeneous")
+    return TheoremConstants.from_problem(cfg.u0, cfg.source, cfg.nu)
 
 
 class TestHomogeneousEnvelope:
@@ -104,6 +102,13 @@ class TestHomogeneousEnvelope:
         with pytest.raises(HypothesisError):
             check_homogeneous_envelope(ex24_record, bad)
 
+    def test_rejects_time_dependent_source(self, ex33_record, ex33_consts):
+        # ex-3-3's constants pass the homogeneous hypotheses, but its forcing
+        # decays, so the homogeneous theorem does not apply to it
+        assert ex33_consts.hom_ok
+        with pytest.raises(HypothesisError, match="time-dependent"):
+            check_homogeneous_envelope(ex33_record, ex33_consts)
+
 
 class TestGradientEnergyEnvelope:
     def test_decaying_forcing_holds(self, ex33_record, ex33_consts):
@@ -121,8 +126,7 @@ class TestGradientEnergyEnvelope:
             dt=1e-3, t_end=0.5,
         )
         rec = simulate(cfg)
-        consts = TheoremConstants.from_problem(cfg.u0, src, 1.0,
-                                               mode="inhomogeneous")
+        consts = TheoremConstants.from_problem(cfg.u0, src, 1.0)
         report = check_gradient_energy_envelope(rec, consts, src)
         # zero forcing, flat start: both sides vanish identically
         assert report.envelope_ok
@@ -139,8 +143,7 @@ class TestGradientEnergyEnvelope:
             dt=1e-3, t_end=3.0, snapshot_stride=10**9,
         )
         rec = simulate(cfg)
-        consts = TheoremConstants.from_problem(cfg.u0, src, cfg.nu,
-                                               mode="inhomogeneous")
+        consts = TheoremConstants.from_problem(cfg.u0, src, cfg.nu)
         assert consts.B * cfg.t_end > 709
         report = check_gradient_energy_envelope(rec, consts, src)
         assert math.isfinite(report.envelope_margin)
@@ -195,8 +198,7 @@ class TestInhomogeneousEnvelope:
         # with f constant the forcing gap vanishes and the bound is a pure
         # exponential with rate B; B < lambda_hom here, so it must also hold
         cfg = ex24_record.config
-        consts = TheoremConstants.from_problem(cfg.u0, cfg.source, cfg.nu,
-                                               mode="inhomogeneous")
+        consts = TheoremConstants.from_problem(cfg.u0, cfg.source, cfg.nu)
         assert consts.N_infinity == 0.0
         report = check_inhomogeneous_envelope(ex24_record, consts, cfg.source,
                                               floor=1e-4)

@@ -77,9 +77,12 @@ class TestEvaluate:
         src = CosineStaticSource(grid, 1.5)
         first = src.evaluate(0.0)
         assert src.evaluate(3.0) is first
-        # the stored field is the projection of the already projected profile
+        assert src.f_limit() is first
+        # the stored field is the profile projected twice, as SourceTerm.evaluate
+        # projects the once-projected profile
+        profile = Field(grid, 1.5 * np.cos(np.pi * grid.nodes))
         assert np.array_equal(
-            first.values, project_mean_zero(src.f_limit()).values
+            first.values, project_mean_zero(project_mean_zero(profile)).values
         )
         with pytest.raises(ValueError):
             src.evaluate(-1)
