@@ -71,6 +71,10 @@ RUNS = (
      ["transform"]),
     ("ssm-crosscheck", "nu = 1\nM = 1\nh0 = cosine_bump 0.1\nv0 = sine 0.5\nn = 201\n",
      ["ssm-crosscheck"]),
+    # a march at the benchmark's n = 1601
+    ("simulate-fine",
+     f"source = cosine_static {math.pi / 2!r}\nnu = 1\nn = 1601\ndt = 5e-4\nt_end = 0.05\n",
+     ["simulate"]),
     # the sheet map at the benchmark's finest grid
     ("transform-fine", "nu = 1\nM = 1\nh0 = cosine_bump 0.3\nv0 = sine 0.5\nn = 6401\n",
      ["transform"]),

@@ -138,10 +138,11 @@ def _write_manifest(out: Path, command: str, config_path) -> None:
 
 def cmd_steady(args) -> int:
     cfg = _settings(args)
-    out = _prepare_out(args, "steady")
     grid = Grid(int(cfg.get("n", 4097)))
     source = make_source(grid, _require(cfg, "source"))
-    state = steady_profile(source, float(_require(cfg, "nu")))
+    nu = float(_require(cfg, "nu"))
+    out = _prepare_out(args, "steady")
+    state = steady_profile(source, nu)
     state.to_json(out / "steady.json")
     state.profile_csv(out / "u_infinity.csv")
     # sheet-side constant: h_inf(y_inf(x)) = M/u_inf scaled into 2 pi h form
@@ -157,11 +158,12 @@ def cmd_steady(args) -> int:
 
 def cmd_constants(args) -> int:
     cfg = _settings(args)
-    out = _prepare_out(args, "constants")
     grid = Grid(int(cfg.get("n", 2001)))
     source = make_source(grid, _require(cfg, "source"))
     u0 = _make_u0(grid, cfg.get("u0", "constant 1"))
-    consts = TheoremConstants.from_problem(u0, source, float(_require(cfg, "nu")))
+    nu = float(_require(cfg, "nu"))
+    out = _prepare_out(args, "constants")
+    consts = TheoremConstants.from_problem(u0, source, nu)
     consts.to_json(out / "constants.json")
     print(
         f"R0={consts.R0:.6g} P0={consts.P0:.6g} N_inf={consts.N_infinity:.6g} "
@@ -206,26 +208,25 @@ def _run_and_report(sim_cfg: SimulationConfig, out: Path) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _settings(args)
-    out = _prepare_out(args, "simulate")
-    return _run_and_report(_build_sim_config(cfg), out)
+    sim_cfg = _build_sim_config(_settings(args))
+    return _run_and_report(sim_cfg, _prepare_out(args, "simulate"))
 
 
 def cmd_example(args) -> int:
     if args.config:
         raise ConfigError("example runs its built-in data and takes no --config")
-    out = _prepare_out(args, f"example-{args.name}")
-    return _run_and_report(_build_sim_config({**EXAMPLES[args.name], **_settings(args)}), out)
+    sim_cfg = _build_sim_config({**EXAMPLES[args.name], **_settings(args)})
+    return _run_and_report(sim_cfg, _prepare_out(args, f"example-{args.name}"))
 
 
 def cmd_transform(args) -> int:
     cfg = _settings(args)
-    out = _prepare_out(args, "transform")
     grid = Grid(int(cfg.get("n", 401)))
     M = float(cfg.get("M", 1.0))
     nu = float(_require(cfg, "nu"))
     h0 = _sheet_profile(grid, cfg.get("h0", "constant 1"), M)
     v0 = _sheet_velocity(grid, cfg.get("v0", "zero"))
+    out = _prepare_out(args, "transform")
     f0 = lagrangian.source_from_sheet(lagrangian.initial_map(h0, M), v0, nu)
     write_field_csv(out / "f0.csv", f0, header=("x", "f0"))
     print(f"P0 = {compute_P0(HomogeneousSource(f0)):.6g}")
@@ -252,7 +253,6 @@ def _sheet_velocity(grid: Grid, spec: str) -> Field:
 
 def cmd_ssm_crosscheck(args) -> int:
     cfg = _settings(args)
-    out = _prepare_out(args, "ssm-crosscheck")
     grid = Grid(int(cfg.get("n", 201)))
     M = float(cfg.get("M", 1.0))
     nu = float(cfg.get("nu", 1.0))
@@ -261,13 +261,16 @@ def cmd_ssm_crosscheck(args) -> int:
     v0 = _sheet_velocity(grid, cfg.get("v0", "sine 0.5"))
     dt_ssm = float(cfg.get("dt_ssm", 2e-3))
     dt = float(cfg.get("dt", SimulationConfig.dt))
-
+    tolerance = float(cfg.get("tolerance", 0.02))
+    if dt_ssm <= 0:
+        raise ConfigError(f"dt_ssm must be positive, got {dt_ssm}")
     lmap = lagrangian.initial_map(h0, M)
     f0 = lagrangian.source_from_sheet(lmap, v0, nu)
     sim_cfg = SimulationConfig(
         nu=nu, grid=grid, u0=lmap.u, source=HomogeneousSource(f0), dt=dt, t_end=t_check,
         snapshot_stride=max(1, int(round(t_check / dt))),
     )
+    out = _prepare_out(args, "ssm-crosscheck")
     record = simulate(sim_cfg)
     if record.failure:
         raise SolverError(record.failure)
@@ -281,7 +284,7 @@ def cmd_ssm_crosscheck(args) -> int:
     states[-1].to_csv(out / "sheet_final.csv")
     write_json(out / "crosscheck.json", {"t": t_check, "max_rel_error_h": mismatch})
     print(f"max relative height mismatch at t={t_check}: {mismatch:.4f}")
-    return EXIT_OK if mismatch <= float(cfg.get("tolerance", 0.02)) else EXIT_SOLVER
+    return EXIT_OK if mismatch <= tolerance else EXIT_SOLVER
 
 
 def _prepare_out(args, command: str) -> Path:

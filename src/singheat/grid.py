@@ -67,11 +67,13 @@ def trapezoid(y: np.ndarray, dx: float):
 
 
 def gradient(y: np.ndarray, dx: float) -> np.ndarray:
-    """np.gradient(y, dx, edge_order=2) for 1-D y, with the same operations."""
+    """np.gradient(y, dx, edge_order=2) of each row (along the last axis), with its bits."""
     out = np.empty_like(y)
-    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dx)
-    out[0] = -1.5 / dx * y[0] + 2.0 / dx * y[1] + -0.5 / dx * y[2]
-    out[-1] = 0.5 / dx * y[-3] + -2.0 / dx * y[-2] + 1.5 / dx * y[-1]
+    out[..., 1:-1] = (y[..., 2:] - y[..., :-2]) / (2.0 * dx)
+    # the transposes index the last axis; for 1-D y, y.T[0] is a scalar
+    yt = y.T
+    out.T[0] = -1.5 / dx * yt[0] + 2.0 / dx * yt[1] + -0.5 / dx * yt[2]
+    out.T[-1] = 0.5 / dx * yt[-3] + -2.0 / dx * yt[-2] + 1.5 / dx * yt[-1]
     return out
 
 

@@ -271,7 +271,7 @@ def solve_ssm(initial: SheetState, dt: float, t_end: float,
             upper[1:-1] = -c[1:-1] * hc_new[1:]
             diag[1:-1] = 1.0 + c[1:-1] * (hc_new[:-1] + hc_new[1:])
             try:
-                v = tridiag_solve(lower, diag, upper, v_star)
+                v = tridiag_solve(lower[1:], diag, upper[:-1], v_star)
             except ValueError as err:  # LinAlgError included
                 raise SolverError(f"viscous solve failed at t={t:.6g}: {err}") from err
             v[0] = v[-1] = 0.0

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .errors import QuenchError, SolverError
-from .grid import Field, Grid, gradient, h1, l2, trapezoid, trapezoid_integral, write_csv
+from .grid import Field, Grid, gradient, trapezoid, trapezoid_integral, write_csv
 from .source import SourceTerm
 from .steady import SteadyState, steady_profile
 
@@ -98,16 +98,17 @@ class SimulationRecord:
 
 
 def _rhs_terms(u: np.ndarray, f: np.ndarray, nu: float, dx: float):
-    """rhs(u), with the half-node means and differences of u it is built from."""
+    """rhs(u), with the half-node means, their squares and the differences of u."""
     mid = 0.5 * (u[:-1] + u[1:])
+    mid2 = mid**2
     d = u[1:] - u[:-1]
-    flux = d / (dx * mid**2)
+    flux = d / (dx * mid2)
     out = np.empty(len(u))
     out[1:-1] = nu * (flux[1:] - flux[:-1]) / dx
     out[0] = nu * flux[0] / (0.5 * dx)
     out[-1] = -nu * flux[-1] / (0.5 * dx)
     out += f
-    return out, mid, d
+    return out, mid, mid2, d
 
 
 def rhs(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> np.ndarray:
@@ -115,44 +116,47 @@ def rhs(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> np.ndarray:
     return _rhs_terms(u, f, nu, dx)[0]
 
 
-def _jacobian_bands(mid, d, nu: float, dx: float, dt: float):
+def _jacobian_bands(mid, mid2, d, nu: float, dx: float, dt: float):
     """Bands (lower, diag, upper) of I - dt * d(rhs)/du, as tridiag_solve takes.
 
-    mid and d are those _rhs_terms returns at the linearization point.
+    mid, mid2 and d are those _rhs_terms returns at the linearization point.
+    Row i is divided by its control-volume width: dx, or dx/2 at the ends.
     """
-    n = len(d) + 1
-    a = 1.0 / mid**2
+    half = 0.5 * dx
+    a = 1.0 / mid2
     c = d / mid**3
     # flux_k = a(m_k) d_k / dx with m_k the arithmetic mean of the neighbors
     dF_left = (-a - c) / dx     # d flux_k / d u_k
     dF_right = (a - c) / dx     # d flux_k / d u_{k+1}
-    w = np.full(n, dx)
-    w[0] = w[-1] = 0.5 * dx
-    lower = np.zeros(n)   # -dt * d rhs_i / d u_{i-1}
-    diag = np.empty(n)    # d rhs_i / d u_i
-    upper = np.zeros(n)   # -dt * d rhs_i / d u_{i+1}
-    lower[1:] = -dt * (-nu * dF_left / w[1:])
-    upper[:-1] = -dt * (nu * dF_right / w[:-1])
-    diag[0] = nu * dF_left[0] / w[0]
-    diag[-1] = -nu * dF_right[-1] / w[-1]
-    diag[1:-1] = nu * (dF_left[1:] - dF_right[:-1]) / w[1:-1]
-    return lower, 1.0 - dt * diag, upper
+    lower = -nu * dF_left / dx       # then -dt times it: -dt * d rhs_{i+1} / d u_i
+    lower[-1] = -nu * dF_left[-1] / half
+    lower *= -dt
+    upper = nu * dF_right / dx       # then -dt times it: -dt * d rhs_i / d u_{i+1}
+    upper[0] = nu * dF_right[0] / half
+    upper *= -dt
+    diag = np.empty(len(mid) + 1)    # d rhs_i / d u_i, then 1 - dt times it
+    diag[1:-1] = nu * (dF_left[1:] - dF_right[:-1]) / dx
+    diag[0] = nu * dF_left[0] / half
+    diag[-1] = -nu * dF_right[-1] / half
+    diag *= -dt
+    diag += 1.0
+    return lower, diag, upper
 
 
 _gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 def tridiag_solve(lower, diag, upper, b):
-    """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = b[i].
+    """Solve lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = b[i].
 
-    lower[0] and upper[-1] lie outside the matrix and are ignored.  This is
-    solve_banded((1, 1), ...)'s LAPACK call, with its ValueError on a
-    non-finite input and LinAlgError on a singular matrix.
+    lower and upper hold the n - 1 entries below and above the diagonal.
+    This is solve_banded((1, 1), ...)'s LAPACK call, with its ValueError on
+    a non-finite input and LinAlgError on a singular matrix.
     """
-    dl, du = lower[1:], upper[:-1]
-    if not np.isfinite(np.concatenate((dl, diag, du, b))).all():
+    values = np.concatenate((lower, diag, upper, b))
+    if np.count_nonzero(np.isfinite(values)) < len(values):
         raise ValueError("tridiagonal system contains infs or NaNs")
-    x, info = _gtsv(dl, diag, du, b)[3:]
+    x, info = _gtsv(lower, diag, upper, b)[3:]
     if info:
         raise LinAlgError(f"singular matrix (gtsv info={info})")
     return x
@@ -163,17 +167,17 @@ def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
 
     Returns the new field and the Newton iteration count.
     """
-    dx, dt, nu = cfg.grid.dx, cfg.dt, cfg.nu
+    dx, dt, nu, floor = cfg.grid.dx, cfg.dt, cfg.nu, cfg.positivity_floor
     f = cfg.source.evaluate(t + dt).values
     un = u.values
 
     def residual(v):
-        terms, mid, d = _rhs_terms(v, f, nu, dx)
+        terms, mid, mid2, d = _rhs_terms(v, f, nu, dx)
         res = v - un - dt * terms
-        return res, float(np.abs(res).max()), mid, d
+        return res, float(np.abs(res).max()), mid, mid2, d
 
     v = un
-    res, res_norm, mid, d = residual(v)
+    res, res_norm, *terms = residual(v)
     iters = 0
     polish = False
     while True:
@@ -185,16 +189,17 @@ def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
             raise SolverError(
                 f"Newton stalled at t={t + dt:.6g} with residual {res_norm:.3g}"
             )
-        bands = _jacobian_bands(mid, d, nu, dx, dt)
+        bands = _jacobian_bands(*terms, nu, dx, dt)
         try:
             dv = tridiag_solve(*bands, -res)
         except ValueError as err:  # LinAlgError included
             raise SolverError(f"Newton solve failed at t={t + dt:.6g}: {err}") from err
         lam = 1.0
         for _ in range(10):
-            trial = v + lam * dv
-            if (trial > cfg.positivity_floor).all():
-                trial_res, trial_norm, trial_mid, trial_d = residual(trial)
+            trial = v + dv if lam == 1.0 else v + lam * dv  # 1.0 * dv is dv
+            # a NaN entry makes min() NaN, which fails the test
+            if trial.min() > floor:
+                trial_res, trial_norm, *trial_terms = residual(trial)
                 if trial_norm < res_norm or res_norm <= cfg.newton_tol:
                     break
             lam *= 0.5
@@ -203,36 +208,36 @@ def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
                 f"Newton damping exhausted at t={t + dt:.6g} "
                 f"(solution near the singular set u=0)"
             )
-        v, res, res_norm, mid, d = trial, trial_res, trial_norm, trial_mid, trial_d
+        # every accepted iterate lies above the positivity floor
+        v, res, res_norm, terms = trial, trial_res, trial_norm, trial_terms
         iters += 1
-    if (v <= cfg.positivity_floor).any():
-        raise QuenchError(f"u fell to the positivity floor at t={t + dt:.6g}")
     return u.with_values(v), iters
 
 
 def diagnostics(u: Field, t: float, cfg: SimulationConfig,
                 steady: SteadyState) -> tuple:
-    """Energy/norm diagnostics of one snapshot: DIAGNOSTIC_COLUMNS but the last."""
-    dx = cfg.grid.dx
-    uv = u.values
+    """Energy/norm diagnostics of one snapshot: DIAGNOSTIC_COLUMNS but the last.
+
+    One gradient and one trapezoid over rows, each row with the bits it has alone.
+    """
+    dx, uv = cfg.grid.dx, u.values
     sqrt_nu = math.sqrt(cfg.nu)
-    q = sqrt_nu / uv
-    qx = gradient(q, dx)
+    q_inf, inverse_u_inf = steady.inverse_profiles
+    rows = np.empty((3, len(uv)))    # q = sqrt(nu)/u, q - q_inf and y = 1/u - 1/u_inf
+    q = np.divide(sqrt_nu, uv, out=rows[0])
+    np.subtract(q, q_inf, out=rows[1])
+    y = np.divide(1.0, uv, out=rows[2])
+    y -= inverse_u_inf
     f = cfg.source.evaluate(t).values
-    energy = trapezoid(qx * qx * 0.5 + f * q * (1.0 / sqrt_nu), dx)
-    u_inf = steady.u_infinity.values
-    # q - steady.q_infinity(), without building a Field
-    wx = gradient(q - np.sqrt(steady.nu) / u_inf, dx)
-    return (
-        t,
-        trapezoid(uv, dx),
-        energy,
-        0.5 * trapezoid(wx * wx, dx),
-        h1(1.0 / uv - 1.0 / u_inf, dx),
-        l2(qx, dx),
-        float(uv.min()),
-        float(uv.max()),
-    )
+    integrands = np.empty((6, len(uv)))    # qx², wx², yx², the energy density, u and y²
+    grads = gradient(rows, dx)
+    np.multiply(grads, grads, out=integrands[:3])
+    integrands[3] = integrands[0] * 0.5 + f * q * (1.0 / sqrt_nu)
+    integrands[4] = uv
+    np.multiply(y, y, out=integrands[5])
+    qx2, wx2, yx2, energy, mass, y2 = trapezoid(integrands, dx).tolist()
+    return (t, mass, energy, 0.5 * wx2, math.sqrt(y2 + yx2), math.sqrt(qx2),
+            float(uv.min()), float(uv.max()))
 
 
 def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> SimulationRecord:

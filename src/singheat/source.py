@@ -44,6 +44,7 @@ class SourceTerm(ABC):
 
     def __init__(self, grid: Grid):
         self.grid = grid
+        self._last = (None, None)   # the last (t, evaluate(t))
 
     @abstractmethod
     def _raw(self, t) -> np.ndarray:
@@ -57,7 +58,10 @@ class SourceTerm(ABC):
         return True
 
     def evaluate(self, t: float) -> Field:
-        return Field(self.grid, self.samples(t))
+        """f(., t); asked again for the last t, the same Field, not a new one."""
+        if t != self._last[0]:
+            self._last = (t, Field(self.grid, self.samples(t)))
+        return self._last[1]
 
     def samples(self, t) -> np.ndarray:
         """Mean-zero projected nodal samples, shaped as `_raw`; not validated."""

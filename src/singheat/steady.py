@@ -10,6 +10,7 @@ form, never by time-integrating the PDE.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,9 +43,14 @@ class SteadyState:
 
     def q_infinity(self) -> Field:
         """Minimizer of the energy functional, sqrt(nu)/u_inf."""
-        return self.u_infinity.with_values(
-            np.sqrt(self.nu) / self.u_infinity.values
-        )
+        return self.u_infinity.with_values(self.inverse_profiles[0])
+
+    @cached_property
+    def inverse_profiles(self) -> np.ndarray:
+        """Read-only rows sqrt(nu)/u_inf and 1/u_inf, computed once."""
+        rows = np.array([[np.sqrt(self.nu)], [1.0]]) / self.u_infinity.values
+        rows.setflags(write=False)
+        return rows
 
     def to_json(self, path) -> None:
         write_json(path, {

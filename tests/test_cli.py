@@ -252,6 +252,36 @@ def test_zero_flag_is_config_error(tmp_path, capsys, argv):
         argv = argv + ["--config", write_config(tmp_path, "source = zero\nnu = 1\nn = 21\n")]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 4
     assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+#: (command and flags, config text) of config errors found only when an input
+#: is parsed or built; "{csv}" is a two-column data file
+LATE_CONFIG_ERRORS = {
+    "steady-nu": (["steady"], "source = cosine_static 0.5\nnu = one\n"),
+    "constants-u0": (["constants"], "source = cosine_decay\nnu = 10\nn = 51\n"
+                                    "u0 = inverse_sine x\n"),
+    "simulate-source-csv": (["simulate"], "source = csv {csv}\nnu = 1\nn = 51\n"),
+    "simulate-u0": (["simulate"], "source = zero\nnu = 1\nn = 51\nu0 = inverse_sine x\n"),
+    "example-n": (["example", "ex-3-3", "--n", "2"], None),
+    "transform-h0": (["transform"], "nu = 1\nn = 51\nh0 = cosine_bump x\n"),
+    # the sheet map misses unit mass by more than the march accepts at n = 51
+    "ssm-crosscheck-mass": (["ssm-crosscheck", "--n", "51"], "h0 = cosine_bump 0.2\n"),
+    "ssm-crosscheck-tolerance": (["ssm-crosscheck", "--n", "21"], "tolerance = loose\n"),
+}
+
+
+@pytest.mark.parametrize("case", LATE_CONFIG_ERRORS)
+def test_config_error_leaves_no_output_directory(tmp_path, capsys, case):
+    argv, text = LATE_CONFIG_ERRORS[case]
+    data = tmp_path / "data.csv"
+    data.write_text("t,x\n0,0\n0,1\n")
+    if text is not None:
+        argv = argv + ["--config", write_config(tmp_path, text.format(csv=data))]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 4
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["snapshot_stride", "newton_max_iter"])

@@ -171,8 +171,11 @@ def test_row_kernels_match_one_row_at_a_time(n):
     dx = Grid(n).dx
     rows = rng.standard_normal((7, n)) * 10.0 ** rng.uniform(-6, 6, (7, 1))
     sums, norms, prims = trapezoid(rows, dx), l2(rows, dx), primitive(rows, dx)
-    assert sums.shape == norms.shape == (7,) and prims.shape == rows.shape
-    for y, s, nrm, p in zip(rows, sums, norms, prims):
+    grads = gradient(rows, dx)
+    assert sums.shape == norms.shape == (7,) and prims.shape == grads.shape == rows.shape
+    for y, s, nrm, p, gr in zip(rows, sums, norms, prims, grads):
+        assert np.array_equal(gr, gradient(y, dx))
+        assert np.array_equal(gr, np.gradient(y, dx, edge_order=2))
         assert s == trapezoid(y, dx) == float(np.trapezoid(y, dx=dx))
         assert nrm == l2(y, dx) == math.sqrt(np.trapezoid(y * y, dx=dx))
         assert np.array_equal(p, primitive(y, dx))

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, solve_banded
 
 from singheat import solver
-from singheat.errors import QuenchError
+from singheat.errors import QuenchError, SolverError
 from singheat.grid import Field, Grid, derivative, h1_norm, l2_norm, trapezoid_integral
 from singheat.solver import (
     DIAGNOSTIC_COLUMNS,
@@ -17,7 +17,7 @@ from singheat.solver import (
     step,
     tridiag_solve,
 )
-from singheat.source import CallableSource, CosineStaticSource, make_source
+from singheat.source import CallableSource, CosineStaticSource, TabulatedSource, make_source
 from singheat.steady import steady_profile
 
 
@@ -278,7 +278,7 @@ def test_record_series_are_the_rows_of_each_step(tmp_path, monkeypatch):
 
 
 def dense(lower, diag, upper):
-    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
 class TestNewtonLinearAlgebra:
@@ -289,8 +289,9 @@ class TestNewtonLinearAlgebra:
         for _ in range(5):
             u = rng.uniform(0.5, 2.0, n)
             f = rng.standard_normal(n)
-            mid, d = solver._rhs_terms(u, f, nu, dx)[1:]
-            bands = solver._jacobian_bands(mid, d, nu, dx, dt)
+            terms = solver._rhs_terms(u, f, nu, dx)[1:]
+            bands = solver._jacobian_bands(*terms, nu, dx, dt)
+            assert [len(band) for band in bands] == [n - 1, n, n - 1]
             jac = (np.eye(n) - dense(*bands)) / dt
             fd = np.empty((n, n))
             for j in range(n):
@@ -305,7 +306,8 @@ class TestNewtonLinearAlgebra:
     def test_tridiag_solve_matches_dense_solve(self):
         rng = np.random.default_rng(7)
         n = 41
-        lower, upper, b = (rng.standard_normal(n) for _ in range(3))
+        lower, upper = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+        b = rng.standard_normal(n)
         diag = 4.0 + rng.uniform(size=n)
         x = tridiag_solve(lower, diag, upper, b)
         np.testing.assert_allclose(
@@ -315,14 +317,45 @@ class TestNewtonLinearAlgebra:
     def test_tridiag_solve_rejects_singular_and_nonfinite(self):
         ones = np.ones(3)
         # rows 0 and 1 of [[1, 1, 0], [1, 1, 0], [0, 0, 1]] coincide
-        lower, upper = np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])
+        lower, upper = np.array([1.0, 0.0]), np.array([1.0, 0.0])
         with pytest.raises(LinAlgError):
             tridiag_solve(lower, ones, upper, ones)
         with pytest.raises(ValueError):
             tridiag_solve(lower, np.array([4.0, np.nan, 4.0]), upper, ones)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", range(4), ids=["lower", "diag", "upper", "b"])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_tridiag_solve_rejects_nonfinite_input(self, slot, value, where):
+        # a diagonally dominant system, so gtsv never pivots: an inf on the
+        # diagonal would then only zero its unknown and leave x finite
+        args = [np.ones(4), np.full(5, 4.0), np.ones(4), np.ones(5)]
+        args[slot][where] = value
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            tridiag_solve(*args)
 
-@pytest.mark.parametrize("spec", ["cosine_static 0.8", "cosine_decay"])
+    @pytest.mark.parametrize("bad", ["nonfinite", "singular"])
+    def test_failed_solve_in_a_march_is_a_solver_failure(self, monkeypatch, bad):
+        # the real tridiag_solve, handed bands it must refuse
+        def broken_bands(*args):
+            lower, diag, upper = bands(*args)
+            if bad == "nonfinite":
+                diag[3] = np.inf
+            else:
+                diag[:] = lower[:] = upper[:] = 0.0
+            return lower, diag, upper
+
+        bands = solver._jacobian_bands
+        monkeypatch.setattr(solver, "_jacobian_bands", broken_bands)
+        cfg = flat_config(21, t_end=0.01)
+        with pytest.raises(SolverError, match="Newton solve failed at t=0.001"):
+            step(cfg.u0, 0.0, cfg)
+        rec = simulate(cfg)
+        assert rec.failure.startswith("Newton solve failed at t=0.001")
+        assert len(rec.times) == 1
+
+
+@pytest.mark.parametrize("spec", ["cosine_static 0.8", "cosine_decay", "cosine_exp 1.5"])
 def test_diagnostics_match_field_reference_exactly(spec):
     n = 101
     g = Grid(n)
@@ -366,3 +399,158 @@ def test_simulate_calls_step_and_diagnostics_through_module(monkeypatch):
     rec = simulate(flat_config(21, t_end=0.02))
     assert calls == {"step": 20, "diagnostics": len(rec.times)}
     assert len(rec.times) == 21
+
+
+# --- a reference march for the bits -----------------------------------------
+# The residual and Jacobian bands built with a control-volume width array and
+# padded bands, the solve through scipy's solve_banded (the same LAPACK gtsv),
+# the forcing sampled afresh at every call, and the diagnostics as one numpy
+# gradient and trapezoid per quantity.  The solver's step and diagnostics must
+# reproduce its records bit for bit.
+
+def _reference_rhs_terms(u, f, nu, dx):
+    mid = 0.5 * (u[:-1] + u[1:])
+    d = u[1:] - u[:-1]
+    flux = d / (dx * mid**2)
+    out = np.empty(len(u))
+    out[1:-1] = nu * (flux[1:] - flux[:-1]) / dx
+    out[0] = nu * flux[0] / (0.5 * dx)
+    out[-1] = -nu * flux[-1] / (0.5 * dx)
+    out += f
+    return out, mid, d
+
+
+def _reference_jacobian_bands(mid, d, nu, dx, dt):
+    n = len(d) + 1
+    a = 1.0 / mid**2
+    c = d / mid**3
+    dF_left = (-a - c) / dx
+    dF_right = (a - c) / dx
+    w = np.full(n, dx)
+    w[0] = w[-1] = 0.5 * dx
+    lower = np.zeros(n)
+    diag = np.empty(n)
+    upper = np.zeros(n)
+    lower[1:] = -dt * (-nu * dF_left / w[1:])
+    upper[:-1] = -dt * (nu * dF_right / w[:-1])
+    diag[0] = nu * dF_left[0] / w[0]
+    diag[-1] = -nu * dF_right[-1] / w[-1]
+    diag[1:-1] = nu * (dF_left[1:] - dF_right[:-1]) / w[1:-1]
+    return lower, 1.0 - dt * diag, upper
+
+
+def _reference_step(u, t, cfg):
+    dx, dt, nu = cfg.grid.dx, cfg.dt, cfg.nu
+    f = cfg.source.samples(t + dt)
+    un = u.values
+
+    def residual(v):
+        terms, mid, d = _reference_rhs_terms(v, f, nu, dx)
+        res = v - un - dt * terms
+        return res, float(np.abs(res).max()), mid, d
+
+    v = un
+    res, res_norm, mid, d = residual(v)
+    iters = 0
+    polish = False
+    while True:
+        if res_norm <= cfg.newton_tol:
+            if polish:
+                break
+            polish = True
+        elif iters >= cfg.newton_max_iter:
+            raise SolverError("Newton stalled")
+        lower, diag, upper = _reference_jacobian_bands(mid, d, nu, dx, dt)
+        dv = solve_banded((1, 1), np.array([np.r_[0.0, upper[:-1]], diag,
+                                            np.r_[lower[1:], 0.0]]), -res)
+        lam = 1.0
+        for _ in range(10):
+            trial = v + lam * dv
+            if (trial > cfg.positivity_floor).all():
+                trial_res, trial_norm, trial_mid, trial_d = residual(trial)
+                if trial_norm < res_norm or res_norm <= cfg.newton_tol:
+                    break
+            lam *= 0.5
+        else:
+            raise QuenchError("Newton damping exhausted")
+        v, res, res_norm, mid, d = trial, trial_res, trial_norm, trial_mid, trial_d
+        iters += 1
+    return u.with_values(v), iters
+
+
+def _reference_diagnostics(u, t, cfg, steady):
+    dx = cfg.grid.dx
+    uv = u.values
+    sqrt_nu = math.sqrt(cfg.nu)
+    q = sqrt_nu / uv
+    qx = np.gradient(q, dx, edge_order=2)
+    f = cfg.source.samples(t)
+    u_inf = steady.u_infinity.values
+    wx = np.gradient(q - np.sqrt(steady.nu) / u_inf, dx, edge_order=2)
+    y = 1.0 / uv - 1.0 / u_inf
+    yx = np.gradient(y, dx, edge_order=2)
+    return (
+        t,
+        float(np.trapezoid(uv, dx=dx)),
+        float(np.trapezoid(qx * qx * 0.5 + f * q * (1.0 / sqrt_nu), dx=dx)),
+        0.5 * float(np.trapezoid(wx * wx, dx=dx)),
+        math.sqrt(np.trapezoid(y * y, dx=dx) + np.trapezoid(yx * yx, dx=dx)),
+        math.sqrt(np.trapezoid(qx * qx, dx=dx)),
+        float(uv.min()),
+        float(uv.max()),
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 101, 401])
+def test_residual_and_bands_keep_the_reference_bits(n):
+    # Newton's end point barely depends on the Jacobian's last bits, so the
+    # bands are compared here directly, in gtsv's layout
+    rng = np.random.default_rng(n)
+    dx = Grid(n).dx
+    for _ in range(20):
+        u = rng.uniform(0.2, 5.0, n)
+        f = rng.standard_normal(n)
+        nu, dt = rng.uniform(0.5, 20.0), 10.0 ** rng.uniform(-5, -1)
+        out, mid, mid2, d = solver._rhs_terms(u, f, nu, dx)
+        ref_out, ref_mid, ref_d = _reference_rhs_terms(u, f, nu, dx)
+        assert all(map(np.array_equal, (out, mid, d), (ref_out, ref_mid, ref_d)))
+        assert np.array_equal(mid2, mid**2)
+        lower, diag, upper = solver._jacobian_bands(mid, mid2, d, nu, dx, dt)
+        ref_lower, ref_diag, ref_upper = _reference_jacobian_bands(mid, d, nu, dx, dt)
+        assert np.array_equal(lower, ref_lower[1:])
+        assert np.array_equal(diag, ref_diag)
+        assert np.array_equal(upper, ref_upper[:-1])
+
+
+def _tabulated_source(g):
+    cos = np.cos(np.pi * g.nodes)
+    return TabulatedSource([0.0, 0.07, 0.15],
+                           [Field(g, a * cos) for a in (0.8, -0.3, 0.5)])
+
+
+@pytest.mark.parametrize("n,source", [
+    (401, lambda g: make_source(g, f"cosine_static {math.pi / 2}")),
+    (101, lambda g: make_source(g, "cosine_exp 1.5")),
+    (101, _tabulated_source),
+], ids=["cosine_static", "cosine_exp", "tabulated"])
+def test_march_keeps_the_reference_bits(monkeypatch, n, source):
+    # 200 steps from a non-flat start; the records, the Newton counts and the
+    # snapshots must equal the reference march's bit for bit
+    g = Grid(n)
+    u0 = 1.0 / (1.0 + 0.2 * np.sin(np.pi * g.nodes))
+    src = source(g)
+    cfg = SimulationConfig(nu=2.0, grid=g, u0=Field(g, u0 / np.trapezoid(u0, dx=g.dx)),
+                           source=src, dt=1e-3, t_end=0.2, snapshot_stride=50)
+    ss = steady_profile(src, cfg.nu)
+    new = simulate(cfg, ss)
+    monkeypatch.setattr(solver, "step", _reference_step)
+    monkeypatch.setattr(solver, "diagnostics", _reference_diagnostics)
+    ref = simulate(cfg, ss)
+    assert new.failure is ref.failure is None
+    assert len(ref.times) == 201 and ref.newton_iters.sum() > 200
+    for column in DIAGNOSTIC_COLUMNS:
+        name = "times" if column == "t" else column
+        assert np.array_equal(getattr(new, name), getattr(ref, name)), column
+    assert new.snapshot_times == ref.snapshot_times
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(new.snapshots, ref.snapshots, strict=True))

@@ -287,6 +287,26 @@ def test_rows_equal_one_time_calls(kind):
         assert np.array_equal(row, src.evaluate(t).values)
 
 
+@pytest.mark.parametrize("kind", [*(kind for kind in SOURCES if kind != "cosine_static"),
+                                  "linear_in_t"])
+def test_evaluate_memo_keeps_fresh_bits(kind):
+    # a march asks for f at k dt + dt (the step) and at (k + 1) dt (its
+    # record); at this k the two differ, so each must be evaluated on its own
+    g = Grid(41)
+    src = (CallableSource(g, lambda x, t: t * np.cos(np.pi * x)) if kind == "linear_in_t"
+           else SOURCES[kind][0](g))
+    dt = 1e-3
+    k = next(k for k in range(1100, 2000) if k * dt + dt != (k + 1) * dt)
+    t1, t2 = k * dt + dt, (k + 1) * dt
+    first, second, again = src.evaluate(t1), src.evaluate(t2), src.evaluate(t1)
+    for t, got in ((t1, first), (t2, second), (t1, again)):
+        assert np.array_equal(got.values, src.samples(t))
+    assert second is not first and again is not second
+    assert src.evaluate(t1) is again
+    if kind == "linear_in_t":
+        assert not np.array_equal(first.values, second.values)
+
+
 def test_cosine_rows_keep_the_scalar_formulas():
     # the formulas as scalar code wrote them, with numpy's and Python's pow
     g = Grid(41)
