@@ -204,6 +204,10 @@ def _run_and_report(sim_cfg: SimulationConfig, out: Path) -> int:
         bounds_ok = within(*consts.homogeneous_bounds())
         print(f"envelope_ok={report.envelope_ok} bounds_ok={bounds_ok} "
               f"rate={consts.lambda_hom:.4f}")
+    if record.fixed_point_time is not None:    # after the verdict, which stays the first line
+        later = np.count_nonzero(record.times > record.fixed_point_time)
+        print(f"march reached a fixed point of the step at t={record.fixed_point_time:.6g}; "
+              f"{later} later steps repeat it")
     return EXIT_OK if report.envelope_ok and bounds_ok else EXIT_SOLVER
 
 

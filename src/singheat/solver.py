@@ -42,6 +42,12 @@ class SimulationConfig:
     def __post_init__(self):
         if self.nu <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise ValueError("nu, dt and t_end must be positive")
+        steps = self.t_end / self.dt
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"t_end must be a whole number of steps dt, at least one; "
+                f"got t_end/dt = {steps:.10g}"
+            )
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be at least 1, got {self.snapshot_stride}")
         if self.u0.grid.n != self.grid.n:
@@ -89,6 +95,7 @@ class SimulationRecord:
     newton_iters: np.ndarray = _series()
     failure: str | None = None
     failure_time: float | None = None
+    fixed_point_time: float | None = None   # t of the first step that returned its input
 
     def diagnostics_csv(self, path) -> None:
         # Python floats: the writer formats them faster than numpy scalars
@@ -247,6 +254,12 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
     its columns, each contiguous, become the record's series.  On a solver
     failure the array is cut at the last completed step and the partial
     record is returned with the failure annotated rather than lost.
+
+    Under a time-independent source a step is a function of u alone, so once
+    a step returns its input bit for bit, every later step would return it
+    again with the same Newton count, and every later row would repeat the
+    current one but for t.  The march then fills those rows and snapshots
+    without stepping and stops.
     """
     if steady is None:
         steady = steady_profile(cfg.source, cfg.nu)
@@ -255,10 +268,12 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
     u = cfg.u0
     data[0] = (*diagnostics(u, 0.0, cfg, steady), 0)
     snapshot_times, snapshots = [0.0], [u]
-    failure = failure_time = None
+    failure = failure_time = fixed_point_time = None
+    static = not cfg.source.time_dependent
     done = n_steps
     for k in range(n_steps):
         t = k * cfg.dt
+        previous = u
         try:
             u, iters = step(u, t, cfg)
         except SolverError as err:
@@ -269,6 +284,16 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
         if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == n_steps:
             snapshot_times.append(t_new)
             snapshots.append(u)
+        # equal bytes are equal bits, which is all the step reads of u
+        if static and u.values.tobytes() == previous.values.tobytes():
+            fixed_point_time = t_new
+            later = np.arange(k + 2, n_steps + 1)
+            data[k + 2:] = data[k + 1]
+            data[k + 2:, 0] = later * cfg.dt    # j * dt, as t_new is
+            for j in later[(later % cfg.snapshot_stride == 0) | (later == n_steps)].tolist():
+                snapshot_times.append(j * cfg.dt)
+                snapshots.append(u)
+            break
     return SimulationRecord(cfg, steady, snapshot_times, snapshots,
-                            *data[:done + 1].T,
-                            failure=failure, failure_time=failure_time)
+                            *data[:done + 1].T, failure=failure,
+                            failure_time=failure_time, fixed_point_time=fixed_point_time)

@@ -107,6 +107,15 @@ class TestSimulate:
         first_data_row = (out / "diagnostics.csv").read_text().splitlines()
         assert len(first_data_row) < 50  # 0.1 / 1e-2 steps, not 500
 
+    def test_fixed_point_of_the_step_is_reported(self, tmp_path, capsys):
+        # flat u0 and no forcing: the first step returns its input
+        cfg = write_config(tmp_path, "source = zero\nnu = 1\nn = 21\nt_end = 0.01\n")
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "march reached a fixed point of the step at t=0.001; 9 later steps repeat it"]
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 12
+
 
 class TestExamples:
     def test_ex24_short_smoke(self, tmp_path):
@@ -118,7 +127,7 @@ class TestExamples:
         assert code == 0
         assert (out / "decay_report.json").exists()
 
-    def test_ex33_short_smoke(self, tmp_path):
+    def test_ex33_short_smoke(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(["example", "ex-3-3", "--out", str(out), "--n", "101",
                     "--t-end", "1"])
@@ -127,6 +136,8 @@ class TestExamples:
         assert not (out / "decay_report.json").exists()
         energy = json.loads((out / "energy_envelope_report.json").read_text())
         assert energy["envelope_ok"] is True
+        # a time-dependent source is stepped to the end, so no fixed point is reported
+        assert "fixed point" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("line", [
@@ -255,6 +266,21 @@ def test_zero_flag_is_config_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("t_end", ["0.0004", "0.0025"])
+@pytest.mark.parametrize("command", ["simulate", "example"])
+def test_t_end_off_the_step_grid_is_config_error(tmp_path, capsys, command, t_end):
+    # with dt = 1e-3 the march would run 0 steps, or stop at t = 0.002
+    if command == "simulate":
+        cfg = write_config(tmp_path, f"source = zero\nnu = 1\nn = 21\nt_end = {t_end}\n")
+        argv = ["simulate", "--config", cfg]
+    else:
+        argv = ["example", "ex-2-4", "--n", "21", "--t-end", t_end]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 4
+    assert "config error: t_end must be a whole number of steps dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 #: (command and flags, config text) of config errors found only when an input
 #: is parsed or built; "{csv}" is a two-column data file
 LATE_CONFIG_ERRORS = {
@@ -268,6 +294,8 @@ LATE_CONFIG_ERRORS = {
     # the sheet map misses unit mass by more than the march accepts at n = 51
     "ssm-crosscheck-mass": (["ssm-crosscheck", "--n", "51"], "h0 = cosine_bump 0.2\n"),
     "ssm-crosscheck-tolerance": (["ssm-crosscheck", "--n", "21"], "tolerance = loose\n"),
+    # t_check = 0.0025 is not a whole number of steps dt = 1e-3
+    "ssm-crosscheck-t-check": (["ssm-crosscheck", "--n", "21", "--t-end", "0.0025"], None),
 }
 
 

@@ -53,6 +53,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             flat_config(11, dt=-1e-3)
 
+    @pytest.mark.parametrize("t_end", [0.0004, 0.0025, 0.0105])
+    def test_rejects_t_end_off_the_step_grid(self, t_end):
+        # 0 steps, or a march that would stop short of t_end
+        with pytest.raises(ValueError, match="t_end must be a whole number of steps dt"):
+            flat_config(11, t_end=t_end)
+
+    def test_accepts_t_end_a_whole_number_of_steps_up_to_round_off(self):
+        assert 0.3 / 0.1 != 3 and flat_config(11, dt=0.1, t_end=0.3).t_end == 0.3
+
     def test_rejects_u0_on_another_grid(self):
         with pytest.raises(ValueError, match="u0 has 21 nodes"):
             flat_config(51, u0=Field(Grid(21), np.ones(21)))
@@ -384,8 +393,12 @@ def test_diagnostics_match_field_reference_exactly(spec):
         assert diagnostics(u, t, cfg, ss) == expected
 
 
-def test_simulate_calls_step_and_diagnostics_through_module(monkeypatch):
-    # perfbench times marches by rebinding solver.step and solver.diagnostics
+def _inverse_sine(g, eps):
+    u0 = 1.0 / (1.0 + eps * np.sin(np.pi * g.nodes))
+    return Field(g, u0 / np.trapezoid(u0, dx=g.dx))
+
+
+def _count_step_and_diagnostics(monkeypatch):
     calls = {"step": 0, "diagnostics": 0}
 
     def counted(name, fn):
@@ -396,9 +409,26 @@ def test_simulate_calls_step_and_diagnostics_through_module(monkeypatch):
 
     monkeypatch.setattr(solver, "step", counted("step", solver.step))
     monkeypatch.setattr(solver, "diagnostics", counted("diagnostics", solver.diagnostics))
-    rec = simulate(flat_config(21, t_end=0.02))
+    return calls
+
+
+def test_simulate_calls_step_and_diagnostics_through_module(monkeypatch):
+    # perfbench times marches by rebinding solver.step and solver.diagnostics,
+    # so every step that runs goes through them; from inverse_sine 0.1 no
+    # step of the 20 returns its input
+    calls = _count_step_and_diagnostics(monkeypatch)
+    rec = simulate(flat_config(21, u0=_inverse_sine(Grid(21), 0.1), t_end=0.02))
     assert calls == {"step": 20, "diagnostics": len(rec.times)}
-    assert len(rec.times) == 21
+    assert len(rec.times) == 21 and rec.fixed_point_time is None
+
+
+def test_simulate_stops_stepping_at_a_fixed_point(monkeypatch):
+    # flat u0 and no forcing: the first step returns its input, and the
+    # other 19 rows are filled without stepping
+    calls = _count_step_and_diagnostics(monkeypatch)
+    rec = simulate(flat_config(21, t_end=0.02))
+    assert calls == {"step": 1, "diagnostics": 2}
+    assert len(rec.times) == 21 and rec.fixed_point_time == 1e-3
 
 
 # --- a reference march for the bits -----------------------------------------
@@ -554,3 +584,56 @@ def test_march_keeps_the_reference_bits(monkeypatch, n, source):
     assert new.snapshot_times == ref.snapshot_times
     assert all(np.array_equal(a.values, b.values)
                for a, b in zip(new.snapshots, ref.snapshots, strict=True))
+
+
+def _reference_simulate(cfg, steady):
+    """The march that steps every time, the reference for the fixed-point exit."""
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    u = cfg.u0
+    rows = [(*solver.diagnostics(u, 0.0, cfg, steady), 0)]
+    snapshot_times, snapshots = [0.0], [u]
+    for k in range(n_steps):
+        u, iters = solver.step(u, k * cfg.dt, cfg)
+        t_new = (k + 1) * cfg.dt
+        rows.append((*solver.diagnostics(u, t_new, cfg, steady), iters))
+        if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == n_steps:
+            snapshot_times.append(t_new)
+            snapshots.append(u)
+    return np.array(rows), snapshot_times, snapshots
+
+
+@pytest.mark.parametrize("source,t_end,stride,fixed_step", [
+    ("cosine_static 0.3", 3.5, 300, 3060),    # 300 does not divide 3500
+    ("cosine_static 0.3", 3.06, 300, 3060),   # the fixed point is the last step
+    ("zero", 0.1, 100, 1),
+], ids=["past-the-fixed-point", "fixed-point-last", "flat-unforced"])
+def test_fixed_point_exit_keeps_the_reference_bits(source, t_end, stride, fixed_step):
+    # the record filled past the step's fixed point must equal the one that
+    # steps every time, bit for bit
+    g = Grid(51)
+    cfg = flat_config(51, source=make_source(g, source), t_end=t_end,
+                      snapshot_stride=stride)
+    ss = steady_profile(cfg.source, cfg.nu)
+    rec = simulate(cfg, ss)
+    rows, snapshot_times, snapshots = _reference_simulate(cfg, ss)
+    assert rec.failure is None
+    assert rec.fixed_point_time == fixed_step * cfg.dt
+    for column, series in zip(DIAGNOSTIC_COLUMNS, rows.T, strict=True):
+        name = "times" if column == "t" else column
+        assert np.array_equal(getattr(rec, name), series), column
+    assert rec.snapshot_times == snapshot_times
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(rec.snapshots, snapshots, strict=True))
+
+
+def test_time_dependent_source_is_stepped_past_a_fixed_point(monkeypatch):
+    # a tabulated source held at its last (zero) profile past t = 0.01 is
+    # constant from then on, but it is time-dependent, so no step is skipped
+    g = Grid(21)
+    src = TabulatedSource([0.0, 0.01], [Field(g, np.zeros(21))] * 2)
+    calls = _count_step_and_diagnostics(monkeypatch)
+    cfg = flat_config(21, source=src, t_end=0.05)
+    rec = simulate(cfg)
+    assert src.time_dependent and calls == {"step": 50, "diagnostics": 51}
+    assert rec.fixed_point_time is None
+    assert np.array_equal(rec.snapshots[-1].values, cfg.u0.values)
