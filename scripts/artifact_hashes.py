@@ -2,22 +2,25 @@
 
 Runs a fixed set of CLI commands, each from a fixed config (two of them also
 read a fixed CSV data file), into a temporary directory and prints one
-`sha256  relative/path` line per output file, sorted by path.
-`manifest.json` holds the output path and is skipped.  Comparing the output
-of two checkouts shows which artifacts a change altered:
+`sha256  relative/path` line per output file, and one `sha256  <run>/stdout`
+line per run over what the CLI printed to standard output followed by
+`exit N` (its exit code), all sorted by path.  `manifest.json` holds the
+output path and is skipped.  Comparing the output of two checkouts shows
+which artifacts, verdicts or exit codes a change altered:
 
     python3 scripts/artifact_hashes.py > after.txt
     diff before.txt after.txt
 
 The package is imported from the `src` directory next to this script.  The
-CLI's own standard output and each command's exit code go to standard error.
-Uses only the standard library and the package.
+CLI's own standard output and each command's exit code are also echoed to
+standard error.  Uses only the standard library and the package.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import math
 import sys
 import tempfile
@@ -86,7 +89,9 @@ RUNS = (
 )
 
 
-def run_all(root: Path) -> None:
+def run_all(root: Path) -> dict:
+    """Run every command; return each run's standard output plus `exit N`."""
+    stdout = {}
     configs = root / "configs"
     configs.mkdir()
     for name, text in DATA.items():
@@ -97,21 +102,23 @@ def run_all(root: Path) -> None:
             path = configs / f"{name}.txt"
             path.write_text(text.format(data=configs))
             argv += ["--config", str(path)]
-        with contextlib.redirect_stdout(sys.stderr):
+        with contextlib.redirect_stdout(io.StringIO()) as captured:
             code = cli.main(argv)
-        print(f"# {name}: exit {code}", file=sys.stderr)
+        stdout[f"{name}/stdout"] = f"{captured.getvalue()}exit {code}\n"
+        print(f"{captured.getvalue()}# {name}: exit {code}", file=sys.stderr)
+    return stdout
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        run_all(root)
+        contents = {key: text.encode() for key, text in run_all(root).items()}
         out = root / "out"
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            if path.name == "manifest.json":
-                continue
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(out).as_posix()}")
+        for path in out.rglob("*"):
+            if path.is_file() and path.name != "manifest.json":
+                contents[path.relative_to(out).as_posix()] = path.read_bytes()
+        for key in sorted(contents, key=lambda key: key.split("/")):   # as paths sort
+            print(f"{hashlib.sha256(contents[key]).hexdigest()}  {key}")
     return 0
 
 

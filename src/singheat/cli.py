@@ -23,8 +23,8 @@ from .decay import (
     check_gradient_energy_envelope, check_homogeneous_envelope, envelope_csv, homogeneous_bound,
 )
 from .errors import ConfigError, HypothesisError, SingheatError, SolverError
-from .grid import Field, Grid, read_field_csv, trapezoid_integral, write_field_csv, write_json
-from .solver import SimulationConfig, simulate
+from .grid import Field, Grid, read_field_csv, trapezoid, write_field_csv, write_json
+from .solver import SimulationConfig, require_positive, simulate, step_count
 from .source import HomogeneousSource, compute_P0, make_source, parse_spec
 from .steady import steady_profile
 
@@ -93,7 +93,7 @@ def _require(cfg: dict, key: str) -> str:
 
 def _normalized(grid: Grid, vals: np.ndarray, mass: float) -> Field:
     """vals scaled to the given trapezoid mass."""
-    return Field(grid, mass * vals / trapezoid_integral(Field(grid, vals)))
+    return Field(grid, mass * vals / trapezoid(vals, grid.dx))
 
 
 def _make_u0(grid: Grid, spec: str) -> Field:
@@ -141,6 +141,7 @@ def cmd_steady(args) -> int:
     grid = Grid(int(cfg.get("n", 4097)))
     source = make_source(grid, _require(cfg, "source"))
     nu = float(_require(cfg, "nu"))
+    require_positive(nu=nu)
     out = _prepare_out(args, "steady")
     state = steady_profile(source, nu)
     state.to_json(out / "steady.json")
@@ -162,6 +163,7 @@ def cmd_constants(args) -> int:
     source = make_source(grid, _require(cfg, "source"))
     u0 = _make_u0(grid, cfg.get("u0", "constant 1"))
     nu = float(_require(cfg, "nu"))
+    require_positive(nu=nu)
     out = _prepare_out(args, "constants")
     consts = TheoremConstants.from_problem(u0, source, nu)
     consts.to_json(out / "constants.json")
@@ -228,10 +230,11 @@ def cmd_transform(args) -> int:
     grid = Grid(int(cfg.get("n", 401)))
     M = float(cfg.get("M", 1.0))
     nu = float(_require(cfg, "nu"))
+    require_positive(nu=nu)
     h0 = _sheet_profile(grid, cfg.get("h0", "constant 1"), M)
     v0 = _sheet_velocity(grid, cfg.get("v0", "zero"))
-    out = _prepare_out(args, "transform")
     f0 = lagrangian.source_from_sheet(lagrangian.initial_map(h0, M), v0, nu)
+    out = _prepare_out(args, "transform")
     write_field_csv(out / "f0.csv", f0, header=("x", "f0"))
     print(f"P0 = {compute_P0(HomogeneousSource(f0)):.6g}")
     return EXIT_OK
@@ -266,14 +269,12 @@ def cmd_ssm_crosscheck(args) -> int:
     dt_ssm = float(cfg.get("dt_ssm", 2e-3))
     dt = float(cfg.get("dt", SimulationConfig.dt))
     tolerance = float(cfg.get("tolerance", 0.02))
-    if dt_ssm <= 0:
-        raise ConfigError(f"dt_ssm must be positive, got {dt_ssm}")
+    require_positive(nu=nu, dt=dt, dt_ssm=dt_ssm, tolerance=tolerance)
+    steps = step_count(t_check, dt, "t_check")   # the march's t_end is t_check
     lmap = lagrangian.initial_map(h0, M)
     f0 = lagrangian.source_from_sheet(lmap, v0, nu)
-    sim_cfg = SimulationConfig(
-        nu=nu, grid=grid, u0=lmap.u, source=HomogeneousSource(f0), dt=dt, t_end=t_check,
-        snapshot_stride=max(1, int(round(t_check / dt))),
-    )
+    sim_cfg = SimulationConfig(nu=nu, grid=grid, u0=lmap.u, source=HomogeneousSource(f0),
+                               dt=dt, t_end=t_check, snapshot_stride=steps)
     out = _prepare_out(args, "ssm-crosscheck")
     record = simulate(sim_cfg)
     if record.failure:

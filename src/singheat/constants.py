@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import HypothesisError
-from .grid import Field, derivative, l2_norm, write_json
+from .grid import Field, gradient, l2, write_json
 from .source import SourceTerm, compute_N_infinity, compute_P0
 
 
@@ -23,7 +23,8 @@ def compute_R0(u0: Field) -> float:
     """L2 norm of the derivative of 1/u0."""
     if np.any(u0.values <= 0):
         raise ValueError("u0 must be positive nodewise")
-    return l2_norm(derivative(u0.with_values(1.0 / u0.values)))
+    dx = u0.grid.dx
+    return l2(gradient(1.0 / u0.values, dx), dx)
 
 
 def compute_nu_plus(R0: float, P0: float, N_inf: float) -> float:
@@ -85,7 +86,7 @@ class TheoremConstants:
 
     @classmethod
     def from_values(cls, R0, P0, N_inf, nu) -> "TheoremConstants":
-        if R0 < 0 or P0 < 0 or N_inf < 0 or nu <= 0:
+        if not (R0 >= 0 and P0 >= 0 and N_inf >= 0 and nu > 0):   # NaN fails too
             raise ValueError("constants must be nonnegative and nu positive")
         nu_plus = compute_nu_plus(R0, P0, N_inf) if R0 < 1 else float("inf")
         hom_ok = bool(R0 < 1 and nu > 2 * P0 / (1 - R0))

@@ -131,14 +131,6 @@ def antiderivative(g: Field) -> Field:
     return g.with_values(primitive(g.values, g.grid.dx))
 
 
-def l2_norm(g: Field) -> float:
-    return l2(g.values, g.grid.dx)
-
-
-def h1_norm(g: Field) -> float:
-    return h1(g.values, g.grid.dx)
-
-
 def write_csv(path, header, columns) -> None:
     """Header line, then one row per sample with every value as %.17g.
 

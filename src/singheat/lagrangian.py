@@ -17,16 +17,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, SolverError
-from .grid import (
-    Field,
-    Grid,
-    antiderivative,
-    derivative,
-    trapezoid_integral,
-    write_csv,
-)
+from .grid import Field, Grid, gradient, primitive, trapezoid, write_csv
 from .solver import rhs, tridiag_solve
-from .source import project_mean_zero
+from .source import mean_zero
 from .steady import SteadyState
 
 
@@ -46,7 +39,7 @@ class SheetState:
             raise ValueError("sheet height must be positive")
 
     def mass(self) -> float:
-        return trapezoid_integral(self.h)
+        return trapezoid(self.h.values, self.grid.dx)
 
     def to_csv(self, path) -> None:
         write_csv(path, ("y", "h", "v"),
@@ -154,8 +147,8 @@ def source_from_sheet(lmap: LagrangianMap, v0: Field, nu: float) -> Field:
     h_spline = lmap.h_spline
     v_spline = CubicSpline(grid.nodes, v0.values)
     bracket = v_spline(y) + nu * h_spline(y, 1) / h_spline(y)
-    f0 = derivative(Field(grid, bracket))
-    return project_mean_zero(f0)
+    # a non-finite bracket gives a non-finite f0, which the Field refuses
+    return Field(grid, mean_zero(gradient(bracket, grid.dx), grid.dx))
 
 
 def sheet_from_u(u: Field, u_t: Field, M: float) -> SheetView:
@@ -166,12 +159,12 @@ def sheet_from_u(u: Field, u_t: Field, M: float) -> SheetView:
     """
     if np.any(u.values <= 0):
         raise ValueError("u must be positive")
-    y = antiderivative(u)
+    grid = u.grid
     return SheetView(
-        x_grid=u.grid,
-        y_of_x=y,
-        h_on_map=u.with_values(M / u.values),
-        v_on_map=antiderivative(u_t),
+        x_grid=grid,
+        y_of_x=Field(grid, primitive(u.values, grid.dx)),
+        h_on_map=Field(grid, M / u.values),
+        v_on_map=Field(grid, primitive(u_t.values, grid.dx)),
         M=M,
     )
 

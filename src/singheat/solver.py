@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .errors import QuenchError, SolverError
-from .grid import Field, Grid, gradient, trapezoid, trapezoid_integral, write_csv
+from .grid import Field, Grid, gradient, trapezoid, write_csv
 from .source import SourceTerm
 from .steady import SteadyState, steady_profile
 
@@ -40,14 +40,9 @@ class SimulationConfig:
     positivity_floor: float = 1e-8
 
     def __post_init__(self):
-        if self.nu <= 0 or self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("nu, dt and t_end must be positive")
-        steps = self.t_end / self.dt
-        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
-            raise ValueError(
-                f"t_end must be a whole number of steps dt, at least one; "
-                f"got t_end/dt = {steps:.10g}"
-            )
+        require_positive(nu=self.nu, dt=self.dt, t_end=self.t_end, newton_tol=self.newton_tol,
+                         positivity_floor=self.positivity_floor)
+        step_count(self.t_end, self.dt)
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be at least 1, got {self.snapshot_stride}")
         if self.u0.grid.n != self.grid.n:
@@ -56,9 +51,26 @@ class SimulationConfig:
             )
         if np.any(self.u0.values <= 0):
             raise ValueError("u0 must be positive nodewise")
-        mass = trapezoid_integral(self.u0)
+        mass = trapezoid(self.u0.values, self.grid.dx)
         if abs(mass - 1.0) > 1e-10:
             raise ValueError(f"u0 must have unit mass, got {mass!r}")
+
+
+def require_positive(**values) -> None:
+    """ValueError naming the first of the keyword values that is not finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def step_count(t_end: float, dt: float, name: str = "t_end") -> int:
+    """t_end/dt, which must be a whole number, at least one; errors call t_end `name`."""
+    steps = t_end / dt
+    if not (math.isfinite(steps) and round(steps) >= 1
+            and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ValueError(f"{name} must be a whole number of steps dt, at least one; "
+                         f"got {name}/dt = {steps:.10g}")
+    return round(steps)
 
 
 #: diagnostics.csv columns, in file order; "t" is stored as `times`
@@ -169,14 +181,14 @@ def tridiag_solve(lower, diag, upper, b):
     return x
 
 
-def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
-    """One implicit-Euler step from t to t + dt.
+def step(un: np.ndarray, t: float, cfg: SimulationConfig) -> tuple[np.ndarray, int]:
+    """One implicit-Euler step of the nodal values un from t to t + dt.
 
-    Returns the new field and the Newton iteration count.
+    Returns the new values and the Newton iteration count.  They are finite:
+    the loop ends only on a residual at most newton_tol, which is finite.
     """
     dx, dt, nu, floor = cfg.grid.dx, cfg.dt, cfg.nu, cfg.positivity_floor
     f = cfg.source.evaluate(t + dt).values
-    un = u.values
 
     def residual(v):
         terms, mid, mid2, d = _rhs_terms(v, f, nu, dx)
@@ -218,16 +230,16 @@ def step(u: Field, t: float, cfg: SimulationConfig) -> tuple[Field, int]:
         # every accepted iterate lies above the positivity floor
         v, res, res_norm, terms = trial, trial_res, trial_norm, trial_terms
         iters += 1
-    return u.with_values(v), iters
+    return v, iters
 
 
-def diagnostics(u: Field, t: float, cfg: SimulationConfig,
+def diagnostics(uv: np.ndarray, t: float, cfg: SimulationConfig,
                 steady: SteadyState) -> tuple:
-    """Energy/norm diagnostics of one snapshot: DIAGNOSTIC_COLUMNS but the last.
+    """Energy/norm diagnostics of the nodal values uv: DIAGNOSTIC_COLUMNS but the last.
 
     One gradient and one trapezoid over rows, each row with the bits it has alone.
     """
-    dx, uv = cfg.grid.dx, u.values
+    dx = cfg.grid.dx
     sqrt_nu = math.sqrt(cfg.nu)
     q_inf, inverse_u_inf = steady.inverse_profiles
     rows = np.empty((3, len(uv)))    # q = sqrt(nu)/u, q - q_inf and y = 1/u - 1/u_inf
@@ -250,7 +262,8 @@ def diagnostics(u: Field, t: float, cfg: SimulationConfig,
 def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> SimulationRecord:
     """March to t_end, recording snapshots and per-step diagnostics.
 
-    The diagnostics fill one (steps + 1) x 9 array, a row per recorded time;
+    The march steps plain arrays; only the snapshots are Fields.  The
+    diagnostics fill one (steps + 1) x 9 array, a row per recorded time;
     its columns, each contiguous, become the record's series.  On a solver
     failure the array is cut at the last completed step and the partial
     record is returned with the failure annotated rather than lost.
@@ -263,11 +276,11 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
     """
     if steady is None:
         steady = steady_profile(cfg.source, cfg.nu)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = step_count(cfg.t_end, cfg.dt)
     data = np.empty((n_steps + 1, len(DIAGNOSTIC_COLUMNS)), order="F")
-    u = cfg.u0
+    u = cfg.u0.values
     data[0] = (*diagnostics(u, 0.0, cfg, steady), 0)
-    snapshot_times, snapshots = [0.0], [u]
+    snapshot_times, snapshots = [0.0], [cfg.u0]
     failure = failure_time = fixed_point_time = None
     static = not cfg.source.time_dependent
     done = n_steps
@@ -283,16 +296,17 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
         data[k + 1] = (*diagnostics(u, t_new, cfg, steady), iters)
         if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == n_steps:
             snapshot_times.append(t_new)
-            snapshots.append(u)
+            snapshots.append(Field(cfg.grid, u))
         # equal bytes are equal bits, which is all the step reads of u
-        if static and u.values.tobytes() == previous.values.tobytes():
+        if static and u.tobytes() == previous.tobytes():
             fixed_point_time = t_new
             later = np.arange(k + 2, n_steps + 1)
             data[k + 2:] = data[k + 1]
             data[k + 2:, 0] = later * cfg.dt    # j * dt, as t_new is
-            for j in later[(later % cfg.snapshot_stride == 0) | (later == n_steps)].tolist():
-                snapshot_times.append(j * cfg.dt)
-                snapshots.append(u)
+            later = later[(later % cfg.snapshot_stride == 0) | (later == n_steps)]
+            if len(later):
+                snapshot_times += (later * cfg.dt).tolist()
+                snapshots += [Field(cfg.grid, u)] * len(later)   # one Field for them all
             break
     return SimulationRecord(cfg, steady, snapshot_times, snapshots,
                             *data[:done + 1].T, failure=failure,

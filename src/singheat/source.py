@@ -20,10 +20,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import ConfigError
-from .grid import (
-    Field, Grid, antiderivative, l2, l2_norm, pow2, primitive, read_csv_rows,
-    trapezoid, trapezoid_integral,
-)
+from .grid import Field, Grid, l2, pow2, primitive, read_csv_rows, trapezoid
 
 #: most samples (times x nodes) one block of rows holds; bounds the memory of
 #: the time-axis norms whatever the grid or the number of times.  Each of a
@@ -32,9 +29,10 @@ from .grid import (
 _BLOCK_VALUES = 2**14
 
 
-def project_mean_zero(g: Field) -> Field:
-    """Subtract the trapezoid mean so the result integrates to zero exactly."""
-    return g.with_values(g.values - trapezoid_integral(g))
+def mean_zero(y: np.ndarray, dx: float) -> np.ndarray:
+    """y less its trapezoid mean (of each row), so it integrates to zero exactly."""
+    mean = trapezoid(y, dx)
+    return y - (mean[..., None] if y.ndim > 1 else mean)
 
 
 class SourceTerm(ABC):
@@ -68,9 +66,7 @@ class SourceTerm(ABC):
         first = t.min() if isinstance(t, np.ndarray) else t
         if first < 0:
             raise ValueError(f"source evaluated at negative time t={first}")
-        raw = self._raw(t)
-        mean = trapezoid(raw, self.grid.dx)
-        return raw - (mean[:, None] if raw.ndim > 1 else mean)
+        return mean_zero(self._raw(t), self.grid.dx)
 
     def f_initial(self) -> Field:
         return self.evaluate(0.0)
@@ -98,7 +94,7 @@ class HomogeneousSource(SourceTerm):
 
     def __init__(self, f0: Field):
         super().__init__(f0.grid)
-        self._f0 = project_mean_zero(f0)
+        self._f0 = mean_zero(f0.values, f0.grid.dx)
         # _f0 projected once more, as SourceTerm.evaluate does; not _f0 itself,
         # whose last bits can differ
         self._f = super().evaluate(0.0)
@@ -112,7 +108,7 @@ class HomogeneousSource(SourceTerm):
         return self._f if t >= 0 else super().evaluate(t)
 
     def _raw(self, t) -> np.ndarray:
-        return np.broadcast_to(self._f0.values, np.shape(t) + (self.grid.n,))
+        return np.broadcast_to(self._f0, np.shape(t) + (self.grid.n,))
 
     def f_limit(self) -> Field:
         return self._f
@@ -153,7 +149,7 @@ class CosineDecaySource(SourceTerm):
         return (1.0 / np.maximum(t, 1.0))[..., None] * self._cos
 
     def f_limit(self) -> Field:
-        return project_mean_zero(Field(self.grid, np.zeros(self.grid.n)))
+        return Field(self.grid, mean_zero(np.zeros(self.grid.n), self.grid.dx))
 
     def dfdt(self, t) -> np.ndarray:
         late = -self._cos / pow2(np.maximum(t, 1.0))[..., None]
@@ -163,8 +159,7 @@ class CosineDecaySource(SourceTerm):
         if t_cut < 1.0:
             return None
         # integrand is ||primitive of cos(pi x)||_2 / t^2 for t > 1
-        amp = l2_norm(antiderivative(Field(self.grid, self._cos)))
-        return amp / t_cut
+        return _primitive_norms(self._cos, self.grid.dx) / t_cut
 
 
 class CosineExpSource(SourceTerm):
@@ -183,14 +178,13 @@ class CosineExpSource(SourceTerm):
         return np.exp(-self.rate * t)[..., None] * self._cos
 
     def f_limit(self) -> Field:
-        return project_mean_zero(Field(self.grid, np.zeros(self.grid.n)))
+        return Field(self.grid, mean_zero(np.zeros(self.grid.n), self.grid.dx))
 
     def dfdt(self, t) -> np.ndarray:
         return (-self.rate * np.exp(-self.rate * t))[..., None] * self._cos
 
     def tail_norm_integral(self, t_cut: float):
-        amp = l2_norm(antiderivative(Field(self.grid, self._cos)))
-        return amp * np.exp(-self.rate * t_cut)
+        return _primitive_norms(self._cos, self.grid.dx) * np.exp(-self.rate * t_cut)
 
 
 class CallableSource(SourceTerm):
@@ -224,9 +218,8 @@ class CallableSource(SourceTerm):
     def f_limit(self) -> Field:
         if self._f_limit_fn is None:
             return super().f_limit()
-        return project_mean_zero(
-            Field(self.grid, self._f_limit_fn(self.grid.nodes))
-        )
+        limit = Field(self.grid, self._f_limit_fn(self.grid.nodes))   # checked as it enters
+        return Field(self.grid, mean_zero(limit.values, self.grid.dx))
 
     def dfdt(self, t) -> np.ndarray:
         if self._dfdt_fn is None:
@@ -273,7 +266,7 @@ class TabulatedSource(SourceTerm):
         return (1 - w) * self._table[k] + w * self._table[k + 1]
 
     def f_limit(self) -> Field:
-        return project_mean_zero(Field(self.grid, self._table[-1]))
+        return Field(self.grid, mean_zero(self._table[-1], self.grid.dx))
 
     def dfdt(self, t) -> np.ndarray:
         if len(self.times) < 2:
@@ -289,7 +282,7 @@ class TabulatedSource(SourceTerm):
 
 def compute_P0(src: SourceTerm) -> float:
     """L2 norm of the primitive of the initial forcing profile."""
-    return l2_norm(antiderivative(src.f_initial()))
+    return _primitive_norms(src.f_initial().values, src.grid.dx)
 
 
 def over_time(kernel, ts, n: int) -> np.ndarray:
@@ -312,7 +305,7 @@ def over_time(kernel, ts, n: int) -> np.ndarray:
 
 
 def _primitive_norms(rows: np.ndarray, dx: float) -> np.ndarray:
-    """||primitive of each row||_2."""
+    """||primitive of each row||_2; a float for one row."""
     return l2(primitive(rows, dx), dx)
 
 

@@ -15,15 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoRootError, SingularSteadyStateError
-from .grid import (
-    Field,
-    antiderivative,
-    gradient,
-    l2,
-    trapezoid_integral,
-    write_field_csv,
-    write_json,
-)
+from .grid import Field, gradient, l2, primitive, trapezoid, write_field_csv, write_json
 from .source import SourceTerm
 
 _CNU_TOL = 1e-12
@@ -32,12 +24,15 @@ _MAX_BISECT = 200
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Limit profile with its normalization constant and diagnostics."""
+    """Limit profile with its normalization constant and diagnostics.
+
+    F2 is the forcing's double primitive, as an array on u_infinity's grid.
+    """
 
     u_infinity: Field
     C_nu: float
     nu: float
-    F2: Field
+    F2: np.ndarray
     residual_l2: float
     mass_defect: float
 
@@ -64,16 +59,17 @@ class SteadyState:
         write_field_csv(path, self.u_infinity, header=("x", "u_infinity"))
 
 
-def double_primitive(f0: Field) -> Field:
-    """Twice-iterated primitive of the forcing, vanishing at x = 0."""
-    return antiderivative(antiderivative(f0))
+def double_primitive(f: np.ndarray, dx: float) -> np.ndarray:
+    """Twice-iterated primitive of the forcing samples, vanishing at x = 0."""
+    return primitive(primitive(f, dx), dx)
 
 
-def _mass_integral(F2: Field, c: float) -> float:
-    return trapezoid_integral(F2.with_values(1.0 / (F2.values + c)))
+def _mass_integral(F2: np.ndarray, c: float, dx: float) -> float:
+    # c > -min(F2) on every call, so 1/(F2 + c) is finite
+    return trapezoid(1.0 / (F2 + c), dx)
 
 
-def solve_cnu(F2: Field, nu: float) -> float:
+def solve_cnu(F2: np.ndarray, nu: float, dx: float) -> float:
     """Root of integral((F2 + C)^-1) = 1/nu by bisection.
 
     The integrand is singular as C approaches -min(F2); the bracket starts
@@ -83,13 +79,13 @@ def solve_cnu(F2: Field, nu: float) -> float:
     if nu <= 0:
         raise ValueError("nu must be positive")
     target = 1.0 / nu
-    fmin = float(np.min(F2.values))
-    span = float(np.ptp(F2.values))
+    fmin = float(np.min(F2))
+    span = float(np.ptp(F2))
     scale = max(span, 1.0)
     lo = -fmin + 1e-3 * scale
     # walk toward the singular end until G(lo) exceeds the target
     for _ in range(60):
-        if _mass_integral(F2, lo) > target:
+        if _mass_integral(F2, lo, dx) > target:
             break
         lo = -fmin + 0.5 * (lo + fmin)
         if lo + fmin < 1e-300:
@@ -98,15 +94,15 @@ def solve_cnu(F2: Field, nu: float) -> float:
         raise NoRootError("mass integral never exceeds 1/nu near the bracket end")
     hi = lo + scale
     for _ in range(200):
-        if _mass_integral(F2, hi) < target:
+        if _mass_integral(F2, hi, dx) < target:
             break
         hi *= 2.0
     else:
         raise NoRootError("mass integral never drops below 1/nu")
-    g_lo = _mass_integral(F2, lo)
+    g_lo = _mass_integral(F2, lo, dx)
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        g_mid = _mass_integral(F2, mid)
+        g_mid = _mass_integral(F2, mid, dx)
         if abs(g_mid - target) <= _CNU_TOL:
             return mid
         # G is strictly decreasing in C on the bracket
@@ -119,11 +115,10 @@ def solve_cnu(F2: Field, nu: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def pde_residual(u: Field, f: Field, nu: float) -> float:
+def pde_residual(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> float:
     """L2 norm of the discrete nu*(u^-2 u_x)_x + f (diagnostic only)."""
-    dx = u.grid.dx
-    flux = gradient(u.values, dx) / u.values**2
-    return l2(gradient(flux, dx) * nu + f.values, dx)
+    flux = gradient(u, dx) / u**2
+    return l2(gradient(flux, dx) * nu + f, dx)
 
 
 def steady_profile(src: SourceTerm, nu: float, which: str = "limit") -> SteadyState:
@@ -134,17 +129,18 @@ def steady_profile(src: SourceTerm, nu: float, which: str = "limit") -> SteadySt
         f = src.f_limit()
     else:
         raise ValueError(f"which must be 'initial' or 'limit', got {which!r}")
-    F2 = double_primitive(f)
-    c = solve_cnu(F2, nu)
-    denom = F2.values + c
+    dx = src.grid.dx
+    F2 = double_primitive(f.values, dx)
+    c = solve_cnu(F2, nu, dx)
+    denom = F2 + c
     if np.any(denom <= 0):
         raise SingularSteadyStateError("steady-state denominator loses positivity")
-    u_inf = F2.with_values(nu / denom)
+    u_inf = Field(src.grid, nu / denom)
     return SteadyState(
         u_infinity=u_inf,
         C_nu=c,
         nu=nu,
         F2=F2,
-        residual_l2=pde_residual(u_inf, f, nu),
-        mass_defect=abs(trapezoid_integral(u_inf) - 1.0),
+        residual_l2=pde_residual(u_inf.values, f.values, nu, dx),
+        mass_defect=abs(trapezoid(u_inf.values, dx) - 1.0),
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from singheat import Field, Grid, make_source
+from singheat import Field, Grid, grid as grid_module, make_source
 from singheat.solver import SimulationConfig, simulate
 
 
@@ -34,6 +34,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for _, line in sorted(lines):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def fields_built(monkeypatch):
+    """A list that gains the values of every Field built while the test runs."""
+    built = []
+    init = grid_module.Field.__init__
+
+    def counted(self, grid, values):
+        built.append(values)
+        init(self, grid, values)
+
+    monkeypatch.setattr(grid_module.Field, "__init__", counted)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -296,6 +296,38 @@ LATE_CONFIG_ERRORS = {
     "ssm-crosscheck-tolerance": (["ssm-crosscheck", "--n", "21"], "tolerance = loose\n"),
     # t_check = 0.0025 is not a whole number of steps dt = 1e-3
     "ssm-crosscheck-t-check": (["ssm-crosscheck", "--n", "21", "--t-end", "0.0025"], None),
+    "ssm-crosscheck-tolerance-nan": (["ssm-crosscheck", "--n", "21"], "tolerance = nan\n"),
+    # march settings that are not finite and positive
+    "simulate-t-end-inf": (["simulate"], "source = zero\nnu = 1\nn = 21\nt_end = inf\n"),
+    "simulate-nu-nan": (["simulate"], "source = zero\nnu = nan\nn = 21\n"),
+    "simulate-newton-tol-nan": (["simulate"], "source = zero\nnu = 1\nn = 21\nnewton_tol = nan\n"),
+    "simulate-positivity-floor": (["simulate"],
+                                  "source = zero\nnu = 1\nn = 21\npositivity_floor = -1\n"),
+    # sheet data the map refuses: M off the mass of h0, or h0 not positive
+    "transform-M-zero": (["transform"], "nu = 1\nn = 21\nM = 0\n"),
+    "transform-M-negative": (["transform"], "nu = 1\nn = 21\nM = -1\n"),
+    "transform-h0-negative": (["transform"], "nu = 1\nn = 21\nh0 = cosine_bump 2\n"),
+    # a viscosity that is not finite and positive, where no march checks it
+    "steady-nu-nan": (["steady"], "source = cosine_static 0.5\nnu = nan\nn = 21\n"),
+    "constants-nu-inf": (["constants"], "source = cosine_static 0.5\nnu = inf\nn = 21\n"),
+    "transform-nu-negative": (["transform"], "nu = -1\nn = 21\nv0 = sine 0.5\n"),
+    # the cross-check divides t_check by its march step dt
+    "ssm-crosscheck-dt-zero": (["ssm-crosscheck", "--n", "21"], "dt = 0\n"),
+}
+
+#: what the error says, where its wording is the point of the case
+LATE_CONFIG_MESSAGES = {
+    "ssm-crosscheck-t-check": "t_check must be a whole number of steps dt",
+    "ssm-crosscheck-tolerance-nan": "tolerance must be finite and positive, got nan",
+    "simulate-t-end-inf": "t_end must be finite and positive, got inf",
+    "steady-nu-nan": "nu must be finite and positive, got nan",
+    "constants-nu-inf": "nu must be finite and positive, got inf",
+    "transform-nu-negative": "nu must be finite and positive, got -1.0",
+    "ssm-crosscheck-dt-zero": "dt must be finite and positive, got 0.0",
+    "simulate-nu-nan": "nu must be finite and positive, got nan",
+    "simulate-newton-tol-nan": "newton_tol must be finite and positive, got nan",
+    "simulate-positivity-floor": "positivity_floor must be finite and positive, got -1.0",
+    "transform-h0-negative": "h0 must be positive",
 }
 
 
@@ -308,7 +340,8 @@ def test_config_error_leaves_no_output_directory(tmp_path, capsys, case):
         argv = argv + ["--config", write_config(tmp_path, text.format(csv=data))]
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 4
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err and LATE_CONFIG_MESSAGES.get(case, "") in err
     assert not out.exists()
 
 

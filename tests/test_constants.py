@@ -148,6 +148,13 @@ class TestTheoremConstants:
             (tc.A_minus**-2 + tc.A_plus**-2) / math.sqrt(5.0), rel=1e-14
         )
 
+    @pytest.mark.parametrize("values", [(math.nan, 0.2, 0.05, 5.0), (0.1, math.nan, 0.05, 5.0),
+                                        (0.1, 0.2, math.nan, 5.0), (0.1, 0.2, 0.05, math.nan)])
+    def test_from_values_rejects_nan(self, values):
+        # an R0 from a u0 whose reciprocal overflows can be NaN (inf - inf)
+        with pytest.raises(ValueError, match="nonnegative"):
+            TheoremConstants.from_values(*values)
+
     def test_failed_hypotheses_leave_nan(self):
         tc = TheoremConstants.from_values(0.5, 2.0, 1.0, 0.5)
         assert not tc.hom_ok and not tc.inhom_ok

@@ -16,7 +16,7 @@ from singheat.decay import (
     fit_rate,
 )
 from singheat.errors import HypothesisError, SolverError
-from singheat.grid import Field, Grid, l2_norm
+from singheat.grid import Field, Grid, h1, l2
 from singheat.solver import SimulationConfig, simulate
 from singheat.source import CallableSource, TabulatedSource, make_source
 
@@ -154,7 +154,7 @@ class TestForcingGap:
     @staticmethod
     def per_time(record, src):
         f_inf = src.f_limit()
-        return np.array([l2_norm(Field(src.grid, src.evaluate(t).values - f_inf.values)) ** 2
+        return np.array([l2(src.evaluate(t).values - f_inf.values, src.grid.dx) ** 2
                          for t in record.times])
 
     def test_equals_per_time_loop(self, ex33_record):
@@ -229,10 +229,7 @@ class TestDirectConvergence:
             snapshot_stride=100,
         )
         rec = simulate(cfg)
-        from singheat.grid import h1_norm
-
-        errs = [h1_norm(u.with_values(u.values - ss.u_infinity.values))
-                for u in rec.snapshots]
+        errs = [h1(u.values - ss.u_infinity.values, g.dx) for u in rec.snapshots]
         assert max(errs) < 10 * ss.residual_l2
 
     def test_inverse_and_direct_rates_agree(self):

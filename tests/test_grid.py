@@ -10,9 +10,8 @@ from singheat.grid import (
     antiderivative,
     derivative,
     gradient,
-    h1_norm,
+    h1,
     l2,
-    l2_norm,
     pow2,
     primitive,
     read_field_csv,
@@ -106,19 +105,19 @@ class TestAntiderivative:
 class TestNorms:
     def test_zero_field(self):
         z = make(11, np.zeros_like)
-        assert l2_norm(z) == 0.0
-        assert h1_norm(z) == 0.0
+        assert l2(z.values, z.grid.dx) == 0.0
+        assert h1(z.values, z.grid.dx) == 0.0
 
     def test_sine_l2(self):
         f = make(2001, lambda x: np.sin(np.pi * x))
-        assert l2_norm(f) == pytest.approx(1 / np.sqrt(2), abs=1e-6)
+        assert l2(f.values, f.grid.dx) == pytest.approx(1 / np.sqrt(2), abs=1e-6)
 
     def test_sheet_gap_h1(self):
         # distance between the limit and initial height profiles of the
         # kicked constant sheet
         c_inf = np.sqrt(4 * np.pi**2 + 1)
         f = make(4001, lambda x: (c_inf - np.cos(np.pi * x)) / (2 * np.pi) - 1.0)
-        assert h1_norm(f) == pytest.approx(0.37, abs=0.01)
+        assert h1(f.values, f.grid.dx) == pytest.approx(0.37, abs=0.01)
 
     @pytest.mark.parametrize("fn", [
         lambda x: x,
@@ -127,13 +126,13 @@ class TestNorms:
     ])
     def test_h1_dominates_l2(self, fn):
         f = make(201, fn)
-        assert h1_norm(f) >= l2_norm(f)
+        assert h1(f.values, f.grid.dx) >= l2(f.values, f.grid.dx)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_discrete_poincare(self, k):
         f = make(801, lambda x: np.sin(k * np.pi * x))
         slack = 1e-3  # O(dx^2) allowance
-        assert np.pi * l2_norm(f) <= l2_norm(derivative(f)) * (1 + slack)
+        assert np.pi * l2(f.values, f.grid.dx) <= l2(derivative(f).values, f.grid.dx) * (1 + slack)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ from scipy.linalg import LinAlgError, solve_banded
 
 from singheat import solver
 from singheat.errors import QuenchError, SolverError
-from singheat.grid import Field, Grid, derivative, h1_norm, l2_norm, trapezoid_integral
+from singheat.grid import Field, Grid, derivative, h1, l2, trapezoid_integral
 from singheat.solver import (
     DIAGNOSTIC_COLUMNS,
     SimulationConfig,
@@ -62,6 +62,15 @@ class TestConfigValidation:
     def test_accepts_t_end_a_whole_number_of_steps_up_to_round_off(self):
         assert 0.3 / 0.1 != 3 and flat_config(11, dt=0.1, t_end=0.3).t_end == 0.3
 
+    @pytest.mark.parametrize("key,value", [
+        ("nu", math.nan), ("nu", 0.0), ("dt", math.inf), ("t_end", math.inf),
+        ("t_end", math.nan), ("newton_tol", math.nan), ("newton_tol", 0.0),
+        ("positivity_floor", -1.0), ("positivity_floor", math.inf),
+    ])
+    def test_rejects_a_setting_that_is_not_finite_and_positive(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite and positive, got {value!r}"):
+            flat_config(11, **{key: value})
+
     def test_rejects_u0_on_another_grid(self):
         with pytest.raises(ValueError, match="u0 has 21 nodes"):
             flat_config(51, u0=Field(Grid(21), np.ones(21)))
@@ -70,16 +79,16 @@ class TestConfigValidation:
 class TestFixedPoint:
     def test_flat_profile_is_exact(self):
         cfg = flat_config()
-        u, iters = step(cfg.u0, 0.0, cfg)
-        assert np.array_equal(u.values, cfg.u0.values)
+        u, iters = step(cfg.u0.values, 0.0, cfg)
+        assert np.array_equal(u, cfg.u0.values)
 
     def test_steady_profile_nearly_fixed(self):
         g = Grid(401)
         src = CosineStaticSource(g, math.pi / 2)
         ss = steady_profile(src, 1.0, which="initial")
         cfg = flat_config(401, u0=ss.u_infinity, source=src)
-        u, _ = step(ss.u_infinity, 0.0, cfg)
-        drift = np.max(np.abs(u.values - ss.u_infinity.values))
+        u, _ = step(ss.u_infinity.values, 0.0, cfg)
+        drift = np.max(np.abs(u - ss.u_infinity.values))
         # one step moves the discrete profile by at most dt * residual-scale
         assert drift <= cfg.dt * (10 * ss.residual_l2 + 1e-8) + 10 * cfg.newton_tol
 
@@ -245,7 +254,7 @@ def test_diagnostics_flat_state():
 
     cfg = flat_config()
     ss = steady_profile(cfg.source, cfg.nu, which="initial")
-    d = dict(zip(DIAGNOSTIC_COLUMNS, diagnostics(cfg.u0, 0.0, cfg, ss)))
+    d = dict(zip(DIAGNOSTIC_COLUMNS, diagnostics(cfg.u0.values, 0.0, cfg, ss)))
     assert d["energy"] == pytest.approx(0.0, abs=1e-14)
     assert d["relative_energy"] == pytest.approx(0.0, abs=1e-14)
     assert d["mass"] == pytest.approx(1.0, abs=1e-14)
@@ -265,7 +274,7 @@ def test_record_series_are_the_rows_of_each_step(tmp_path, monkeypatch):
     g = Grid(21)
     cfg = flat_config(21, source=make_source(g, "cosine_static 0.5"), t_end=0.01)
     ss = steady_profile(cfg.source, cfg.nu, which="initial")
-    u, rows = cfg.u0, [(*diagnostics(cfg.u0, 0.0, cfg, ss), 0)]
+    u, rows = cfg.u0.values, [(*diagnostics(cfg.u0.values, 0.0, cfg, ss), 0)]
     for k in range(3):
         u, iters = step(u, k * cfg.dt, cfg)
         rows.append((*diagnostics(u, (k + 1) * cfg.dt, cfg, ss), iters))
@@ -358,7 +367,7 @@ class TestNewtonLinearAlgebra:
         monkeypatch.setattr(solver, "_jacobian_bands", broken_bands)
         cfg = flat_config(21, t_end=0.01)
         with pytest.raises(SolverError, match="Newton solve failed at t=0.001"):
-            step(cfg.u0, 0.0, cfg)
+            step(cfg.u0.values, 0.0, cfg)
         rec = simulate(cfg)
         assert rec.failure.startswith("Newton solve failed at t=0.001")
         assert len(rec.times) == 1
@@ -385,12 +394,12 @@ def test_diagnostics_match_field_reference_exactly(spec):
             trapezoid_integral(qx.with_values(
                 qx.values * qx.values * 0.5 + f.values * q.values * (1.0 / sqrt_nu))),
             0.5 * trapezoid_integral(wx.with_values(wx.values * wx.values)),
-            h1_norm(u.with_values(1.0 / u.values - 1.0 / ss.u_infinity.values)),
-            l2_norm(qx),
+            h1(1.0 / u.values - 1.0 / ss.u_infinity.values, g.dx),
+            l2(qx.values, g.dx),
             float(np.min(u.values)),
             float(np.max(u.values)),
         )
-        assert diagnostics(u, t, cfg, ss) == expected
+        assert diagnostics(u.values, t, cfg, ss) == expected
 
 
 def _inverse_sine(g, eps):
@@ -431,6 +440,26 @@ def test_simulate_stops_stepping_at_a_fixed_point(monkeypatch):
     assert len(rec.times) == 21 and rec.fixed_point_time == 1e-3
 
 
+@pytest.mark.parametrize("u0,source,built", [
+    # no step returns its input: a Field per snapshot after the first
+    ("inverse_sine", "cosine_static 0.5", 4),
+    # the first step returns its input: the four later snapshots share one Field
+    ("flat", "zero", 1),
+])
+def test_march_builds_fields_only_for_snapshots(fields_built, u0, source, built):
+    # the march steps plain arrays; with stride 50, 200 steps keep 5 snapshots,
+    # the first of them cfg.u0 itself, and steady_profile builds u_infinity
+    g = Grid(51)
+    start = _inverse_sine(g, 0.1) if u0 == "inverse_sine" else Field(g, np.ones(51))
+    cfg = flat_config(51, u0=start, source=make_source(g, source), t_end=0.2,
+                      snapshot_stride=50)
+    fields_built.clear()
+    rec = simulate(cfg)
+    assert rec.failure is None and len(rec.snapshots) == 5 and rec.snapshots[0] is cfg.u0
+    assert len(fields_built) == built + 1
+    assert (rec.snapshots[1] is rec.snapshots[-1]) == (u0 == "flat")
+
+
 # --- a reference march for the bits -----------------------------------------
 # The residual and Jacobian bands built with a control-volume width array and
 # padded bands, the solve through scipy's solve_banded (the same LAPACK gtsv),
@@ -469,10 +498,9 @@ def _reference_jacobian_bands(mid, d, nu, dx, dt):
     return lower, 1.0 - dt * diag, upper
 
 
-def _reference_step(u, t, cfg):
+def _reference_step(un, t, cfg):
     dx, dt, nu = cfg.grid.dx, cfg.dt, cfg.nu
     f = cfg.source.samples(t + dt)
-    un = u.values
 
     def residual(v):
         terms, mid, d = _reference_rhs_terms(v, f, nu, dx)
@@ -505,12 +533,11 @@ def _reference_step(u, t, cfg):
             raise QuenchError("Newton damping exhausted")
         v, res, res_norm, mid, d = trial, trial_res, trial_norm, trial_mid, trial_d
         iters += 1
-    return u.with_values(v), iters
+    return v, iters
 
 
-def _reference_diagnostics(u, t, cfg, steady):
+def _reference_diagnostics(uv, t, cfg, steady):
     dx = cfg.grid.dx
-    uv = u.values
     sqrt_nu = math.sqrt(cfg.nu)
     q = sqrt_nu / uv
     qx = np.gradient(q, dx, edge_order=2)
@@ -589,16 +616,16 @@ def test_march_keeps_the_reference_bits(monkeypatch, n, source):
 def _reference_simulate(cfg, steady):
     """The march that steps every time, the reference for the fixed-point exit."""
     n_steps = int(round(cfg.t_end / cfg.dt))
-    u = cfg.u0
+    u = cfg.u0.values
     rows = [(*solver.diagnostics(u, 0.0, cfg, steady), 0)]
-    snapshot_times, snapshots = [0.0], [u]
+    snapshot_times, snapshots = [0.0], [cfg.u0]
     for k in range(n_steps):
         u, iters = solver.step(u, k * cfg.dt, cfg)
         t_new = (k + 1) * cfg.dt
         rows.append((*solver.diagnostics(u, t_new, cfg, steady), iters))
         if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == n_steps:
             snapshot_times.append(t_new)
-            snapshots.append(u)
+            snapshots.append(Field(cfg.grid, u))
     return np.array(rows), snapshot_times, snapshots
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from singheat.errors import ConfigError
-from singheat.grid import Field, Grid, l2_norm, trapezoid_integral
+from singheat.grid import Field, Grid, l2, trapezoid_integral
 from singheat.source import (
     CallableSource,
     CosineDecaySource,
@@ -18,7 +18,7 @@ from singheat.source import (
     compute_P0,
     load_tabulated_csv,
     make_source,
-    project_mean_zero,
+    mean_zero,
 )
 
 COS_PRIMITIVE_NORM = 1.0 / (np.pi * np.sqrt(2.0))  # ||sin(pi x)/pi||_2
@@ -31,7 +31,7 @@ def grid():
 
 def test_project_mean_zero(grid):
     f = Field(grid, grid.nodes**2 + 1.0)
-    g = project_mean_zero(f)
+    g = Field(grid, mean_zero(f.values, grid.dx))
     assert trapezoid_integral(g) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -62,7 +62,7 @@ class TestEvaluate:
         f0 = src.evaluate(0.0).values
         assert np.max(np.abs(src.evaluate(0.5).values - f0)) < 1e-14
         assert np.max(np.abs(src.evaluate(4.0).values - f0 / 4.0)) < 1e-14
-        assert l2_norm(src.f_limit()) == 0.0
+        assert l2(src.f_limit().values, grid.dx) == 0.0
 
     def test_exp_profile(self, grid):
         src = CosineExpSource(grid, 2.0)
@@ -82,7 +82,7 @@ class TestEvaluate:
         # projects the once-projected profile
         profile = Field(grid, 1.5 * np.cos(np.pi * grid.nodes))
         assert np.array_equal(
-            first.values, project_mean_zero(project_mean_zero(profile)).values
+            first.values, mean_zero(mean_zero(profile.values, grid.dx), grid.dx)
         )
         with pytest.raises(ValueError):
             src.evaluate(-1)
@@ -219,8 +219,8 @@ class TestTabulated:
         path = tmp_path / "src.csv"
         path.write_text("\n".join(rows) + "\n")
         src = load_tabulated_csv(g, path)
-        expect = project_mean_zero(Field(g, 1.5 * np.sin(np.pi * g.nodes)))
-        assert np.max(np.abs(src.evaluate(0.5).values - expect.values)) < 1e-12
+        expect = mean_zero(1.5 * np.sin(np.pi * g.nodes), g.dx)
+        assert np.max(np.abs(src.evaluate(0.5).values - expect)) < 1e-12
 
 
 class TestMakeSource:
@@ -236,7 +236,7 @@ class TestMakeSource:
     def test_zero_source(self, grid):
         src = make_source(grid, "zero")
         assert not src.time_dependent
-        assert l2_norm(src.evaluate(0.0)) == 0.0
+        assert l2(src.evaluate(0.0).values, grid.dx) == 0.0
 
     @pytest.mark.parametrize("spec", ["", "cosine_static", "cosine_static 1 2", "wobble"])
     def test_bad_specs(self, grid, spec):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from singheat.errors import NoRootError
-from singheat.grid import Field, Grid, derivative, trapezoid_integral
+from singheat.grid import Grid, derivative, trapezoid_integral
 from singheat.source import CosineDecaySource, CosineStaticSource, make_source
 from singheat.steady import (
     double_primitive,
@@ -55,15 +55,15 @@ class TestClosedFormOracle:
 class TestDoublePrimitive:
     def test_cosine(self):
         g = Grid(4001)
-        F2 = double_primitive(Field(g, (np.pi / 2) * np.cos(np.pi * g.nodes)))
+        F2 = double_primitive((np.pi / 2) * np.cos(np.pi * g.nodes), g.dx)
         exact = (1.0 - np.cos(np.pi * g.nodes)) / (2 * np.pi)
-        assert np.max(np.abs(F2.values - exact)) < 1e-7
-        assert F2.values[0] == 0.0
+        assert np.max(np.abs(F2 - exact)) < 1e-7
+        assert F2[0] == 0.0
 
     def test_zero(self):
         g = Grid(11)
-        F2 = double_primitive(Field(g, np.zeros(11)))
-        assert np.all(F2.values == 0.0)
+        F2 = double_primitive(np.zeros(11), g.dx)
+        assert np.all(F2 == 0.0)
 
 
 class TestSolveCnu:
@@ -71,13 +71,13 @@ class TestSolveCnu:
         # flat profile u = 1 needs C = nu exactly
         g = Grid(101)
         for nu in (0.3, 1.0, 7.5):
-            c = solve_cnu(Field(g, np.zeros(101)), nu)
+            c = solve_cnu(np.zeros(101), nu, g.dx)
             assert c == pytest.approx(nu, abs=1e-10)
 
     def test_monotone_in_nu(self):
         g = Grid(501)
-        F2 = double_primitive(Field(g, np.cos(np.pi * g.nodes)))
-        cs = [solve_cnu(F2, nu) for nu in (0.5, 1.0, 2.0, 4.0)]
+        F2 = double_primitive(np.cos(np.pi * g.nodes), g.dx)
+        cs = [solve_cnu(F2, nu, g.dx) for nu in (0.5, 1.0, 2.0, 4.0)]
         assert np.all(np.diff(cs) > 0)
 
     def test_increasing_mass_integral_raises(self, monkeypatch):
@@ -85,17 +85,17 @@ class TestSolveCnu:
         # bracket ends is reported, not asserted away under python -O
         import singheat.steady as steady
 
-        def rising_in_middle(F2, c):
+        def rising_in_middle(F2, c, dx):
             return 10.0 if c < 0.01 else (11.0 if c < 1.0 else 0.0)
 
         monkeypatch.setattr(steady, "_mass_integral", rising_in_middle)
         with pytest.raises(NoRootError, match="increases"):
-            solve_cnu(Field(Grid(11), np.zeros(11)), 1.0)
+            solve_cnu(np.zeros(11), 1.0, Grid(11).dx)
 
     def test_rejects_nonpositive_nu(self):
         g = Grid(11)
         with pytest.raises(ValueError):
-            solve_cnu(Field(g, np.zeros(11)), 0.0)
+            solve_cnu(np.zeros(11), 0.0, g.dx)
 
 
 class TestSteadyProfile:
@@ -106,7 +106,7 @@ class TestSteadyProfile:
         assert np.all(ss.u_infinity.values > 0)
         assert ss.residual_l2 < 1e-4
         # the profile solves u = nu / (F2 + C) nodewise by construction
-        recon = ss.nu / (ss.F2.values + ss.C_nu)
+        recon = ss.nu / (ss.F2 + ss.C_nu)
         assert np.max(np.abs(ss.u_infinity.values - recon)) < 1e-15
 
     def test_q_infinity(self):
@@ -138,10 +138,36 @@ class TestSteadyProfile:
         assert abs(ss.mass_defect) < 1e-10
 
 
+def test_steady_profile_builds_fields_independent_of_bisection(monkeypatch, fields_built):
+    # the bisection works on arrays: u_infinity is the one Field built, for a
+    # static source, however many mass integrals the root takes
+    import singheat.steady as steady
+
+    g = Grid(101)
+    sources = [CosineStaticSource(g, 0.1), CosineStaticSource(g, 2.0)]
+    evaluations = []
+    mass_integral = steady._mass_integral
+
+    def counted(*args):
+        evaluations.append(args[1])
+        return mass_integral(*args)
+
+    monkeypatch.setattr(steady, "_mass_integral", counted)
+    counts = []
+    for src, nu in zip(sources, (1.0, 0.05)):
+        fields_built.clear()
+        evaluations.clear()
+        steady_profile(src, nu)
+        counts.append((len(fields_built), len(evaluations)))
+    assert [built for built, _ in counts] == [1, 1]
+    assert counts[0][1] != counts[1][1]
+
+
 def test_pde_residual_flags_wrong_profile():
     g = Grid(1001)
     src = CosineStaticSource(g, np.pi / 2)
     ss = steady_profile(src, 1.0, which="initial")
     wrong = ss.u_infinity.with_values(1.0 + 0.3 * np.cos(np.pi * g.nodes))
     f = src.f_initial()
-    assert pde_residual(wrong, f, 1.0) > 100 * pde_residual(ss.u_infinity, f, 1.0)
+    assert (pde_residual(wrong.values, f.values, 1.0, g.dx)
+            > 100 * pde_residual(ss.u_infinity.values, f.values, 1.0, g.dx))
