@@ -182,7 +182,7 @@ def _run_and_report(sim_cfg: SimulationConfig, out: Path) -> int:
     """March, then check the theorem the source picks."""
     record = simulate(sim_cfg)
     if record.failure:
-        raise SolverError(f"{record.failure} (t={record.failure_time})")
+        raise SolverError(f"{record.failure}; last completed step at t={record.failure_time}")
     record.diagnostics_csv(out / "diagnostics.csv")
     for t, snap in zip(record.snapshot_times, record.snapshots):
         write_field_csv(out / f"u_t{t:010.4f}.csv", snap, header=("x", "u"))
@@ -230,7 +230,7 @@ def cmd_transform(args) -> int:
     grid = Grid(int(cfg.get("n", 401)))
     M = float(cfg.get("M", 1.0))
     nu = float(_require(cfg, "nu"))
-    require_positive(nu=nu)
+    require_positive(M=M, nu=nu)
     h0 = _sheet_profile(grid, cfg.get("h0", "constant 1"), M)
     v0 = _sheet_velocity(grid, cfg.get("v0", "zero"))
     f0 = lagrangian.source_from_sheet(lagrangian.initial_map(h0, M), v0, nu)
@@ -264,12 +264,12 @@ def cmd_ssm_crosscheck(args) -> int:
     M = float(cfg.get("M", 1.0))
     nu = float(cfg.get("nu", 1.0))
     t_check = float(cfg.get("t_check", 1.0))
-    h0 = _sheet_profile(grid, cfg.get("h0", "constant 1"), M)
-    v0 = _sheet_velocity(grid, cfg.get("v0", "sine 0.5"))
     dt_ssm = float(cfg.get("dt_ssm", 2e-3))
     dt = float(cfg.get("dt", SimulationConfig.dt))
     tolerance = float(cfg.get("tolerance", 0.02))
-    require_positive(nu=nu, dt=dt, dt_ssm=dt_ssm, tolerance=tolerance)
+    require_positive(M=M, nu=nu, dt=dt, dt_ssm=dt_ssm, tolerance=tolerance)
+    h0 = _sheet_profile(grid, cfg.get("h0", "constant 1"), M)
+    v0 = _sheet_velocity(grid, cfg.get("v0", "sine 0.5"))
     steps = step_count(t_check, dt, "t_check")   # the march's t_end is t_check
     lmap = lagrangian.initial_map(h0, M)
     f0 = lagrangian.source_from_sheet(lmap, v0, nu)

@@ -134,8 +134,11 @@ def antiderivative(g: Field) -> Field:
 def write_csv(path, header, columns) -> None:
     """Header line, then one row per sample with every value as %.17g.
 
-    17 significant digits round-trip a float64 exactly.
+    17 significant digits round-trip a float64 exactly.  Columns may be arrays
+    or sequences; each is turned into Python floats once, which format to the
+    same text as numpy scalars, and faster.
     """
+    columns = [np.asarray(col).tolist() for col in columns]
     row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

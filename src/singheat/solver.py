@@ -110,10 +110,8 @@ class SimulationRecord:
     fixed_point_time: float | None = None   # t of the first step that returned its input
 
     def diagnostics_csv(self, path) -> None:
-        # Python floats: the writer formats them faster than numpy scalars
         write_csv(path, DIAGNOSTIC_COLUMNS,
-                  [getattr(self, "times" if c == "t" else c).tolist()
-                   for c in DIAGNOSTIC_COLUMNS])
+                  [getattr(self, "times" if c == "t" else c) for c in DIAGNOSTIC_COLUMNS])
 
 
 def _rhs_terms(u: np.ndarray, f: np.ndarray, nu: float, dx: float):

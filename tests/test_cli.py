@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from singheat import lagrangian, solver
 from singheat.cli import main
 from singheat.grid import Grid
 from singheat.lagrangian import initial_map
+from singheat.solver import tridiag_solve
 
 
 def run(argv):
@@ -217,6 +223,26 @@ def test_failed_newton_solve_exits_as_solver_failure(tmp_path, monkeypatch, caps
     assert "solver failure: Newton solve failed at t=0.001" in capsys.readouterr().err
 
 
+def test_failure_names_the_last_completed_step(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fails_from_the_fifth_call(*args):
+        calls.append(None)
+        if len(calls) >= 5:
+            raise LinAlgError("singular matrix")
+        return tridiag_solve(*args)
+
+    monkeypatch.setattr(solver, "tridiag_solve", fails_from_the_fifth_call)
+    cfg = write_config(tmp_path, "source = cosine_static 0.5\nnu = 1\nn = 21\nt_end = 0.01\n")
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    found = re.search(r"Newton solve failed at t=(\S+): singular matrix; "
+                      r"last completed step at t=(\S+)\n", err)
+    assert found, err
+    failed_at, completed = map(float, found.groups())
+    assert completed > 0 and failed_at == pytest.approx(completed + 1e-3, abs=1e-12)
+
+
 #: initial-data files that do not fit a 51-node grid: rows after the header,
 #: and the phrases the error names
 CSV_MISFITS = {
@@ -307,6 +333,11 @@ LATE_CONFIG_ERRORS = {
     "transform-M-zero": (["transform"], "nu = 1\nn = 21\nM = 0\n"),
     "transform-M-negative": (["transform"], "nu = 1\nn = 21\nM = -1\n"),
     "transform-h0-negative": (["transform"], "nu = 1\nn = 21\nh0 = cosine_bump 2\n"),
+    # a sheet mass that is not finite and positive, refused before it scales h0
+    "transform-M-nan": (["transform"], "nu = 1\nn = 21\nM = nan\n"),
+    "transform-M-inf": (["transform"], "nu = 1\nn = 21\nM = inf\n"),
+    "ssm-crosscheck-M-nan": (["ssm-crosscheck", "--n", "21"], "M = nan\n"),
+    "ssm-crosscheck-M-inf": (["ssm-crosscheck", "--n", "21"], "M = inf\n"),
     # a viscosity that is not finite and positive, where no march checks it
     "steady-nu-nan": (["steady"], "source = cosine_static 0.5\nnu = nan\nn = 21\n"),
     "constants-nu-inf": (["constants"], "source = cosine_static 0.5\nnu = inf\nn = 21\n"),
@@ -328,6 +359,12 @@ LATE_CONFIG_MESSAGES = {
     "simulate-newton-tol-nan": "newton_tol must be finite and positive, got nan",
     "simulate-positivity-floor": "positivity_floor must be finite and positive, got -1.0",
     "transform-h0-negative": "h0 must be positive",
+    "transform-M-zero": "M must be finite and positive, got 0.0",
+    "transform-M-negative": "M must be finite and positive, got -1.0",
+    "transform-M-nan": "M must be finite and positive, got nan",
+    "transform-M-inf": "M must be finite and positive, got inf",
+    "ssm-crosscheck-M-nan": "M must be finite and positive, got nan",
+    "ssm-crosscheck-M-inf": "M must be finite and positive, got inf",
 }
 
 
@@ -404,3 +441,39 @@ def test_example_rejects_config(tmp_path, capsys):
     with pytest.raises(SystemExit):
         run(["example", "--help"])
     assert "--config" not in capsys.readouterr().out
+
+
+#: runs each argv list given as JSON through cli.main in this one interpreter;
+#: its last stdout line lists (command, exit code, which scipy modules are loaded)
+COLD_START = """
+import json, sys
+from singheat.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    seen.append([argv[0], code, "scipy.interpolate" in sys.modules, "scipy.linalg" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_sheet_commands_load_the_spline_library(tmp_path):
+    configs = {
+        "steady": "source = cosine_static 0.5\nnu = 1\nn = 21\n",
+        "constants": "source = cosine_decay\nnu = 10\nn = 21\n",
+        "simulate": "source = cosine_static 0.5\nnu = 1\nn = 21\nt_end = 0.01\n",
+        "transform": "nu = 1\nn = 21\nv0 = sine 0.5\n",
+    }
+    argvs = [[command, "--config", write_config(tmp_path, text, f"{command}.txt"),
+              "--out", str(tmp_path / command)] for command, text in configs.items()]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        ["steady", 0, False, True],
+        ["constants", 0, False, True],
+        ["simulate", 0, False, True],
+        ["transform", 0, True, True],
+    ]

@@ -17,6 +17,7 @@ from singheat.grid import (
     read_field_csv,
     trapezoid,
     trapezoid_integral,
+    write_csv,
     write_field_csv,
 )
 
@@ -142,6 +143,19 @@ def test_csv_roundtrip(tmp_path):
     g = read_field_csv(path)
     assert g.grid.n == f.grid.n
     assert np.array_equal(g.values, f.values)
+
+
+def test_csv_writer_gives_arrays_and_lists_the_same_bytes(tmp_path):
+    x = np.array([-0.0, 5e-324, 1e300, math.nan, -math.inf, 0.1, 1 / 3, 2.0])
+    written = []
+    for kind, columns in (("array", (x, -x)), ("list", (x.tolist(), (-x).tolist()))):
+        path = tmp_path / f"{kind}.csv"
+        write_csv(path, ("a", "b"), columns)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].splitlines()[:6] == [
+        b"a,b", b"-0,0", b"4.9406564584124654e-324,-4.9406564584124654e-324",
+        b"1.0000000000000001e+300,-1.0000000000000001e+300", b"nan,nan", b"-inf,inf"]
 
 
 def test_csv_on_grid_checks_node_count(tmp_path):

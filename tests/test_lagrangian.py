@@ -62,6 +62,11 @@ class TestInitialMap:
         with pytest.raises(ConfigError):
             initial_map(Field(g, np.ones(101)), 1.5)
 
+    def test_nan_endpoint_rejected(self):
+        # NaN compares false both ways, so only a check written as "not within" catches it
+        with pytest.raises(ConfigError, match="map endpoint y\\(1\\)=nan"):
+            initial_map(Field(Grid(21), np.ones(21)), math.nan)
+
     @pytest.mark.parametrize("eps", [0.0, 0.17, 0.3])
     @pytest.mark.parametrize("n", [201, 1601, 6401])
     def test_bits_match_cubic_spline_reference(self, n, eps):
