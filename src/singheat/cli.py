@@ -24,7 +24,7 @@ from .decay import (
 )
 from .errors import ConfigError, HypothesisError, SingheatError, SolverError
 from .grid import Field, Grid, read_field_csv, trapezoid, write_field_csv, write_json
-from .solver import SimulationConfig, require_positive, simulate, step_count
+from .solver import SimulationConfig, SimulationRecord, require_positive, simulate, step_count
 from .source import HomogeneousSource, compute_P0, make_source, parse_spec
 from .steady import steady_profile
 
@@ -178,11 +178,17 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _run_and_report(sim_cfg: SimulationConfig, out: Path) -> int:
-    """March, then check the theorem the source picks."""
+def _march(sim_cfg: SimulationConfig) -> SimulationRecord:
+    """simulate(sim_cfg); a failed march raises, naming its last completed step."""
     record = simulate(sim_cfg)
     if record.failure:
         raise SolverError(f"{record.failure}; last completed step at t={record.failure_time}")
+    return record
+
+
+def _run_and_report(sim_cfg: SimulationConfig, out: Path) -> int:
+    """March, then check the theorem the source picks."""
+    record = _march(sim_cfg)
     record.diagnostics_csv(out / "diagnostics.csv")
     for t, snap in zip(record.snapshot_times, record.snapshots):
         write_field_csv(out / f"u_t{t:010.4f}.csv", snap, header=("x", "u"))
@@ -276,9 +282,7 @@ def cmd_ssm_crosscheck(args) -> int:
     sim_cfg = SimulationConfig(nu=nu, grid=grid, u0=lmap.u, source=HomogeneousSource(f0),
                                dt=dt, t_end=t_check, snapshot_stride=steps)
     out = _prepare_out(args, "ssm-crosscheck")
-    record = simulate(sim_cfg)
-    if record.failure:
-        raise SolverError(record.failure)
+    record = _march(sim_cfg)
     u_final = record.snapshots[-1]
     f_final = sim_cfg.source.evaluate(t_check)
     u_t = lagrangian.pde_time_derivative(u_final, f_final, nu)

@@ -7,16 +7,17 @@ system itself (h transported conservatively upwind, v advected explicitly
 with an implicit viscous solve), used only to cross-validate the transform
 at the percent level.
 
-scipy.interpolate is imported only where a spline is built (`_cubic_spline`).
+The sheet data are interpolated by the module's own not-a-knot cubic spline,
+which gives scipy.interpolate.CubicSpline's bits without loading that package.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.linalg import solve
 
 from .errors import ConfigError, SolverError
 from .grid import Field, Grid, gradient, primitive, trapezoid, write_csv
@@ -24,8 +25,59 @@ from .solver import rhs, tridiag_solve
 from .source import mean_zero
 from .steady import SteadyState
 
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
+
+@dataclass(frozen=True)
+class Spline:
+    """Piecewise cubic: c[:, i] are the coefficients of y - x[i], highest power first.
+
+    spline(y) and spline(y, 1) give scipy's PPoly bits: the piece is the last
+    knot at or left of y, clipped to the first and last pieces, and the terms
+    are added to 0.0 lowest power first, in scipy's evaluate_poly1 order.
+    """
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, y, nu: int = 0) -> np.ndarray:
+        x = self.x
+        i = np.clip(np.searchsorted(x, y, side="right") - 1, 0, len(x) - 2)
+        c3, c2, c1, c0 = self.c[:, i]
+        s = y - x[i]
+        z = s * s
+        if nu == 0:
+            return ((0.0 + c0 + c1 * s) + c2 * z) + c3 * (z * s)
+        if nu == 1:
+            return (0.0 + c1 + c2 * s * 2.0) + c3 * z * 3.0
+        raise ValueError(f"spline derivative order must be 0 or 1, got {nu}")
+
+
+def cubic_spline(x: np.ndarray, y: np.ndarray) -> Spline:
+    """Not-a-knot cubic interpolant of (x, y) for n >= 3 increasing knots.
+
+    scipy's CubicSpline(x, y) bit for bit: its slopes, its not-a-knot system
+    for the knot derivatives (the dense solve it uses at n = 3, and at n >= 4
+    the LAPACK gtsv call of its solve_banded), and CubicHermiteSpline's
+    coefficients, each in scipy's order of operations.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    if len(x) == 3:
+        A = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
+        s = solve(A, b.reshape(3, -1), overwrite_a=True, overwrite_b=True,
+                  check_finite=False).reshape(3)
+    else:
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        lower = np.append(dx[1:], d1)
+        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        upper = np.append(d0, dx[:-1])
+        b = np.empty(len(x))
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0
+        b[-1] = (dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        s = tridiag_solve(lower, diag, upper, b)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return Spline(x=x, c=np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])))
 
 
 @dataclass(frozen=True)
@@ -60,7 +112,7 @@ class LagrangianMap:
 
     y_of_x: Field
     u: Field
-    h_spline: CubicSpline
+    h_spline: Spline
 
     def __post_init__(self):
         y = self.y_of_x.values
@@ -79,24 +131,10 @@ class SheetView:
     M: float
 
 
-def _cubic_spline(x: np.ndarray, y: np.ndarray) -> CubicSpline:
-    """scipy's not-a-knot cubic interpolant of (x, y).
-
-    Imported here, not with the module: the import loads much of scipy (about
-    0.3 s and 20 MB), and only the sheet commands build a spline.
-    """
-    from scipy.interpolate import CubicSpline
-
-    return CubicSpline(x, y)
-
-
-def _scalar_spline(spline: CubicSpline):
+def _scalar_spline(spline: Spline):
     """y -> float(spline(clip(y, 0, 1))) for a float y, in Python floats.
 
-    Bit for bit what scipy's PPoly evaluation gives, without numpy's per-call
-    overhead: the piece is the last knot at or left of y (the last piece at
-    y = 1, as in scipy's find_interval), and its terms are added to 0.0 lowest
-    power first, in scipy's evaluate_poly1 order.
+    Bit for bit what Spline.__call__ gives, without numpy's per-call overhead.
     """
     knots = spline.x.tolist()
     c3, c2, c1, c0 = spline.c.tolist()  # c3 multiplies the cube
@@ -126,7 +164,7 @@ def initial_map(h0: Field, M: float) -> LagrangianMap:
     if np.any(h0.values <= 0):
         raise ValueError("h0 must be positive")
     grid = h0.grid
-    spline = _cubic_spline(grid.nodes, h0.values)
+    spline = cubic_spline(grid.nodes, h0.values)
     h = _scalar_spline(spline)
     M = float(M)  # keeps the loop in Python floats
     dx = grid.dx
@@ -161,7 +199,7 @@ def source_from_sheet(lmap: LagrangianMap, v0: Field, nu: float) -> Field:
     grid = lmap.y_of_x.grid
     y = lmap.y_of_x.values
     h_spline = lmap.h_spline
-    v_spline = _cubic_spline(grid.nodes, v0.values)
+    v_spline = cubic_spline(grid.nodes, v0.values)
     bracket = v_spline(y) + nu * h_spline(y, 1) / h_spline(y)
     # a non-finite bracket gives a non-finite f0, which the Field refuses
     return Field(grid, mean_zero(gradient(bracket, grid.dx), grid.dx))

@@ -223,7 +223,15 @@ def test_failed_newton_solve_exits_as_solver_failure(tmp_path, monkeypatch, caps
     assert "solver failure: Newton solve failed at t=0.001" in capsys.readouterr().err
 
 
-def test_failure_names_the_last_completed_step(tmp_path, monkeypatch, capsys):
+#: a march of 10 steps at n = 21 for each command that marches u
+MARCH_CONFIGS = {
+    "simulate": "source = cosine_static 0.5\nnu = 1\nn = 21\nt_end = 0.01\n",
+    "ssm-crosscheck": "nu = 1\nn = 21\nt_check = 0.01\n",
+}
+
+
+@pytest.mark.parametrize("command", MARCH_CONFIGS)
+def test_failure_names_the_last_completed_step(tmp_path, monkeypatch, capsys, command):
     calls = []
 
     def fails_from_the_fifth_call(*args):
@@ -232,9 +240,10 @@ def test_failure_names_the_last_completed_step(tmp_path, monkeypatch, capsys):
             raise LinAlgError("singular matrix")
         return tridiag_solve(*args)
 
+    # the march's solves only: lagrangian keeps its own binding for its spline
     monkeypatch.setattr(solver, "tridiag_solve", fails_from_the_fifth_call)
-    cfg = write_config(tmp_path, "source = cosine_static 0.5\nnu = 1\nn = 21\nt_end = 0.01\n")
-    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    cfg = write_config(tmp_path, MARCH_CONFIGS[command])
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     found = re.search(r"Newton solve failed at t=(\S+): singular matrix; "
                       r"last completed step at t=(\S+)\n", err)
@@ -456,7 +465,7 @@ print(json.dumps(seen))
 """
 
 
-def test_only_the_sheet_commands_load_the_spline_library(tmp_path):
+def test_no_command_loads_the_spline_library(tmp_path):
     configs = {
         "steady": "source = cosine_static 0.5\nnu = 1\nn = 21\n",
         "constants": "source = cosine_decay\nnu = 10\nn = 21\n",
@@ -465,6 +474,9 @@ def test_only_the_sheet_commands_load_the_spline_library(tmp_path):
     }
     argvs = [[command, "--config", write_config(tmp_path, text, f"{command}.txt"),
               "--out", str(tmp_path / command)] for command, text in configs.items()]
+    argvs += [["ssm-crosscheck", "--n", "21", "--t-end", "0.01", "--out", str(tmp_path / "ssm")],
+              ["example", "ex-3-3", "--n", "21", "--t-end", "0.01",
+               "--out", str(tmp_path / "example")]]
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
@@ -475,5 +487,7 @@ def test_only_the_sheet_commands_load_the_spline_library(tmp_path):
         ["steady", 0, False, True],
         ["constants", 0, False, True],
         ["simulate", 0, False, True],
-        ["transform", 0, True, True],
+        ["transform", 0, False, True],
+        ["ssm-crosscheck", 0, False, True],
+        ["example", 0, False, True],
     ]

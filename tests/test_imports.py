@@ -1,0 +1,49 @@
+"""The package imports no scipy subpackage but scipy.linalg.
+
+Importing scipy.interpolate, for one, costs a fresh process about 0.3 s and
+20 MB; the check reads the source, so an import inside a function counts too.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "singheat"
+
+
+def scipy_modules(source: str) -> set[str]:
+    """Dotted names of the scipy modules the source imports anywhere in it."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "scipy":   # from scipy import linalg names scipy.linalg
+                names.update(f"scipy.{alias.name}" for alias in node.names)
+            else:
+                names.add(node.module)
+    return {name for name in names if name == "scipy" or name.startswith("scipy.")}
+
+
+def heavy(modules: set[str]) -> list[str]:
+    """The modules of the set that are neither scipy.linalg nor inside it."""
+    return sorted(name for name in modules
+                  if name != "scipy.linalg" and not name.startswith("scipy.linalg."))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda path: path.name)
+def test_module_imports_only_scipy_linalg(path):
+    assert heavy(scipy_modules(path.read_text())) == [], path
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def f():\n    from scipy.interpolate import CubicSpline\n", ["scipy.interpolate"]),
+    ("import scipy.integrate as si\n", ["scipy.integrate"]),
+    ("from scipy import linalg, optimize\n", ["scipy.optimize"]),
+    ("import scipy\n", ["scipy"]),
+    ("from scipy.linalg import solve\nfrom scipy.linalg.lapack import dgtsv\n", []),
+    ("from .solver import tridiag_solve\n", []),
+])
+def test_guard_names_what_it_refuses(source, found):
+    assert heavy(scipy_modules(source)) == found
