@@ -17,7 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve
 
 from .errors import ConfigError, SolverError
 from .grid import Field, Grid, gradient, primitive, trapezoid, write_csv
@@ -55,17 +54,17 @@ def cubic_spline(x: np.ndarray, y: np.ndarray) -> Spline:
     """Not-a-knot cubic interpolant of (x, y) for n >= 3 increasing knots.
 
     scipy's CubicSpline(x, y) bit for bit: its slopes, its not-a-knot system
-    for the knot derivatives (the dense solve it uses at n = 3, and at n >= 4
-    the LAPACK gtsv call of its solve_banded), and CubicHermiteSpline's
-    coefficients, each in scipy's order of operations.
+    for the knot derivatives (at n = 3 the dense system it solves, here by
+    numpy's solve, which gives scipy's bits; at n >= 4 the LAPACK gtsv call of
+    its solve_banded), and CubicHermiteSpline's coefficients, each in scipy's
+    order of operations.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
     if len(x) == 3:
         A = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
         b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
-        s = solve(A, b.reshape(3, -1), overwrite_a=True, overwrite_b=True,
-                  check_finite=False).reshape(3)
+        s = np.linalg.solve(A, b)
     else:
         d0, d1 = x[2] - x[0], x[-1] - x[-3]
         lower = np.append(dx[1:], d1)

@@ -14,11 +14,12 @@ relative energy, and the H1 distance of 1/u to the steady state.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import QuenchError, SolverError
 from .grid import Field, Grid, gradient, trapezoid, write_csv
@@ -133,26 +134,34 @@ def rhs(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> np.ndarray:
     return _rhs_terms(u, f, nu, dx)[0]
 
 
-def _jacobian_bands(mid, mid2, d, nu: float, dx: float, dt: float):
-    """Bands (lower, diag, upper) of I - dt * d(rhs)/du, as tridiag_solve takes.
+def _jacobian_bands(mid, mid2, d, nu: float, dx: float, dt: float, packed: np.ndarray):
+    """Bands (lower, diag, upper) of I - dt * d(rhs)/du, written into packed.
 
-    mid, mid2 and d are those _rhs_terms returns at the linearization point.
-    Row i is divided by its control-volume width: dx, or dx/2 at the ends.
+    They fill packed[:3n - 2] in _solve_packed's order and are returned as
+    views of it.  mid, mid2 and d are those _rhs_terms returns at the
+    linearization point.  Row i is divided by its control-volume width: dx,
+    or dx/2 at the ends.
     """
+    m = len(mid)    # n - 1
+    lower, diag, upper = packed[:m], packed[m:2 * m + 1], packed[2 * m + 1:3 * m + 1]
     half = 0.5 * dx
     a = 1.0 / mid2
     c = d / mid**3
     # flux_k = a(m_k) d_k / dx with m_k the arithmetic mean of the neighbors
     dF_left = (-a - c) / dx     # d flux_k / d u_k
     dF_right = (a - c) / dx     # d flux_k / d u_{k+1}
-    lower = -nu * dF_left / dx       # then -dt times it: -dt * d rhs_{i+1} / d u_i
+    # lower[i] = -dt * d rhs_{i+1} / d u_i and upper[i] = -dt * d rhs_i / d u_{i+1}
+    np.multiply(-nu, dF_left, out=lower)
+    lower /= dx
     lower[-1] = -nu * dF_left[-1] / half
     lower *= -dt
-    upper = nu * dF_right / dx       # then -dt times it: -dt * d rhs_i / d u_{i+1}
+    np.multiply(nu, dF_right, out=upper)
+    upper /= dx
     upper[0] = nu * dF_right[0] / half
     upper *= -dt
-    diag = np.empty(len(mid) + 1)    # d rhs_i / d u_i, then 1 - dt times it
-    diag[1:-1] = nu * (dF_left[1:] - dF_right[:-1]) / dx
+    inner = np.subtract(dF_left[1:], dF_right[:-1], out=diag[1:-1])
+    inner *= nu                 # d rhs_i / d u_i, then 1 - dt times it
+    inner /= dx
     diag[0] = nu * dF_left[0] / half
     diag[-1] = -nu * dF_right[-1] / half
     diag *= -dt
@@ -160,23 +169,64 @@ def _jacobian_bands(mid, mid2, d, nu: float, dx: float, dt: float):
     return lower, diag, upper
 
 
-_gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
+def _lapack_gtsv(lib):
+    """LAPACK's dgtsv from the loaded library lib, as numpy's OpenBLAS exports it.
+
+    That build is ILP64 and names it scipy_dgtsv_64_: every argument is a
+    pointer, and n, nrhs, ldb and info point to int64.
+    """
+    try:
+        gtsv = lib.scipy_dgtsv_64_
+    except AttributeError:
+        raise ImportError(
+            "singheat solves its tridiagonal systems with dgtsv from numpy's LAPACK, "
+            "and this numpy's LAPACK exports no scipy_dgtsv_64_; numpy.show_config() "
+            "names the LAPACK it was built with") from None
+    gtsv.argtypes = [ctypes.c_void_p] * 8
+    gtsv.restype = None
+    return gtsv
+
+
+# a symbol lookup on numpy's linalg extension also searches the OpenBLAS it links
+_gtsv = _lapack_gtsv(ctypes.CDLL(_umath_linalg.__file__))
+_ONE = ctypes.c_int64(1)    # nrhs, which gtsv only reads
+
+
+def _solve_packed(packed: np.ndarray) -> np.ndarray:
+    """Solve in place the system packed as (lower, diag, upper, b); returns x, its tail.
+
+    packed is a C-contiguous float64 array of 4n - 2 values that gtsv
+    overwrites, bands included.  ValueError on a non-finite value, and
+    LinAlgError on a singular matrix.
+    """
+    if np.count_nonzero(np.isfinite(packed)) < len(packed):
+        raise ValueError("tridiagonal system contains infs or NaNs")
+    n = (len(packed) + 2) // 4
+    rows, info = ctypes.c_int64(n), ctypes.c_int64()
+    at = ctypes.addressof(ctypes.c_char.from_buffer(packed))
+    _gtsv(ctypes.byref(rows), ctypes.byref(_ONE), at, at + 8 * (n - 1), at + 8 * (2 * n - 1),
+          at + 8 * (3 * n - 2), ctypes.byref(rows), ctypes.byref(info))
+    if info.value:
+        raise LinAlgError(f"singular matrix (gtsv info={info.value})")
+    return packed[3 * n - 2:]
 
 
 def tridiag_solve(lower, diag, upper, b):
     """Solve lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = b[i].
 
     lower and upper hold the n - 1 entries below and above the diagonal.
-    This is solve_banded((1, 1), ...)'s LAPACK call, with its ValueError on
-    a non-finite input and LinAlgError on a singular matrix.
+    The four are copied, as floats, into one fresh buffer that LAPACK's
+    gtsv solves in place, so the inputs are left as they were.  This is
+    solve_banded((1, 1), ...)'s LAPACK call, with its ValueError on a
+    non-finite input and numpy's LinAlgError (a ValueError) on a singular
+    matrix.
     """
-    values = np.concatenate((lower, diag, upper, b))
-    if np.count_nonzero(np.isfinite(values)) < len(values):
-        raise ValueError("tridiagonal system contains infs or NaNs")
-    x, info = _gtsv(lower, diag, upper, b)[3:]
-    if info:
-        raise LinAlgError(f"singular matrix (gtsv info={info})")
-    return x
+    n = len(diag)
+    packed = np.concatenate((lower, diag, upper, b), dtype=float)
+    if packed.shape != (4 * n - 2,) or len(lower) != n - 1 or len(upper) != n - 1:
+        raise ValueError(f"tridiagonal system of {n} rows needs bands of {n - 1} "
+                         f"and a right-hand side of {n} values")
+    return _solve_packed(packed)
 
 
 def step(un: np.ndarray, t: float, cfg: SimulationConfig) -> tuple[np.ndarray, int]:
@@ -186,6 +236,7 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig) -> tuple[np.ndarray, i
     the loop ends only on a residual at most newton_tol, which is finite.
     """
     dx, dt, nu, floor = cfg.grid.dx, cfg.dt, cfg.nu, cfg.positivity_floor
+    n = len(un)
     f = cfg.source.evaluate(t + dt).values
 
     def residual(v):
@@ -206,9 +257,11 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig) -> tuple[np.ndarray, i
             raise SolverError(
                 f"Newton stalled at t={t + dt:.6g} with residual {res_norm:.3g}"
             )
-        bands = _jacobian_bands(*terms, nu, dx, dt)
+        packed = np.empty(4 * n - 2)   # (lower, diag, upper, -res), as gtsv takes them
+        _jacobian_bands(*terms, nu, dx, dt, packed)
+        np.negative(res, out=packed[3 * n - 2:])
         try:
-            dv = tridiag_solve(*bands, -res)
+            dv = _solve_packed(packed)
         except ValueError as err:  # LinAlgError included
             raise SolverError(f"Newton solve failed at t={t + dt:.6g}: {err}") from err
         lam = 1.0

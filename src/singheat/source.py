@@ -23,10 +23,13 @@ from .errors import ConfigError
 from .grid import Field, Grid, l2, pow2, primitive, read_csv_rows, trapezoid
 
 #: most samples (times x nodes) one block of rows holds; bounds the memory of
-#: the time-axis norms whatever the grid or the number of times.  Each of a
-#: block's temporaries is then at most 128 KiB: at n = 2001, blocks of 2**15
-#: samples made N_infinity about 1.5x slower than blocks of 2**14.
-_BLOCK_VALUES = 2**14
+#: the time-axis norms whatever the grid or the number of times.  A block's
+#: temporaries must stay well below glibc's 128 KiB mmap and trim thresholds,
+#: or the memory of every block is trimmed and faulted in again: at n = 2001,
+#: blocks of 2**14 samples (125 KiB temporaries) cost N_infinity about 80k
+#: minor faults and 1.5x its time per call, and blocks of 2**13 none.  The
+#: 1.5x once measured for 2**15 against 2**14 samples was the same effect.
+_BLOCK_VALUES = 2**13
 
 
 def mean_zero(y: np.ndarray, dx: float) -> np.ndarray:

@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError
 
 from singheat import lagrangian
 from singheat.errors import ConfigError, SolverError

@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg import solve_banded
 
 from singheat import solver
 from singheat.errors import QuenchError, SolverError
@@ -242,7 +244,7 @@ class TestFailureHandling:
         def fail(*args):
             raise err
 
-        monkeypatch.setattr(solver, "tridiag_solve", fail)
+        monkeypatch.setattr(solver, "_solve_packed", fail)
         rec = simulate(flat_config(21, t_end=0.01))
         assert rec.failure.startswith("Newton solve failed at t=0.001")
         assert rec.failure_time == 0.0
@@ -308,7 +310,7 @@ class TestNewtonLinearAlgebra:
             u = rng.uniform(0.5, 2.0, n)
             f = rng.standard_normal(n)
             terms = solver._rhs_terms(u, f, nu, dx)[1:]
-            bands = solver._jacobian_bands(*terms, nu, dx, dt)
+            bands = solver._jacobian_bands(*terms, nu, dx, dt, np.empty(3 * n - 2))
             assert [len(band) for band in bands] == [n - 1, n, n - 1]
             jac = (np.eye(n) - dense(*bands)) / dt
             fd = np.empty((n, n))
@@ -334,10 +336,12 @@ class TestNewtonLinearAlgebra:
 
     def test_tridiag_solve_rejects_singular_and_nonfinite(self):
         ones = np.ones(3)
-        # rows 0 and 1 of [[1, 1, 0], [1, 1, 0], [0, 0, 1]] coincide
+        # rows 0 and 1 of [[1, 1, 0], [1, 1, 0], [0, 0, 1]] coincide: gtsv's
+        # second pivot is zero.  numpy's LinAlgError is a ValueError.
         lower, upper = np.array([1.0, 0.0]), np.array([1.0, 0.0])
-        with pytest.raises(LinAlgError):
+        with pytest.raises(LinAlgError, match=r"singular matrix \(gtsv info=2\)") as err:
             tridiag_solve(lower, ones, upper, ones)
+        assert isinstance(err.value, ValueError)
         with pytest.raises(ValueError):
             tridiag_solve(lower, np.array([4.0, np.nan, 4.0]), upper, ones)
 
@@ -352,9 +356,44 @@ class TestNewtonLinearAlgebra:
         with pytest.raises(ValueError, match="infs or NaNs"):
             tridiag_solve(*args)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 201, 1601, 6401])
+    @pytest.mark.parametrize("kind", ["random", "dominant"])
+    def test_tridiag_solve_keeps_solve_banded_bits(self, n, kind):
+        # solve_banded((1, 1), ...) calls LAPACK's gtsv through scipy's own
+        # build; a random diagonal makes gtsv pivot, a dominant one never
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            lower, upper = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+            b = rng.standard_normal(n)
+            diag = rng.standard_normal(n) if kind == "random" else 4.0 + rng.uniform(size=n)
+            args = [a.copy() for a in (lower, diag, upper, b)]
+            x = tridiag_solve(*args)
+            ab = np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]])
+            assert np.array_equal(x, solve_banded((1, 1), ab, b))
+            assert all(map(np.array_equal, args, (lower, diag, upper, b)))  # inputs kept
+
+    def test_tridiag_solve_solves_integers_as_floats(self):
+        # int64 bits read as doubles would be tiny denormals, not these values
+        lower, diag, upper, b = [1, 1], [4, 4, 4], [1, 1], [5, 6, 5]
+        x = tridiag_solve(*map(np.array, (lower, diag, upper, b)))
+        assert x.dtype == np.float64
+        assert np.array_equal(x, tridiag_solve(*(np.array(a, dtype=float)
+                                                 for a in (lower, diag, upper, b))))
+        np.testing.assert_allclose(x, [1.0, 1.0, 1.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("lengths", [(3, 5, 5, 5), (4, 5, 4, 4), (4, 5, 4, 6), (0, 0, 0, 0)])
+    def test_tridiag_solve_refuses_mismatched_lengths(self, lengths):
+        with pytest.raises(ValueError, match="tridiagonal system of"):
+            tridiag_solve(*(np.ones(k) for k in lengths))
+
+    def test_gtsv_lookup_names_numpys_lapack_when_the_symbol_is_missing(self):
+        # a stand-in library that exports nothing
+        with pytest.raises(ImportError, match="numpy's LAPACK.*numpy.show_config"):
+            solver._lapack_gtsv(SimpleNamespace())
+
     @pytest.mark.parametrize("bad", ["nonfinite", "singular"])
     def test_failed_solve_in_a_march_is_a_solver_failure(self, monkeypatch, bad):
-        # the real tridiag_solve, handed bands it must refuse
+        # the real LAPACK solve, handed bands it must refuse
         def broken_bands(*args):
             lower, diag, upper = bands(*args)
             if bad == "nonfinite":
@@ -572,7 +611,10 @@ def test_residual_and_bands_keep_the_reference_bits(n):
         ref_out, ref_mid, ref_d = _reference_rhs_terms(u, f, nu, dx)
         assert all(map(np.array_equal, (out, mid, d), (ref_out, ref_mid, ref_d)))
         assert np.array_equal(mid2, mid**2)
-        lower, diag, upper = solver._jacobian_bands(mid, mid2, d, nu, dx, dt)
+        packed = np.full(4 * n - 2, np.nan)
+        lower, diag, upper = solver._jacobian_bands(mid, mid2, d, nu, dx, dt, packed)
+        assert np.array_equal(packed[:3 * n - 2], np.concatenate((lower, diag, upper)))
+        assert np.isnan(packed[3 * n - 2:]).all()    # the right-hand side's slot is left
         ref_lower, ref_diag, ref_upper = _reference_jacobian_bands(mid, d, nu, dx, dt)
         assert np.array_equal(lower, ref_lower[1:])
         assert np.array_equal(diag, ref_diag)
