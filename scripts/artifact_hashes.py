@@ -83,6 +83,10 @@ RUNS = (
     ("simulate-fixed-point",
      "source = cosine_static 0.3\nnu = 1\nn = 51\nt_end = 4\nsnapshot_stride = 700\n",
      ["simulate"]),
+    # ten long steps, one of which damps its Newton update (lambda < 1)
+    ("simulate-damped",
+     "source = cosine_static 0.3\nnu = 1\nn = 101\ndt = 0.1\nt_end = 1\n"
+     "u0 = inverse_sine 0.9\n", ["simulate"]),
     # the sheet map at the benchmark's finest grid
     ("transform-fine", "nu = 1\nM = 1\nh0 = cosine_bump 0.3\nv0 = sine 0.5\nn = 6401\n",
      ["transform"]),

@@ -115,8 +115,9 @@ class SimulationRecord:
                   [getattr(self, "times" if c == "t" else c) for c in DIAGNOSTIC_COLUMNS])
 
 
-def _rhs_terms(u: np.ndarray, f: np.ndarray, nu: float, dx: float):
-    """rhs(u), with the half-node means, their squares and the differences of u."""
+def _flux_divergence(u: np.ndarray, nu: float, dx: float):
+    """nu times the flux divergence of u, with the half-node means, their squares
+    and the differences of u."""
     mid = 0.5 * (u[:-1] + u[1:])
     mid2 = mid**2
     d = u[1:] - u[:-1]
@@ -125,6 +126,12 @@ def _rhs_terms(u: np.ndarray, f: np.ndarray, nu: float, dx: float):
     out[1:-1] = nu * (flux[1:] - flux[:-1]) / dx
     out[0] = nu * flux[0] / (0.5 * dx)
     out[-1] = -nu * flux[-1] / (0.5 * dx)
+    return out, mid, mid2, d
+
+
+def _rhs_terms(u: np.ndarray, f: np.ndarray, nu: float, dx: float):
+    """rhs(u), with the half-node means, their squares and the differences of u."""
+    out, mid, mid2, d = _flux_divergence(u, nu, dx)
     out += f
     return out, mid, mid2, d
 
@@ -192,20 +199,30 @@ _gtsv = _lapack_gtsv(ctypes.CDLL(_umath_linalg.__file__))
 _ONE = ctypes.c_int64(1)    # nrhs, which gtsv only reads
 
 
-def _solve_packed(packed: np.ndarray) -> np.ndarray:
+def _gtsv_arguments(packed: np.ndarray):
+    """gtsv's eight arguments that solve packed in place, and the info they point to."""
+    n = (len(packed) + 2) // 4
+    rows, info = ctypes.c_int64(n), ctypes.c_int64()
+    at = ctypes.addressof(ctypes.c_char.from_buffer(packed))
+    # byref keeps rows and info alive; the addresses need packed kept alive
+    args = (ctypes.byref(rows), ctypes.byref(_ONE), at, at + 8 * (n - 1),
+            at + 8 * (2 * n - 1), at + 8 * (3 * n - 2), ctypes.byref(rows), ctypes.byref(info))
+    return args, info
+
+
+def _solve_packed(packed: np.ndarray, bound=None) -> np.ndarray:
     """Solve in place the system packed as (lower, diag, upper, b); returns x, its tail.
 
     packed is a C-contiguous float64 array of 4n - 2 values that gtsv
-    overwrites, bands included.  ValueError on a non-finite value, and
-    LinAlgError on a singular matrix.
+    overwrites, bands included; bound is _gtsv_arguments(packed), made once
+    for a buffer solved many times, or None.  ValueError on a non-finite
+    value, and LinAlgError on a singular matrix.
     """
     if np.count_nonzero(np.isfinite(packed)) < len(packed):
         raise ValueError("tridiagonal system contains infs or NaNs")
     n = (len(packed) + 2) // 4
-    rows, info = ctypes.c_int64(n), ctypes.c_int64()
-    at = ctypes.addressof(ctypes.c_char.from_buffer(packed))
-    _gtsv(ctypes.byref(rows), ctypes.byref(_ONE), at, at + 8 * (n - 1), at + 8 * (2 * n - 1),
-          at + 8 * (3 * n - 2), ctypes.byref(rows), ctypes.byref(info))
+    args, info = bound or _gtsv_arguments(packed)
+    _gtsv(*args)
     if info.value:
         raise LinAlgError(f"singular matrix (gtsv info={info.value})")
     return packed[3 * n - 2:]
@@ -229,23 +246,53 @@ def tridiag_solve(lower, diag, upper, b):
     return _solve_packed(packed)
 
 
-def step(un: np.ndarray, t: float, cfg: SimulationConfig) -> tuple[np.ndarray, int]:
+class Workspace:
+    """What the steps of one march share: buffers, and the flux terms they carry.
+
+    packed is the (lower, diag, upper, b) buffer gtsv solves in place, with
+    its call arguments bound once.  u is the last iterate a step accepted and
+    flux its _flux_divergence terms, which the next step, starting from that
+    very array, takes in place of computing them again.  A workspace serves
+    the steps of one config.
+    """
+
+    def __init__(self, cfg: SimulationConfig):
+        n = cfg.grid.n
+        self.cfg = cfg
+        self.packed = np.empty(4 * n - 2)
+        self.b = self.packed[3 * n - 2:]
+        self.gtsv = _gtsv_arguments(self.packed)
+        self.u = self.flux = None
+
+
+def step(un: np.ndarray, t: float, cfg: SimulationConfig,
+         work: Workspace | None = None) -> tuple[np.ndarray, int]:
     """One implicit-Euler step of the nodal values un from t to t + dt.
 
     Returns the new values and the Newton iteration count.  They are finite:
     the loop ends only on a residual at most newton_tol, which is finite.
+    work is the march's Workspace for cfg, or None for a fresh one.  When un
+    is the very array the last step with this workspace returned, unchanged
+    since, the step takes its flux terms from the workspace instead of
+    computing them again; the result has the same bits either way.
     """
     dx, dt, nu, floor = cfg.grid.dx, cfg.dt, cfg.nu, cfg.positivity_floor
-    n = len(un)
-    f = cfg.source.evaluate(t + dt).values
+    if work is None:
+        work = Workspace(cfg)
+    elif work.cfg is not cfg:
+        raise ValueError("the workspace belongs to another config")
+    packed = work.packed
+    f = cfg.source.at(t + dt)
 
-    def residual(v):
-        terms, mid, mid2, d = _rhs_terms(v, f, nu, dx)
-        res = v - un - dt * terms
-        return res, float(np.abs(res).max()), mid, mid2, d
+    def residual(v, flux):
+        res = flux[0] + f       # rhs(v), then dt times it
+        res *= dt
+        np.subtract(v - un, res, out=res)
+        return res, float(np.abs(res).max())
 
     v = un
-    res, res_norm, *terms = residual(v)
+    flux = work.flux if un is work.u else _flux_divergence(un, nu, dx)
+    res, res_norm = residual(v, flux)
     iters = 0
     polish = False
     while True:
@@ -257,11 +304,10 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig) -> tuple[np.ndarray, i
             raise SolverError(
                 f"Newton stalled at t={t + dt:.6g} with residual {res_norm:.3g}"
             )
-        packed = np.empty(4 * n - 2)   # (lower, diag, upper, -res), as gtsv takes them
-        _jacobian_bands(*terms, nu, dx, dt, packed)
-        np.negative(res, out=packed[3 * n - 2:])
+        _jacobian_bands(*flux[1:], nu, dx, dt, packed)
+        np.negative(res, out=work.b)
         try:
-            dv = _solve_packed(packed)
+            dv = _solve_packed(packed, work.gtsv)    # lives in packed until the next solve
         except ValueError as err:  # LinAlgError included
             raise SolverError(f"Newton solve failed at t={t + dt:.6g}: {err}") from err
         lam = 1.0
@@ -269,7 +315,8 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig) -> tuple[np.ndarray, i
             trial = v + dv if lam == 1.0 else v + lam * dv  # 1.0 * dv is dv
             # a NaN entry makes min() NaN, which fails the test
             if trial.min() > floor:
-                trial_res, trial_norm, *trial_terms = residual(trial)
+                trial_flux = _flux_divergence(trial, nu, dx)
+                trial_res, trial_norm = residual(trial, trial_flux)
                 if trial_norm < res_norm or res_norm <= cfg.newton_tol:
                     break
             lam *= 0.5
@@ -279,8 +326,9 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig) -> tuple[np.ndarray, i
                 f"(solution near the singular set u=0)"
             )
         # every accepted iterate lies above the positivity floor
-        v, res, res_norm, terms = trial, trial_res, trial_norm, trial_terms
+        v, res, res_norm, flux = trial, trial_res, trial_norm, trial_flux
         iters += 1
+    work.u, work.flux = v, flux
     return v, iters
 
 
@@ -298,7 +346,7 @@ def diagnostics(uv: np.ndarray, t: float, cfg: SimulationConfig,
     np.subtract(q, q_inf, out=rows[1])
     y = np.divide(1.0, uv, out=rows[2])
     y -= inverse_u_inf
-    f = cfg.source.evaluate(t).values
+    f = cfg.source.at(t)
     integrands = np.empty((6, len(uv)))    # qx², wx², yx², the energy density, u and y²
     grads = gradient(rows, dx)
     np.multiply(grads, grads, out=integrands[:3])
@@ -313,9 +361,13 @@ def diagnostics(uv: np.ndarray, t: float, cfg: SimulationConfig,
 def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> SimulationRecord:
     """March to t_end, recording snapshots and per-step diagnostics.
 
-    The march steps plain arrays; only the snapshots are Fields.  The
-    diagnostics fill one (steps + 1) x 9 array, a row per recorded time;
-    its columns, each contiguous, become the record's series.  On a solver
+    The march steps plain arrays; only the snapshots are Fields, and the
+    forcing is read as arrays, through the source's memo `at`.  Its steps
+    share one Workspace: the buffer gtsv solves in place, with its arguments
+    bound once, and the flux terms of each step's last iterate, which the
+    next step's first residual reuses.  The diagnostics fill one
+    (steps + 1) x 9 array, a row per recorded time; its columns, each
+    contiguous, become the record's series.  On a solver
     failure the array is cut at the last completed step and the partial
     record is returned with the failure annotated rather than lost.
 
@@ -334,12 +386,13 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
     snapshot_times, snapshots = [0.0], [cfg.u0]
     failure = failure_time = fixed_point_time = None
     static = not cfg.source.time_dependent
+    work = Workspace(cfg)
     done = n_steps
     for k in range(n_steps):
         t = k * cfg.dt
         previous = u
         try:
-            u, iters = step(u, t, cfg)
+            u, iters = step(u, t, cfg, work=work)
         except SolverError as err:
             failure, failure_time, done = str(err), t, k
             break

@@ -46,6 +46,7 @@ class SourceTerm(ABC):
     def __init__(self, grid: Grid):
         self.grid = grid
         self._last = (None, None)   # the last (t, evaluate(t))
+        self._last_at = (None, None)    # the last (t, at(t))
 
     @abstractmethod
     def _raw(self, t) -> np.ndarray:
@@ -63,6 +64,20 @@ class SourceTerm(ABC):
         if t != self._last[0]:
             self._last = (t, Field(self.grid, self.samples(t)))
         return self._last[1]
+
+    def at(self, t: float) -> np.ndarray:
+        """f(., t) as read-only nodal values, for the march; no Field is built.
+
+        A non-finite sample raises the ValueError a Field of them would.
+        Asked again for the last t, the same array, not a new one.
+        """
+        if t != self._last_at[0]:
+            values = self.samples(t)
+            if not np.isfinite(values).all():
+                raise ValueError("field contains non-finite values")
+            values.setflags(write=False)
+            self._last_at = (t, values)
+        return self._last_at[1]
 
     def samples(self, t) -> np.ndarray:
         """Mean-zero projected nodal samples, shaped as `_raw`; not validated."""
@@ -109,6 +124,9 @@ class HomogeneousSource(SourceTerm):
     def evaluate(self, t: float) -> Field:
         # a negative t goes to SourceTerm.evaluate, which rejects it
         return self._f if t >= 0 else super().evaluate(t)
+
+    def at(self, t: float) -> np.ndarray:
+        return self._f.values if t >= 0 else super().at(t)
 
     def _raw(self, t) -> np.ndarray:
         return np.broadcast_to(self._f0, np.shape(t) + (self.grid.n,))

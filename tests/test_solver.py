@@ -1,3 +1,4 @@
+import functools
 import math
 from types import SimpleNamespace
 
@@ -281,10 +282,10 @@ def test_record_series_are_the_rows_of_each_step(tmp_path, monkeypatch):
         u, iters = step(u, k * cfg.dt, cfg)
         rows.append((*diagnostics(u, (k + 1) * cfg.dt, cfg, ss), iters))
 
-    def step_until_fourth(u, t, cfg):
+    def step_until_fourth(u, t, cfg, work=None):
         if t > 2.5 * cfg.dt:
             raise QuenchError("stopped")
-        return step(u, t, cfg)
+        return step(u, t, cfg, work)
 
     monkeypatch.setattr(solver, "step", step_until_fourth)
     rec = simulate(cfg, ss)
@@ -499,6 +500,39 @@ def test_march_builds_fields_only_for_snapshots(fields_built, u0, source, built)
     assert (rec.snapshots[1] is rec.snapshots[-1]) == (u0 == "flat")
 
 
+def test_march_reuses_flux_terms_and_builds_no_forcing_fields(monkeypatch, fields_built):
+    # each step's first residual takes the flux terms the step before it
+    # computed for its last iterate, so a march with no damped update makes
+    # one flux evaluation per Newton iteration, and one for u0; the forcing
+    # is read as arrays, so the Fields built are the snapshots after t = 0
+    # (steps that recompute them make 197 evaluations for these 147 iterations,
+    # and reading a Field per forcing time builds 64)
+    g = Grid(51)
+    cfg = flat_config(51, nu=10.0, source=make_source(g, "cosine_exp 1.5"), t_end=0.05,
+                      snapshot_stride=10)
+    ss = steady_profile(cfg.source, cfg.nu)
+    calls = []
+    flux_divergence = solver._flux_divergence
+
+    def counted(*args):
+        calls.append(None)
+        return flux_divergence(*args)
+
+    monkeypatch.setattr(solver, "_flux_divergence", counted)
+    fields_built.clear()
+    rec = simulate(cfg, ss)
+    assert rec.failure is None and len(rec.times) == 51
+    assert len(calls) == rec.newton_iters.sum() + 1
+    assert len(fields_built) == len(rec.snapshots) - 1 == 5
+
+
+def test_step_refuses_the_workspace_of_another_config():
+    # a workspace carries flux terms computed with its own config's nu and dx
+    cfg, other = flat_config(21), flat_config(21, nu=2.0)
+    with pytest.raises(ValueError, match="another config"):
+        step(cfg.u0.values, 0.0, cfg, solver.Workspace(other))
+
+
 # --- a reference march for the bits -----------------------------------------
 # The residual and Jacobian bands built with a control-volume width array and
 # padded bands, the solve through scipy's solve_banded (the same LAPACK gtsv),
@@ -537,7 +571,9 @@ def _reference_jacobian_bands(mid, d, nu, dx, dt):
     return lower, 1.0 - dt * diag, upper
 
 
-def _reference_step(un, t, cfg):
+def _reference_step(un, t, cfg, work=None, damped=None):
+    """The reference step; it ignores the workspace, and adds t to the list
+    damped, if given, for each update it damps (lambda < 1)."""
     dx, dt, nu = cfg.grid.dx, cfg.dt, cfg.nu
     f = cfg.source.samples(t + dt)
 
@@ -570,6 +606,8 @@ def _reference_step(un, t, cfg):
             lam *= 0.5
         else:
             raise QuenchError("Newton damping exhausted")
+        if lam < 1.0 and damped is not None:
+            damped.append(t)
         v, res, res_norm, mid, d = trial, trial_res, trial_norm, trial_mid, trial_d
         iters += 1
     return v, iters
@@ -627,26 +665,30 @@ def _tabulated_source(g):
                            [Field(g, a * cos) for a in (0.8, -0.3, 0.5)])
 
 
-@pytest.mark.parametrize("n,source", [
-    (401, lambda g: make_source(g, f"cosine_static {math.pi / 2}")),
-    (101, lambda g: make_source(g, "cosine_exp 1.5")),
-    (101, _tabulated_source),
-], ids=["cosine_static", "cosine_exp", "tabulated"])
-def test_march_keeps_the_reference_bits(monkeypatch, n, source):
-    # 200 steps from a non-flat start; the records, the Newton counts and the
+@pytest.mark.parametrize("n,source,eps,nu,dt,steps,damps", [
+    (401, lambda g: make_source(g, f"cosine_static {math.pi / 2}"), 0.2, 2.0, 1e-3, 200, False),
+    (101, lambda g: make_source(g, "cosine_exp 1.5"), 0.2, 2.0, 1e-3, 200, False),
+    (101, _tabulated_source, 0.2, 2.0, 1e-3, 200, False),
+    # ten long steps from a deep dip: one Newton update is damped, the one
+    # path where the line search reuses dv, which lives in the step's buffer
+    (101, lambda g: make_source(g, "cosine_static 0.3"), 0.9, 1.0, 0.1, 10, True),
+], ids=["cosine_static", "cosine_exp", "tabulated", "damped"])
+def test_march_keeps_the_reference_bits(monkeypatch, n, source, eps, nu, dt, steps, damps):
+    # from a non-flat start, the records, the Newton counts and the
     # snapshots must equal the reference march's bit for bit
     g = Grid(n)
-    u0 = 1.0 / (1.0 + 0.2 * np.sin(np.pi * g.nodes))
     src = source(g)
-    cfg = SimulationConfig(nu=2.0, grid=g, u0=Field(g, u0 / np.trapezoid(u0, dx=g.dx)),
-                           source=src, dt=1e-3, t_end=0.2, snapshot_stride=50)
+    cfg = SimulationConfig(nu=nu, grid=g, u0=_inverse_sine(g, eps), source=src, dt=dt,
+                           t_end=steps * dt, snapshot_stride=50)
     ss = steady_profile(src, cfg.nu)
     new = simulate(cfg, ss)
-    monkeypatch.setattr(solver, "step", _reference_step)
+    damped = []
+    monkeypatch.setattr(solver, "step", functools.partial(_reference_step, damped=damped))
     monkeypatch.setattr(solver, "diagnostics", _reference_diagnostics)
     ref = simulate(cfg, ss)
     assert new.failure is ref.failure is None
-    assert len(ref.times) == 201 and ref.newton_iters.sum() > 200
+    assert len(ref.times) == steps + 1 and ref.newton_iters.sum() > steps
+    assert bool(damped) == damps
     for column in DIAGNOSTIC_COLUMNS:
         name = "times" if column == "t" else column
         assert np.array_equal(getattr(new, name), getattr(ref, name)), column

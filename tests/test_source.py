@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,3 +388,31 @@ def test_N_infinity_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+#: a warm second N-infinity call in a fresh interpreter that loads no scipy,
+#: whose import raises glibc's dynamic mmap and trim thresholds and would hide
+#: the churn; prints that call's minor page faults
+WARM_N_INFINITY = """
+import resource
+from singheat.grid import Grid
+from singheat.source import compute_N_infinity, make_source
+src = make_source(Grid(2001), "cosine_exp 1")
+compute_N_infinity(src)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+compute_N_infinity(src)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_N_infinity_blocks_are_not_trimmed_and_faulted_in_again():
+    # blocks whose temporaries reach glibc's 128 KiB thresholds are given back
+    # to the system and faulted in again each time: 2**14 samples a block
+    # make about 80,000-100,000 minor faults here, and 2**13 none
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", WARM_N_INFINITY],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 5000
