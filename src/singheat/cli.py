@@ -3,7 +3,9 @@ CSV/JSON artifacts, including one-command reproductions of the two worked
 examples (constant-height sheet with a sine kick; decaying cosine forcing).
 
 Exit codes: 0 success, 2 hypothesis violation, 3 solver failure, 4 config
-error (usage errors and config keys a command does not read included).  The
+error (usage errors and config keys a command does not read included), 5 a
+ValueError raised once a command has built its inputs and begun its output,
+which is a fault of the program, not of the config.  The
 forcing picks the theorem: homogeneous for a time-independent source,
 inhomogeneous otherwise.  Identical configs give byte-identical outputs.
 """
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
+EXIT_INTERNAL = 5
 
 #: worked examples: name -> the simulate config it runs, with u0 = 1 and
 #: SimulationConfig's dt unless a flag sets them
@@ -297,9 +300,11 @@ def cmd_ssm_crosscheck(args) -> int:
 
 
 def _prepare_out(args, command: str) -> Path:
+    """The output directory, made, with the manifest in it; every input is built by now."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, command, args.config)
+    args.running = True     # a ValueError from here on is no config error
     return out
 
 
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, default=None, help="grid node count")
         for flag, (key, text) in zip(("--dt", "--t-end"), TIME_FLAGS.get(name, ())):
             sp.add_argument(flag, dest=key, type=float, default=None, help=f"{text} ({key})")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, running=False)
     return p
 
 
@@ -352,6 +357,9 @@ def main(argv=None) -> int:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
     except (ConfigError, ValueError) as err:
+        if args.running and isinstance(err, ValueError):
+            print(f"internal error: {err}", file=sys.stderr)
+            return EXIT_INTERNAL
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except SingheatError as err:

@@ -55,21 +55,29 @@ class Field:
         return Field(self.grid, values)
 
 
-def trapezoid(y: np.ndarray, dx: float):
+def trapezoid(y: np.ndarray, dx: float, out: np.ndarray | None = None):
     """np.trapezoid(y, dx=dx) along the last axis, with the same operations in order.
 
     A 1-D y gives a float; a (rows x nodes) y gives one value per row, each
-    with the bits of that row alone.
+    with the bits of that row alone.  The panel terms are written into out,
+    shaped as y but one node shorter, or a fresh array if None.
     """
-    if y.ndim == 1:
-        return float((dx * (y[1:] + y[:-1]) / 2.0).sum())
-    return (dx * (y[..., 1:] + y[..., :-1]) / 2.0).sum(-1)
+    terms = np.add(y[..., 1:], y[..., :-1], out=out, dtype=float)
+    terms *= dx
+    terms /= 2.0
+    sums = terms.sum(-1)
+    return float(sums) if y.ndim == 1 else sums
 
 
-def gradient(y: np.ndarray, dx: float) -> np.ndarray:
-    """np.gradient(y, dx, edge_order=2) of each row (along the last axis), with its bits."""
-    out = np.empty(y.shape)
-    out[..., 1:-1] = (y[..., 2:] - y[..., :-2]) / (2.0 * dx)
+def gradient(y: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """np.gradient(y, dx, edge_order=2) of each row (along the last axis), with its bits.
+
+    Written into out, shaped as y, or a fresh array if None.
+    """
+    if out is None:
+        out = np.empty(y.shape)
+    inner = np.subtract(y[..., 2:], y[..., :-2], out=out[..., 1:-1])
+    inner /= 2.0 * dx
     # the one-sided ends row by row on Python floats, in numpy's order: for
     # the few rows callers pass, faster than numpy calls on the end columns
     a0, a1, a2 = -1.5 / dx, 2.0 / dx, -0.5 / dx
@@ -136,18 +144,30 @@ def antiderivative(g: Field) -> Field:
     return g.with_values(primitive(g.values, g.grid.dx))
 
 
+#: rows write_csv formats and writes at a time
+CSV_BLOCK_ROWS = 1024
+
+
 def write_csv(path, header, columns) -> None:
     """Header line, then one row per sample with every value as %.17g.
 
     17 significant digits round-trip a float64 exactly.  Columns may be arrays
-    or sequences; each is turned into Python floats once, which format to the
-    same text as numpy scalars, and faster.
+    or sequences, all of one length (ValueError otherwise).  The rows go out
+    in blocks of CSV_BLOCK_ROWS: a block's values are turned into Python
+    floats, which format to the same text as numpy scalars, and faster, so
+    the writer holds one block of them at a time, whatever the row count.
     """
-    columns = [np.asarray(col).tolist() for col in columns]
+    columns = [np.asarray(col) for col in columns]
+    lengths = sorted({len(col) for col in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns must have one length, got lengths {lengths}")
+    rows = lengths[0] if lengths else 0
     row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row.format(*values) for values in zip(*columns))
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            block = [col[start:start + CSV_BLOCK_ROWS].tolist() for col in columns]
+            fh.writelines(row.format(*values) for values in zip(*block))
 
 
 def write_json(path, data) -> None:

@@ -115,15 +115,28 @@ class SimulationRecord:
                   [getattr(self, "times" if c == "t" else c) for c in DIAGNOSTIC_COLUMNS])
 
 
-def _flux_divergence(u: np.ndarray, nu: float, dx: float):
+def _flux_buffers(n: int) -> tuple:
+    """Buffers for _flux_divergence at n nodes: the divergence, then the
+    half-node means, their squares, the differences of u and the fluxes."""
+    return (np.empty(n), *(np.empty(n - 1) for _ in range(4)))
+
+
+def _flux_divergence(u: np.ndarray, nu: float, dx: float, buffers: tuple | None = None):
     """nu times the flux divergence of u, with the half-node means, their squares
-    and the differences of u."""
-    mid = 0.5 * (u[:-1] + u[1:])
-    mid2 = mid**2
-    d = u[1:] - u[:-1]
-    flux = d / (dx * mid2)
-    out = np.empty(len(u))
-    out[1:-1] = nu * (flux[1:] - flux[:-1]) / dx
+    and the differences of u.
+
+    They are written into buffers, _flux_buffers(len(u)), or fresh arrays if None.
+    """
+    out, mid, mid2, d, flux = buffers or _flux_buffers(len(u))
+    np.add(u[:-1], u[1:], out=mid)
+    mid *= 0.5
+    np.square(mid, out=mid2)
+    np.subtract(u[1:], u[:-1], out=d)
+    np.multiply(mid2, dx, out=flux)
+    np.divide(d, flux, out=flux)    # d / (dx mid²)
+    inner = np.subtract(flux[1:], flux[:-1], out=out[1:-1])
+    inner *= nu
+    inner /= dx
     out[0] = nu * flux[0] / (0.5 * dx)
     out[-1] = -nu * flux[-1] / (0.5 * dx)
     return out, mid, mid2, d
@@ -141,37 +154,49 @@ def rhs(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> np.ndarray:
     return _rhs_terms(u, f, nu, dx)[0]
 
 
-def _jacobian_bands(mid, mid2, d, nu: float, dx: float, dt: float, packed: np.ndarray):
+def _band_scratch(m: int) -> tuple:
+    """_jacobian_bands' buffers for m = n - 1 half nodes: 1/mid², d/mid³ and
+    the (2, m) flux derivatives."""
+    return np.empty(m), np.empty(m), np.empty((2, m))
+
+
+def _jacobian_bands(mid, mid2, d, nu: float, dx: float, dt: float, packed: np.ndarray,
+                    scratch: tuple | None = None):
     """Bands (lower, diag, upper) of I - dt * d(rhs)/du, written into packed.
 
     They fill packed[:3n - 2] in _solve_packed's order and are returned as
     views of it.  mid, mid2 and d are those _rhs_terms returns at the
     linearization point.  Row i is divided by its control-volume width: dx,
-    or dx/2 at the ends.
+    or dx/2 at the ends.  The temporaries are written into scratch,
+    _band_scratch(n - 1), or fresh arrays if None.
     """
     m = len(mid)    # n - 1
     lower, diag, upper = packed[:m], packed[m:2 * m + 1], packed[2 * m + 1:3 * m + 1]
+    a, c, dF = scratch or _band_scratch(m)
     half = 0.5 * dx
-    a = 1.0 / mid2
-    c = d / mid**3
+    np.divide(1.0, mid2, out=a)
+    np.power(mid, 3, out=c)
+    np.divide(d, c, out=c)      # d / mid³
     # flux_k = a(m_k) d_k / dx with m_k the arithmetic mean of the neighbors
-    dF_left = (-a - c) / dx     # d flux_k / d u_k
-    dF_right = (a - c) / dx     # d flux_k / d u_{k+1}
+    dF_left, dF_right = dF      # d flux_k / d u_k and d flux_k / d u_{k+1}
+    np.negative(a, out=dF_left)
+    dF_left -= c
+    np.subtract(a, c, out=dF_right)
+    dF /= dx
     # lower[i] = -dt * d rhs_{i+1} / d u_i and upper[i] = -dt * d rhs_i / d u_{i+1}
     np.multiply(-nu, dF_left, out=lower)
     lower /= dx
     lower[-1] = -nu * dF_left[-1] / half
-    lower *= -dt
     np.multiply(nu, dF_right, out=upper)
     upper /= dx
     upper[0] = nu * dF_right[0] / half
-    upper *= -dt
     inner = np.subtract(dF_left[1:], dF_right[:-1], out=diag[1:-1])
-    inner *= nu                 # d rhs_i / d u_i, then 1 - dt times it
+    inner *= nu                 # d rhs_i / d u_i
     inner /= dx
     diag[0] = nu * dF_left[0] / half
     diag[-1] = -nu * dF_right[-1] / half
-    diag *= -dt
+    bands = packed[:3 * m + 1]  # lower, diag and upper, each then -dt times itself
+    bands *= -dt
     diag += 1.0
     return lower, diag, upper
 
@@ -200,14 +225,15 @@ _ONE = ctypes.c_int64(1)    # nrhs, which gtsv only reads
 
 
 def _gtsv_arguments(packed: np.ndarray):
-    """gtsv's eight arguments that solve packed in place, and the info they point to."""
+    """gtsv's eight arguments that solve packed in place, the info they point to,
+    and a mask for _solve_packed's finiteness check."""
     n = (len(packed) + 2) // 4
     rows, info = ctypes.c_int64(n), ctypes.c_int64()
     at = ctypes.addressof(ctypes.c_char.from_buffer(packed))
     # byref keeps rows and info alive; the addresses need packed kept alive
     args = (ctypes.byref(rows), ctypes.byref(_ONE), at, at + 8 * (n - 1),
             at + 8 * (2 * n - 1), at + 8 * (3 * n - 2), ctypes.byref(rows), ctypes.byref(info))
-    return args, info
+    return args, info, np.empty(len(packed), dtype=bool)
 
 
 def _solve_packed(packed: np.ndarray, bound=None) -> np.ndarray:
@@ -218,10 +244,10 @@ def _solve_packed(packed: np.ndarray, bound=None) -> np.ndarray:
     for a buffer solved many times, or None.  ValueError on a non-finite
     value, and LinAlgError on a singular matrix.
     """
-    if np.count_nonzero(np.isfinite(packed)) < len(packed):
+    args, info, finite = bound or _gtsv_arguments(packed)
+    if np.count_nonzero(np.isfinite(packed, out=finite)) < len(packed):
         raise ValueError("tridiagonal system contains infs or NaNs")
     n = (len(packed) + 2) // 4
-    args, info = bound or _gtsv_arguments(packed)
     _gtsv(*args)
     if info.value:
         raise LinAlgError(f"singular matrix (gtsv info={info.value})")
@@ -247,13 +273,18 @@ def tridiag_solve(lower, diag, upper, b):
 
 
 class Workspace:
-    """What the steps of one march share: buffers, and the flux terms they carry.
+    """What the steps of one march share: every n-sized buffer, and the flux terms they carry.
 
     packed is the (lower, diag, upper, b) buffer gtsv solves in place, with
-    its call arguments bound once.  u is the last iterate a step accepted and
-    flux its _flux_divergence terms, which the next step, starting from that
-    very array, takes in place of computing them again.  A workspace serves
-    the steps of one config.
+    its call arguments and finiteness mask bound once.  terms, res and
+    scratch take each iterate's _flux_divergence terms, its residual and the
+    temporaries of both, bands the Jacobian's temporaries, and diagnostic the
+    rows, gradients and integrands of `diagnostics`.  A step allocates only
+    its trial iterates, each a fresh array, so an array `step` returns is
+    never written again.  u is the last iterate a step accepted and flux its
+    terms, which the next step, starting from that very array, takes in
+    place of computing them again.  A workspace serves the steps and
+    diagnostics of one config, one call at a time.
     """
 
     def __init__(self, cfg: SimulationConfig):
@@ -262,37 +293,57 @@ class Workspace:
         self.packed = np.empty(4 * n - 2)
         self.b = self.packed[3 * n - 2:]
         self.gtsv = _gtsv_arguments(self.packed)
+        self.terms = _flux_buffers(n)
+        self.diagnostic = _diagnostic_buffers(n)
+        # neither a step nor a diagnostics row runs inside the other, so the
+        # step's residual and Jacobian temporaries take the memory of the
+        # integrands, which are spent between rows
+        m = n - 1
+        res, scratch, a, c, dF, _ = np.split(self.diagnostic[2].reshape(-1),
+                                             np.cumsum((n, n, m, m, 2 * m)))
+        self.res, self.scratch, self.bands = res, scratch, (a, c, dF.reshape(2, m))
         self.u = self.flux = None
+
+    def check(self, cfg: SimulationConfig) -> None:
+        """ValueError unless the workspace was made for cfg."""
+        if self.cfg is not cfg:
+            raise ValueError("the workspace belongs to another config")
 
 
 def step(un: np.ndarray, t: float, cfg: SimulationConfig,
          work: Workspace | None = None) -> tuple[np.ndarray, int]:
     """One implicit-Euler step of the nodal values un from t to t + dt.
 
-    Returns the new values and the Newton iteration count.  They are finite:
-    the loop ends only on a residual at most newton_tol, which is finite.
-    work is the march's Workspace for cfg, or None for a fresh one.  When un
-    is the very array the last step with this workspace returned, unchanged
-    since, the step takes its flux terms from the workspace instead of
-    computing them again; the result has the same bits either way.
+    Returns the new values, a fresh array, and the Newton iteration count.
+    They are finite: the loop ends only on a residual at most newton_tol,
+    which is finite.  work is the march's Workspace for cfg, or None for a
+    fresh one; the step writes its flux terms, residuals and bands into it
+    and allocates only the trial iterates.  When un is the very array the
+    last step with this workspace returned, unchanged since, the step takes
+    its flux terms from the workspace instead of computing them again; the
+    result has the same bits either way.
     """
     dx, dt, nu, floor = cfg.grid.dx, cfg.dt, cfg.nu, cfg.positivity_floor
     if work is None:
         work = Workspace(cfg)
-    elif work.cfg is not cfg:
-        raise ValueError("the workspace belongs to another config")
-    packed = work.packed
+    work.check(cfg)
+    packed, scratch = work.packed, work.scratch
     f = cfg.source.at(t + dt)
 
     def residual(v, flux):
-        res = flux[0] + f       # rhs(v), then dt times it
+        """The norm of v's residual, which is written into work.res."""
+        res = np.add(flux[0], f, out=work.res)  # rhs(v), then dt times it
         res *= dt
-        np.subtract(v - un, res, out=res)
-        return res, float(np.abs(res).max())
+        np.subtract(np.subtract(v, un, out=scratch), res, out=res)
+        return float(np.abs(res, out=scratch).max())
 
     v = un
-    flux = work.flux if un is work.u else _flux_divergence(un, nu, dx)
-    res, res_norm = residual(v, flux)
+    flux = work.flux if un is work.u else _flux_divergence(un, nu, dx, work.terms)
+    # one set of buffers serves the iterate and its trials: the iterate's
+    # terms and residual are last read to build its system, before any trial
+    # rewrites them, so until the step returns they belong to no array
+    work.u = None
+    res_norm = residual(v, flux)
     iters = 0
     polish = False
     while True:
@@ -304,8 +355,8 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig,
             raise SolverError(
                 f"Newton stalled at t={t + dt:.6g} with residual {res_norm:.3g}"
             )
-        _jacobian_bands(*flux[1:], nu, dx, dt, packed)
-        np.negative(res, out=work.b)
+        _jacobian_bands(*flux[1:], nu, dx, dt, packed, work.bands)
+        np.negative(work.res, out=work.b)
         try:
             dv = _solve_packed(packed, work.gtsv)    # lives in packed until the next solve
         except ValueError as err:  # LinAlgError included
@@ -315,8 +366,8 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig,
             trial = v + dv if lam == 1.0 else v + lam * dv  # 1.0 * dv is dv
             # a NaN entry makes min() NaN, which fails the test
             if trial.min() > floor:
-                trial_flux = _flux_divergence(trial, nu, dx)
-                trial_res, trial_norm = residual(trial, trial_flux)
+                trial_flux = _flux_divergence(trial, nu, dx, work.terms)
+                trial_norm = residual(trial, trial_flux)
                 if trial_norm < res_norm or res_norm <= cfg.newton_tol:
                     break
             lam *= 0.5
@@ -326,34 +377,55 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig,
                 f"(solution near the singular set u=0)"
             )
         # every accepted iterate lies above the positivity floor
-        v, res, res_norm, flux = trial, trial_res, trial_norm, trial_flux
+        v, res_norm, flux = trial, trial_norm, trial_flux
         iters += 1
     work.u, work.flux = v, flux
     return v, iters
 
 
+def _diagnostic_buffers(n: int) -> tuple:
+    """diagnostics' buffers at n nodes: (3, n) rows, their gradients, (6, n)
+    integrands, the integrands' (6, n - 1) trapezoid panels and one row.
+
+    The panels take the memory of the rows and gradients, which are spent
+    by the time the panels are written.
+    """
+    spent = np.empty(6 * n)
+    return (spent[:3 * n].reshape(3, n), spent[3 * n:].reshape(3, n), np.empty((6, n)),
+            spent[:6 * (n - 1)].reshape(6, n - 1), np.empty(n))
+
+
 def diagnostics(uv: np.ndarray, t: float, cfg: SimulationConfig,
-                steady: SteadyState) -> tuple:
+                steady: SteadyState, work: Workspace | None = None) -> tuple:
     """Energy/norm diagnostics of the nodal values uv: DIAGNOSTIC_COLUMNS but the last.
 
-    One gradient and one trapezoid over rows, each row with the bits it has alone.
+    One gradient and one trapezoid over rows, each row with the bits it has
+    alone.  They are computed in the buffers of work, the march's Workspace
+    for cfg, or in fresh ones if None.
     """
     dx = cfg.grid.dx
     sqrt_nu = math.sqrt(cfg.nu)
     q_inf, inverse_u_inf = steady.inverse_profiles
-    rows = np.empty((3, len(uv)))    # q = sqrt(nu)/u, q - q_inf and y = 1/u - 1/u_inf
+    if work is not None:
+        work.check(cfg)
+    # rows: q = sqrt(nu)/u, q - q_inf and y = 1/u - 1/u_inf; integrands: qx²,
+    # wx², yx², the energy density, u and y²
+    rows, grads, integrands, panels, fq = (
+        _diagnostic_buffers(len(uv)) if work is None else work.diagnostic)
     q = np.divide(sqrt_nu, uv, out=rows[0])
     np.subtract(q, q_inf, out=rows[1])
     y = np.divide(1.0, uv, out=rows[2])
     y -= inverse_u_inf
     f = cfg.source.at(t)
-    integrands = np.empty((6, len(uv)))    # qx², wx², yx², the energy density, u and y²
-    grads = gradient(rows, dx)
+    gradient(rows, dx, out=grads)
     np.multiply(grads, grads, out=integrands[:3])
-    integrands[3] = integrands[0] * 0.5 + f * q * (1.0 / sqrt_nu)
+    density = np.multiply(integrands[0], 0.5, out=integrands[3])
+    np.multiply(f, q, out=fq)
+    fq *= 1.0 / sqrt_nu
+    density += fq
     integrands[4] = uv
     np.multiply(y, y, out=integrands[5])
-    qx2, wx2, yx2, energy, mass, y2 = trapezoid(integrands, dx).tolist()
+    qx2, wx2, yx2, energy, mass, y2 = trapezoid(integrands, dx, out=panels).tolist()
     return (t, mass, energy, 0.5 * wx2, math.sqrt(y2 + yx2), math.sqrt(qx2),
             float(uv.min()), float(uv.max()))
 
@@ -363,10 +435,12 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
 
     The march steps plain arrays; only the snapshots are Fields, and the
     forcing is read as arrays, through the source's memo `at`.  Its steps
-    share one Workspace: the buffer gtsv solves in place, with its arguments
-    bound once, and the flux terms of each step's last iterate, which the
-    next step's first residual reuses.  The diagnostics fill one
-    (steps + 1) x 9 array, a row per recorded time; its columns, each
+    and diagnostics share one Workspace: every n-sized buffer they write,
+    the gtsv buffer among them with its arguments bound once, and the flux
+    terms of each step's last iterate, which the next step's first residual
+    reuses.  So a step allocates only its trial iterates, and the march's
+    memory is bounded by its state and its record.  The diagnostics fill
+    one (steps + 1) x 9 array, a row per recorded time; its columns, each
     contiguous, become the record's series.  On a solver
     failure the array is cut at the last completed step and the partial
     record is returned with the failure annotated rather than lost.
@@ -382,11 +456,11 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
     n_steps = step_count(cfg.t_end, cfg.dt)
     data = np.empty((n_steps + 1, len(DIAGNOSTIC_COLUMNS)), order="F")
     u = cfg.u0.values
-    data[0] = (*diagnostics(u, 0.0, cfg, steady), 0)
+    work = Workspace(cfg)
+    data[0] = (*diagnostics(u, 0.0, cfg, steady, work=work), 0)
     snapshot_times, snapshots = [0.0], [cfg.u0]
     failure = failure_time = fixed_point_time = None
     static = not cfg.source.time_dependent
-    work = Workspace(cfg)
     done = n_steps
     for k in range(n_steps):
         t = k * cfg.dt
@@ -397,7 +471,7 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
             failure, failure_time, done = str(err), t, k
             break
         t_new = (k + 1) * cfg.dt
-        data[k + 1] = (*diagnostics(u, t_new, cfg, steady), iters)
+        data[k + 1] = (*diagnostics(u, t_new, cfg, steady, work=work), iters)
         if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == n_steps:
             snapshot_times.append(t_new)
             snapshots.append(Field(cfg.grid, u))

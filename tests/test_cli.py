@@ -11,6 +11,7 @@ import pytest
 from numpy.linalg import LinAlgError
 
 from singheat import lagrangian, solver
+from singheat.source import SourceTerm
 from singheat.cli import main
 from singheat.grid import Grid
 from singheat.lagrangian import initial_map
@@ -220,6 +221,25 @@ def test_failed_newton_solve_exits_as_solver_failure(tmp_path, monkeypatch, caps
     cfg = write_config(tmp_path, "source = zero\nnu = 1\nn = 21\nt_end = 0.01\n")
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "solver failure: Newton solve failed at t=0.001" in capsys.readouterr().err
+
+
+def test_value_error_inside_a_march_is_no_config_error(tmp_path, monkeypatch, capsys):
+    # a forcing sample that turns non-finite mid-march is a fault of the
+    # run, found after the inputs were built and the output begun
+    def nonfinite_after_five_steps(self, t):
+        if t > 0.0055:
+            raise ValueError("field contains non-finite values")
+        return at(self, t)
+
+    at = SourceTerm.at
+    monkeypatch.setattr(SourceTerm, "at", nonfinite_after_five_steps)
+    cfg = write_config(tmp_path, "source = cosine_exp 1\nnu = 10\nn = 21\nt_end = 0.01\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert "internal error: field contains non-finite values" in err
+    assert "config error" not in err
+    assert (out / "manifest.json").exists()
 
 
 #: a march of 10 steps at n = 21 for each command that marches u

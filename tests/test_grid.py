@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from singheat.grid import (
+    CSV_BLOCK_ROWS,
     Field,
     Grid,
     antiderivative,
@@ -158,6 +160,40 @@ def test_csv_writer_gives_arrays_and_lists_the_same_bytes(tmp_path):
         b"1.0000000000000001e+300,-1.0000000000000001e+300", b"nan,nan", b"-inf,inf"]
 
 
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                  3 * CSV_BLOCK_ROWS + 7])
+def test_csv_blocks_give_the_bytes_of_one_pass(tmp_path, rows):
+    # the rows written block by block are the rows formatted in one pass
+    rng = np.random.default_rng(rows)
+    columns = (rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+               np.arange(rows, dtype=float), rng.uniform(size=rows))
+    path = tmp_path / "blocks.csv"
+    write_csv(path, ("a", "b", "c"), columns)
+    expected = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                   for row in zip(*(col.tolist() for col in columns)))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_csv_writer_memory_is_one_block(tmp_path):
+    # 200,000 rows turned into Python floats all at once take about 6 MB
+    rows = 200_000
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "long.csv", ("x",), (np.linspace(0.0, 1.0, rows),))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert len((tmp_path / "long.csv").read_bytes().splitlines()) == rows + 1
+
+
+def test_csv_writer_refuses_columns_of_unequal_length(tmp_path):
+    # zip would cut every column to the shortest
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError, match=r"one length, got lengths \[2, 3\]"):
+        write_csv(path, ("a", "b"), (np.zeros(3), [1.0, 2.0]))
+
+
 def test_csv_on_grid_checks_node_count(tmp_path):
     path = tmp_path / "field.csv"
     write_field_csv(path, make(21, np.cos))
@@ -174,6 +210,10 @@ def test_array_kernels_match_numpy_bit_for_bit(n):
         y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6)
         assert np.array_equal(gradient(y, dx), np.gradient(y, dx, edge_order=2))
         assert trapezoid(y, dx) == float(np.trapezoid(y, dx=dx))
+    # integer samples are summed as floats, which the in-place kernels write
+    k = np.arange(n) ** 2
+    assert np.array_equal(gradient(k, dx), np.gradient(k, dx, edge_order=2))
+    assert trapezoid(k, dx) == float(np.trapezoid(k, dx=dx))
 
 
 @pytest.mark.parametrize("n", [3, 4, 401])

@@ -1,5 +1,9 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -533,6 +537,61 @@ def test_step_refuses_the_workspace_of_another_config():
         step(cfg.u0.values, 0.0, cfg, solver.Workspace(other))
 
 
+def test_arrays_a_step_returns_are_never_written_again():
+    # the workspace's buffers are rewritten by every step; the values each
+    # step returns, which snapshots and the next step hold, are not
+    g = Grid(51)
+    cfg = flat_config(51, u0=_inverse_sine(g, 0.3), source=make_source(g, "cosine_exp 1.5"))
+    ss = steady_profile(cfg.source, cfg.nu)
+    work = solver.Workspace(cfg)
+    u, kept = cfg.u0.values, []
+    for k in range(5):
+        u, _ = step(u, k * cfg.dt, cfg, work=work)
+        kept.append((u, u.copy()))
+        row = diagnostics(u, (k + 1) * cfg.dt, cfg, ss, work=work)
+        assert row == diagnostics(u, (k + 1) * cfg.dt, cfg, ss)
+    assert all(np.array_equal(a, b) for a, b in kept)
+    assert len({id(a) for a, _ in kept}) == 5
+
+
+#: a warm march at n = 6401 in a fresh interpreter that loads no scipy, whose
+#: import raises glibc's dynamic mmap and trim thresholds and would hide the
+#: churn; prints the minor page faults per step of steps 11 to 29, each with
+#: its diagnostics row
+WARM_MARCH = """
+import resource
+import numpy as np
+from singheat import solver
+from singheat.grid import Field, Grid
+from singheat.source import make_source
+g = Grid(6401)
+cfg = solver.SimulationConfig(nu=1.0, grid=g, u0=Field(g, np.ones(g.n)),
+                              source=make_source(g, "cosine_exp 1"), dt=1e-5, t_end=3e-4)
+faults, step = [], solver.step
+def counted(*args, **kwargs):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return step(*args, **kwargs)
+solver.step = counted
+record = solver.simulate(cfg)
+assert record.failure is None, record.failure
+print((faults[-1] - faults[10]) / (len(faults) - 11))
+"""
+
+
+def test_march_memory_is_not_trimmed_and_faulted_in_again():
+    # n-sized temporaries past glibc's 128 KiB thresholds are given back to
+    # the system and faulted in again on every Newton trial and diagnostics
+    # row: about 130 minor faults per step here when each step allocates
+    # them, and none with the workspace's buffers
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", WARM_MARCH],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 5
+
+
 # --- a reference march for the bits -----------------------------------------
 # The residual and Jacobian bands built with a control-volume width array and
 # padded bands, the solve through scipy's solve_banded (the same LAPACK gtsv),
@@ -613,7 +672,8 @@ def _reference_step(un, t, cfg, work=None, damped=None):
     return v, iters
 
 
-def _reference_diagnostics(uv, t, cfg, steady):
+def _reference_diagnostics(uv, t, cfg, steady, work=None):
+    """The reference diagnostics; it ignores the workspace."""
     dx = cfg.grid.dx
     sqrt_nu = math.sqrt(cfg.nu)
     q = sqrt_nu / uv
