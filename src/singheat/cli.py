@@ -13,13 +13,15 @@ inhomogeneous otherwise.  Identical configs give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import lagrangian
+from . import __version__, lagrangian
 from .constants import TheoremConstants
 from .decay import (
     check_gradient_energy_envelope, check_homogeneous_envelope, envelope_csv, homogeneous_bound,
@@ -131,11 +133,16 @@ def _build_sim_config(cfg: dict) -> SimulationConfig:
 
 
 def _write_manifest(out: Path, command: str, config_path) -> None:
+    """What ran: the command, its config file and the sha256 of its bytes, and the versions."""
     write_json(out / "manifest.json", {
         "command": command,
         "config_path": str(config_path) if config_path else None,
+        "config_sha256": (hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
+                          if config_path else None),
         "output_dir": str(out),
         "seedless": True,
+        "versions": {"singheat": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__},
     })
 
 

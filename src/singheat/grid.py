@@ -55,29 +55,52 @@ class Field:
         return Field(self.grid, values)
 
 
-def trapezoid(y: np.ndarray, dx: float, out: np.ndarray | None = None):
+def const(value) -> np.ndarray:
+    """value as a read-only 0-d float64 array: an operand numpy's ufuncs take as
+    it is, where they turn a Python float into an array on every call."""
+    value = np.array(value, dtype=float)
+    value.setflags(write=False)
+    return value
+
+
+HALF, ONE = const(0.5), const(1.0)
+
+
+def _panels(y: np.ndarray, dx, out: np.ndarray | None = None) -> np.ndarray:
+    """The panels dx (y[k + 1] + y[k]) / 2 along the last axis, as numpy's trapezoid
+    and scipy's cumulative_trapezoid compute them, in out (a float array one node
+    shorter than y) or a fresh array.  dx is a float or a const.  The halving is a
+    product by 0.5, the correctly rounded x / 2 for every float64, as / 2.0 is."""
+    if out is None:
+        out = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
+    terms = np.add(y[..., 1:], y[..., :-1], out)
+    terms *= dx
+    terms *= HALF
+    return terms
+
+
+def trapezoid(y: np.ndarray, dx, out: np.ndarray | None = None):
     """np.trapezoid(y, dx=dx) along the last axis, with the same operations in order.
 
     A 1-D y gives a float; a (rows x nodes) y gives one value per row, each
-    with the bits of that row alone.  The panel terms are written into out,
-    shaped as y but one node shorter, or a fresh array if None.
+    with the bits of that row alone.  The panels are written into out, or a
+    fresh array if None.
     """
-    terms = np.add(y[..., 1:], y[..., :-1], out=out, dtype=float)
-    terms *= dx
-    terms /= 2.0
-    sums = terms.sum(-1)
+    sums = np.add.reduce(_panels(y, dx, out), -1)
     return float(sums) if y.ndim == 1 else sums
 
 
-def gradient(y: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+def gradient(y: np.ndarray, dx: float, out: np.ndarray | None = None,
+             two_dx: np.ndarray | None = None) -> np.ndarray:
     """np.gradient(y, dx, edge_order=2) of each row (along the last axis), with its bits.
 
-    Written into out, shaped as y, or a fresh array if None.
+    Written into out, shaped as y, or a fresh array if None.  two_dx is
+    const(2.0 * dx), for a caller that makes many calls, or None.
     """
     if out is None:
         out = np.empty(y.shape)
-    inner = np.subtract(y[..., 2:], y[..., :-2], out=out[..., 1:-1])
-    inner /= 2.0 * dx
+    inner = np.subtract(y[..., 2:], y[..., :-2], out[..., 1:-1])
+    inner /= 2.0 * dx if two_dx is None else two_dx
     # the one-sided ends row by row on Python floats, in numpy's order: for
     # the few rows callers pass, faster than numpy calls on the end columns
     a0, a1, a2 = -1.5 / dx, 2.0 / dx, -0.5 / dx
@@ -90,9 +113,12 @@ def gradient(y: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def l2(y: np.ndarray, dx: float):
-    """L2 norm along the last axis: a float for 1-D y, one value per row otherwise."""
-    sq = trapezoid(y * y, dx)
+def l2(y: np.ndarray, dx: float, out: np.ndarray | None = None):
+    """L2 norm along the last axis: a float for 1-D y, one value per row otherwise.
+
+    The squares are written into out, shaped as y (y itself will do), or a fresh array if None.
+    """
+    sq = trapezoid(np.multiply(y, y, out), dx)
     return math.sqrt(sq) if y.ndim == 1 else np.sqrt(sq)
 
 
@@ -103,7 +129,7 @@ def primitive(y: np.ndarray, dx: float) -> np.ndarray:
     bits scipy gives for it alone.
     """
     out = np.zeros(y.shape)
-    np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    np.add.accumulate(_panels(y, dx), -1, None, out[..., 1:])
     return out
 
 
@@ -170,10 +196,25 @@ def write_csv(path, header, columns) -> None:
             fh.writelines(row.format(*values) for values in zip(*block))
 
 
+def _strict(value):
+    """value with each non-finite float as None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
+    return value
+
+
 def write_json(path, data) -> None:
-    """Two-space-indented JSON with a trailing newline."""
+    """Two-space-indented JSON with a trailing newline.
+
+    It is RFC 8259 JSON, which has no NaN or infinity: a non-finite float
+    is written as null.
+    """
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, default=float)
+        json.dump(_strict(data), fh, indent=2, default=float, allow_nan=False)
         fh.write("\n")
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import QuenchError, SolverError
-from .grid import Field, Grid, gradient, trapezoid, write_csv
+from .grid import HALF, ONE, Field, Grid, const, gradient, trapezoid, write_csv
 from .source import SourceTerm
 from .steady import SteadyState, steady_profile
 
@@ -117,28 +117,34 @@ class SimulationRecord:
 
 def _flux_buffers(n: int) -> tuple:
     """Buffers for _flux_divergence at n nodes: the divergence, then the
-    half-node means, their squares, the differences of u and the fluxes."""
-    return (np.empty(n), *(np.empty(n - 1) for _ in range(4)))
+    half-node means, their squares, the differences of u and the fluxes;
+    then the views of them it writes: the divergence but its ends, and the
+    fluxes but the first and but the last."""
+    out, flux = np.empty(n), np.empty(n - 1)
+    return (out, *(np.empty(n - 1) for _ in range(3)), flux, out[1:-1], flux[1:], flux[:-1])
 
 
-def _flux_divergence(u: np.ndarray, nu: float, dx: float, buffers: tuple | None = None):
+def _flux_divergence(u: np.ndarray, nu, dx, buffers: tuple | None = None):
     """nu times the flux divergence of u, with the half-node means, their squares
     and the differences of u.
 
-    They are written into buffers, _flux_buffers(len(u)), or fresh arrays if None.
+    They are written into buffers, _flux_buffers(len(u)), or fresh arrays if
+    None.  nu and dx are floats or consts.
     """
-    out, mid, mid2, d, flux = buffers or _flux_buffers(len(u))
-    np.add(u[:-1], u[1:], out=mid)
-    mid *= 0.5
-    np.square(mid, out=mid2)
-    np.subtract(u[1:], u[:-1], out=d)
-    np.multiply(mid2, dx, out=flux)
-    np.divide(d, flux, out=flux)    # d / (dx mid²)
-    inner = np.subtract(flux[1:], flux[:-1], out=out[1:-1])
+    out, mid, mid2, d, flux, inner, right, left = buffers or _flux_buffers(len(u))
+    lo, hi = u[:-1], u[1:]
+    np.add(lo, hi, mid)
+    mid *= HALF
+    np.square(mid, mid2)
+    np.subtract(hi, lo, d)
+    np.multiply(mid2, dx, flux)
+    np.divide(d, flux, flux)    # d / (dx mid²)
+    np.subtract(right, left, inner)
     inner *= nu
     inner /= dx
-    out[0] = nu * flux[0] / (0.5 * dx)
-    out[-1] = -nu * flux[-1] / (0.5 * dx)
+    nu, half = float(nu), 0.5 * float(dx)
+    out[0] = nu * flux[0] / half
+    out[-1] = -nu * flux[-1] / half
     return out, mid, mid2, d
 
 
@@ -154,13 +160,22 @@ def rhs(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> np.ndarray:
     return _rhs_terms(u, f, nu, dx)[0]
 
 
-def _band_scratch(m: int) -> tuple:
-    """_jacobian_bands' buffers for m = n - 1 half nodes: 1/mid², d/mid³ and
-    the (2, m) flux derivatives."""
-    return np.empty(m), np.empty(m), np.empty((2, m))
+_CUBE = const(3.0)
 
 
-def _jacobian_bands(mid, mid2, d, nu: float, dx: float, dt: float, packed: np.ndarray,
+def _band_scratch(m: int, packed: np.ndarray, nu: float, dt: float,
+                  memory: np.ndarray | None = None) -> tuple:
+    """_jacobian_bands' scratch for m = n - 1 half nodes, nu and dt: 1/mid², d/mid³
+    and the (2, m) flux derivatives, in memory (4m values) or fresh if None; the
+    views of them and of packed that it writes; and -nu and -dt as consts."""
+    memory = np.empty(4 * m) if memory is None else memory
+    a, c, dF = memory[:m], memory[m:2 * m], memory[2 * m:4 * m].reshape(2, m)
+    lower, diag, upper = packed[:m], packed[m:2 * m + 1], packed[2 * m + 1:3 * m + 1]
+    return (a, c, dF, *dF, dF[0, 1:], dF[1, :-1], lower, diag, upper, diag[1:-1],
+            packed[:3 * m + 1], const(-nu), const(-dt))
+
+
+def _jacobian_bands(mid, mid2, d, nu, dx, dt, packed: np.ndarray,
                     scratch: tuple | None = None):
     """Bands (lower, diag, upper) of I - dt * d(rhs)/du, written into packed.
 
@@ -168,36 +183,35 @@ def _jacobian_bands(mid, mid2, d, nu: float, dx: float, dt: float, packed: np.nd
     views of it.  mid, mid2 and d are those _rhs_terms returns at the
     linearization point.  Row i is divided by its control-volume width: dx,
     or dx/2 at the ends.  The temporaries are written into scratch,
-    _band_scratch(n - 1), or fresh arrays if None.
+    _band_scratch(n - 1, packed, nu, dt), or fresh arrays if None.  nu, dx
+    and dt are floats or consts.
     """
-    m = len(mid)    # n - 1
-    lower, diag, upper = packed[:m], packed[m:2 * m + 1], packed[2 * m + 1:3 * m + 1]
-    a, c, dF = scratch or _band_scratch(m)
-    half = 0.5 * dx
-    np.divide(1.0, mid2, out=a)
-    np.power(mid, 3, out=c)
-    np.divide(d, c, out=c)      # d / mid³
-    # flux_k = a(m_k) d_k / dx with m_k the arithmetic mean of the neighbors
-    dF_left, dF_right = dF      # d flux_k / d u_k and d flux_k / d u_{k+1}
-    np.negative(a, out=dF_left)
+    (a, c, dF, dF_left, dF_right, left_tail, right_head, lower, diag, upper, inner, bands,
+     neg_nu, neg_dt) = scratch or _band_scratch(len(mid), packed, float(nu), float(dt))
+    np.divide(ONE, mid2, a)
+    np.power(mid, _CUBE, c)
+    np.divide(d, c, c)          # d / mid³
+    # flux_k = a(m_k) d_k / dx with m_k the arithmetic mean of the neighbors;
+    # dF_left = d flux_k / d u_k and dF_right = d flux_k / d u_{k+1}
+    np.negative(a, dF_left)
     dF_left -= c
-    np.subtract(a, c, out=dF_right)
+    np.subtract(a, c, dF_right)
     dF /= dx
     # lower[i] = -dt * d rhs_{i+1} / d u_i and upper[i] = -dt * d rhs_i / d u_{i+1}
-    np.multiply(-nu, dF_left, out=lower)
+    np.multiply(neg_nu, dF_left, lower)
     lower /= dx
-    lower[-1] = -nu * dF_left[-1] / half
-    np.multiply(nu, dF_right, out=upper)
+    np.multiply(nu, dF_right, upper)
     upper /= dx
-    upper[0] = nu * dF_right[0] / half
-    inner = np.subtract(dF_left[1:], dF_right[:-1], out=diag[1:-1])
+    np.subtract(left_tail, right_head, inner)
     inner *= nu                 # d rhs_i / d u_i
     inner /= dx
+    nu, half = float(nu), 0.5 * float(dx)   # the end rows' volumes are dx/2 wide
+    lower[-1] = -nu * dF_left[-1] / half
+    upper[0] = nu * dF_right[0] / half
     diag[0] = nu * dF_left[0] / half
     diag[-1] = -nu * dF_right[-1] / half
-    bands = packed[:3 * m + 1]  # lower, diag and upper, each then -dt times itself
-    bands *= -dt
-    diag += 1.0
+    bands *= neg_dt             # lower, diag and upper, each -dt times itself
+    diag += ONE
     return lower, diag, upper
 
 
@@ -221,19 +235,19 @@ def _lapack_gtsv(lib):
 
 # a symbol lookup on numpy's linalg extension also searches the OpenBLAS it links
 _gtsv = _lapack_gtsv(ctypes.CDLL(_umath_linalg.__file__))
-_ONE = ctypes.c_int64(1)    # nrhs, which gtsv only reads
+_NRHS = ctypes.c_int64(1)   # which gtsv only reads
 
 
 def _gtsv_arguments(packed: np.ndarray):
     """gtsv's eight arguments that solve packed in place, the info they point to,
-    and a mask for _solve_packed's finiteness check."""
+    a mask for _solve_packed's finiteness check, and the view of x."""
     n = (len(packed) + 2) // 4
     rows, info = ctypes.c_int64(n), ctypes.c_int64()
     at = ctypes.addressof(ctypes.c_char.from_buffer(packed))
     # byref keeps rows and info alive; the addresses need packed kept alive
-    args = (ctypes.byref(rows), ctypes.byref(_ONE), at, at + 8 * (n - 1),
+    args = (ctypes.byref(rows), ctypes.byref(_NRHS), at, at + 8 * (n - 1),
             at + 8 * (2 * n - 1), at + 8 * (3 * n - 2), ctypes.byref(rows), ctypes.byref(info))
-    return args, info, np.empty(len(packed), dtype=bool)
+    return args, info, np.empty(len(packed), dtype=bool), packed[3 * n - 2:]
 
 
 def _solve_packed(packed: np.ndarray, bound=None) -> np.ndarray:
@@ -244,14 +258,13 @@ def _solve_packed(packed: np.ndarray, bound=None) -> np.ndarray:
     for a buffer solved many times, or None.  ValueError on a non-finite
     value, and LinAlgError on a singular matrix.
     """
-    args, info, finite = bound or _gtsv_arguments(packed)
-    if np.count_nonzero(np.isfinite(packed, out=finite)) < len(packed):
+    args, info, finite, x = bound or _gtsv_arguments(packed)
+    if np.count_nonzero(np.isfinite(packed, finite)) < len(packed):
         raise ValueError("tridiagonal system contains infs or NaNs")
-    n = (len(packed) + 2) // 4
     _gtsv(*args)
     if info.value:
         raise LinAlgError(f"singular matrix (gtsv info={info.value})")
-    return packed[3 * n - 2:]
+    return x
 
 
 def tridiag_solve(lower, diag, upper, b):
@@ -279,29 +292,33 @@ class Workspace:
     its call arguments and finiteness mask bound once.  terms, res and
     scratch take each iterate's _flux_divergence terms, its residual and the
     temporaries of both, bands the Jacobian's temporaries, and diagnostic the
-    rows, gradients and integrands of `diagnostics`.  A step allocates only
-    its trial iterates, each a fresh array, so an array `step` returns is
-    never written again.  u is the last iterate a step accepted and flux its
+    rows, gradients and integrands of `diagnostics`; each comes with the
+    fixed views of it that its writer takes.  A step allocates only its
+    trial iterates, each a fresh array, so an array `step` returns is never
+    written again.  u is the last iterate a step accepted and flux its
     terms, which the next step, starting from that very array, takes in
-    place of computing them again.  A workspace serves the steps and
-    diagnostics of one config, one call at a time.
+    place of computing them again.  The config's scalars that numpy takes
+    as operands are consts: dx, two_dx (2 dx), nu, dt, sqrt_nu and
+    inv_sqrt_nu (1/sqrt_nu).  A workspace serves the steps and diagnostics
+    of one config, one call at a time.
     """
 
     def __init__(self, cfg: SimulationConfig):
-        n = cfg.grid.n
+        n, m, dx, sqrt_nu = cfg.grid.n, cfg.grid.n - 1, cfg.grid.dx, math.sqrt(cfg.nu)
         self.cfg = cfg
+        self.dx, self.two_dx, self.nu, self.dt, self.sqrt_nu, self.inv_sqrt_nu = map(
+            const, (dx, 2.0 * dx, cfg.nu, cfg.dt, sqrt_nu, 1.0 / sqrt_nu))
         self.packed = np.empty(4 * n - 2)
-        self.b = self.packed[3 * n - 2:]
         self.gtsv = _gtsv_arguments(self.packed)
+        self.b = self.gtsv[3]
         self.terms = _flux_buffers(n)
         self.diagnostic = _diagnostic_buffers(n)
         # neither a step nor a diagnostics row runs inside the other, so the
         # step's residual and Jacobian temporaries take the memory of the
         # integrands, which are spent between rows
-        m = n - 1
-        res, scratch, a, c, dF, _ = np.split(self.diagnostic[2].reshape(-1),
-                                             np.cumsum((n, n, m, m, 2 * m)))
-        self.res, self.scratch, self.bands = res, scratch, (a, c, dF.reshape(2, m))
+        self.res, self.scratch, bands, _ = np.split(self.diagnostic[2].reshape(-1),
+                                                    (n, 2 * n, 2 * n + 4 * m))
+        self.bands = _band_scratch(m, self.packed, cfg.nu, cfg.dt, bands)
         self.u = self.flux = None
 
     def check(self, cfg: SimulationConfig) -> None:
@@ -323,19 +340,19 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig,
     its flux terms from the workspace instead of computing them again; the
     result has the same bits either way.
     """
-    dx, dt, nu, floor = cfg.grid.dx, cfg.dt, cfg.nu, cfg.positivity_floor
     if work is None:
         work = Workspace(cfg)
     work.check(cfg)
+    nu, dx, dt, floor, t_new = work.nu, work.dx, work.dt, cfg.positivity_floor, t + cfg.dt
     packed, scratch = work.packed, work.scratch
-    f = cfg.source.at(t + dt)
+    f = cfg.source.at(t_new)
 
     def residual(v, flux):
         """The norm of v's residual, which is written into work.res."""
-        res = np.add(flux[0], f, out=work.res)  # rhs(v), then dt times it
+        res = np.add(flux[0], f, work.res)  # rhs(v), then dt times it
         res *= dt
-        np.subtract(np.subtract(v, un, out=scratch), res, out=res)
-        return float(np.abs(res, out=scratch).max())
+        np.subtract(np.subtract(v, un, scratch), res, res)
+        return float(np.maximum.reduce(np.absolute(res, scratch)))
 
     v = un
     flux = work.flux if un is work.u else _flux_divergence(un, nu, dx, work.terms)
@@ -353,19 +370,19 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig,
             polish = True  # one extra iteration sharpens the mass balance
         elif iters >= cfg.newton_max_iter:
             raise SolverError(
-                f"Newton stalled at t={t + dt:.6g} with residual {res_norm:.3g}"
+                f"Newton stalled at t={t_new:.6g} with residual {res_norm:.3g}"
             )
         _jacobian_bands(*flux[1:], nu, dx, dt, packed, work.bands)
-        np.negative(work.res, out=work.b)
+        np.negative(work.res, work.b)
         try:
             dv = _solve_packed(packed, work.gtsv)    # lives in packed until the next solve
         except ValueError as err:  # LinAlgError included
-            raise SolverError(f"Newton solve failed at t={t + dt:.6g}: {err}") from err
+            raise SolverError(f"Newton solve failed at t={t_new:.6g}: {err}") from err
         lam = 1.0
         for _ in range(10):
             trial = v + dv if lam == 1.0 else v + lam * dv  # 1.0 * dv is dv
-            # a NaN entry makes min() NaN, which fails the test
-            if trial.min() > floor:
+            # a NaN entry makes the minimum NaN, which fails the test
+            if np.minimum.reduce(trial) > floor:
                 trial_flux = _flux_divergence(trial, nu, dx, work.terms)
                 trial_norm = residual(trial, trial_flux)
                 if trial_norm < res_norm or res_norm <= cfg.newton_tol:
@@ -373,7 +390,7 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig,
             lam *= 0.5
         else:
             raise QuenchError(
-                f"Newton damping exhausted at t={t + dt:.6g} "
+                f"Newton damping exhausted at t={t_new:.6g} "
                 f"(solution near the singular set u=0)"
             )
         # every accepted iterate lies above the positivity floor
@@ -385,14 +402,18 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig,
 
 def _diagnostic_buffers(n: int) -> tuple:
     """diagnostics' buffers at n nodes: (3, n) rows, their gradients, (6, n)
-    integrands, the integrands' (6, n - 1) trapezoid panels and one row.
+    integrands, the integrands' (6, n - 1) trapezoid panels and one row;
+    then the views of them it writes: each row, the first three integrands
+    and each integrand.
 
     The panels take the memory of the rows and gradients, which are spent
     by the time the panels are written.
     """
     spent = np.empty(6 * n)
-    return (spent[:3 * n].reshape(3, n), spent[3 * n:].reshape(3, n), np.empty((6, n)),
-            spent[:6 * (n - 1)].reshape(6, n - 1), np.empty(n))
+    rows, integrands = spent[:3 * n].reshape(3, n), np.empty((6, n))
+    return (rows, spent[3 * n:].reshape(3, n), integrands,
+            spent[:6 * (n - 1)].reshape(6, n - 1), np.empty(n), *rows, integrands[:3],
+            *integrands)
 
 
 def diagnostics(uv: np.ndarray, t: float, cfg: SimulationConfig,
@@ -401,33 +422,32 @@ def diagnostics(uv: np.ndarray, t: float, cfg: SimulationConfig,
 
     One gradient and one trapezoid over rows, each row with the bits it has
     alone.  They are computed in the buffers of work, the march's Workspace
-    for cfg, or in fresh ones if None.
+    for cfg, or in a fresh one if None.
     """
-    dx = cfg.grid.dx
-    sqrt_nu = math.sqrt(cfg.nu)
+    if work is None:
+        work = Workspace(cfg)
+    work.check(cfg)
     q_inf, inverse_u_inf = steady.inverse_profiles
-    if work is not None:
-        work.check(cfg)
-    # rows: q = sqrt(nu)/u, q - q_inf and y = 1/u - 1/u_inf; integrands: qx²,
-    # wx², yx², the energy density, u and y²
-    rows, grads, integrands, panels, fq = (
-        _diagnostic_buffers(len(uv)) if work is None else work.diagnostic)
-    q = np.divide(sqrt_nu, uv, out=rows[0])
-    np.subtract(q, q_inf, out=rows[1])
-    y = np.divide(1.0, uv, out=rows[2])
+    # rows: q = sqrt(nu)/u, w = q - q_inf and y = 1/u - 1/u_inf; integrands:
+    # qx², wx², yx², the energy density, u and y²
+    (rows, grads, integrands, panels, fq, q, w, y, squares, qx2, _, _, density, u_row,
+     y2) = work.diagnostic
+    np.divide(work.sqrt_nu, uv, q)
+    np.subtract(q, q_inf, w)
+    np.divide(ONE, uv, y)
     y -= inverse_u_inf
     f = cfg.source.at(t)
-    gradient(rows, dx, out=grads)
-    np.multiply(grads, grads, out=integrands[:3])
-    density = np.multiply(integrands[0], 0.5, out=integrands[3])
-    np.multiply(f, q, out=fq)
-    fq *= 1.0 / sqrt_nu
+    gradient(rows, cfg.grid.dx, grads, work.two_dx)
+    np.multiply(grads, grads, squares)
+    np.multiply(qx2, HALF, density)
+    np.multiply(f, q, fq)
+    fq *= work.inv_sqrt_nu
     density += fq
-    integrands[4] = uv
-    np.multiply(y, y, out=integrands[5])
-    qx2, wx2, yx2, energy, mass, y2 = trapezoid(integrands, dx, out=panels).tolist()
+    u_row[:] = uv
+    np.multiply(y, y, y2)
+    qx2, wx2, yx2, energy, mass, y2 = trapezoid(integrands, work.dx, panels).tolist()
     return (t, mass, energy, 0.5 * wx2, math.sqrt(y2 + yx2), math.sqrt(qx2),
-            float(uv.min()), float(uv.max()))
+            float(np.minimum.reduce(uv)), float(np.maximum.reduce(uv)))
 
 
 def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> SimulationRecord:

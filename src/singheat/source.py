@@ -73,14 +73,14 @@ class SourceTerm(ABC):
         """
         if t != self._last_at[0]:
             values = self.samples(t)
-            if not np.isfinite(values).all():
+            if np.count_nonzero(np.isfinite(values)) < values.size:
                 raise ValueError("field contains non-finite values")
             values.setflags(write=False)
             self._last_at = (t, values)
         return self._last_at[1]
 
     def samples(self, t) -> np.ndarray:
-        """Mean-zero projected nodal samples, shaped as `_raw`; not validated."""
+        """Mean-zero projected nodal samples, a fresh array shaped as `_raw`; not validated."""
         first = t.min() if isinstance(t, np.ndarray) else t
         if first < 0:
             raise ValueError(f"source evaluated at negative time t={first}")
@@ -327,7 +327,8 @@ def over_time(kernel, ts, n: int) -> np.ndarray:
 
 def _primitive_norms(rows: np.ndarray, dx: float) -> np.ndarray:
     """||primitive of each row||_2; a float for one row."""
-    return l2(primitive(rows, dx), dx)
+    prim = primitive(rows, dx)
+    return l2(prim, dx, out=prim)   # squared in place
 
 
 def _segments(src: SourceTerm, t_cut: float):

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
+import singheat
 from singheat import lagrangian, solver
 from singheat.source import SourceTerm
 from singheat.cli import main
@@ -144,6 +147,17 @@ class TestExamples:
         assert energy["envelope_ok"] is True
         # a time-dependent source is stepped to the end, so no fixed point is reported
         assert "fixed point" not in capsys.readouterr().out
+        # every report is RFC 8259 JSON, which has no NaN or Infinity: the
+        # fit that finds no window writes null
+        assert energy["fitted_rate"] is None and energy["fit_window"] == [None, None]
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        written = sorted(out.glob("*.json"))
+        assert len(written) == 3
+        for path in written:
+            json.loads(path.read_text(), parse_constant=refuse)
 
 
 @pytest.mark.parametrize("line", [
@@ -159,6 +173,23 @@ def test_malformed_spec_is_config_error(tmp_path, capsys, line):
     cfg = write_config(tmp_path, base + line + "\n")
     assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
     assert f"{slot} spec" in capsys.readouterr().err
+
+
+def test_manifest_records_the_versions_and_the_config_hash(tmp_path):
+    text = "source = zero\nnu = 1\nn = 101\n"
+    out = tmp_path / "out"
+    assert run(["steady", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    assert manifest["versions"] == {"singheat": singheat.__version__,
+                                    "python": platform.python_version(),
+                                    "numpy": np.__version__}
+    assert manifest["command"] == "steady" and manifest["seedless"] is True
+    # a command without a config has no hash
+    out = tmp_path / "example"
+    assert run(["example", "ex-3-3", "--n", "21", "--t-end", "0.01", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_path"] is None and manifest["config_sha256"] is None
 
 
 class TestTransform:

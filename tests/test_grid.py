@@ -202,6 +202,23 @@ def test_csv_on_grid_checks_node_count(tmp_path):
         read_field_csv(path, Grid(51))
 
 
+def _extreme_rows(rng, n):
+    """Rows at the ends of float64's range: subnormals of about 1e-310 with
+    odd last bits, so that halving them rounds; magnitudes of about 1e308,
+    one row positive and one of both signs, whose panel sums reach inf; and
+    zeros of both signs."""
+    sign = rng.choice([-1.0, 1.0], n)
+    return np.array([(rng.integers(-2**45, 2**45, n) | 1) * 5e-324,
+                     rng.uniform(5.0, 10.0, n) * 1e307,
+                     sign * rng.uniform(5.0, 10.0, n) * 1e307,
+                     sign * 0.0])
+
+
+def _same_bits(a, b):
+    # NaN and the sign of zero included, which == does not see
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("n", [3, 4, 401])
 def test_array_kernels_match_numpy_bit_for_bit(n):
     rng = np.random.default_rng(n)
@@ -214,6 +231,10 @@ def test_array_kernels_match_numpy_bit_for_bit(n):
     k = np.arange(n) ** 2
     assert np.array_equal(gradient(k, dx), np.gradient(k, dx, edge_order=2))
     assert trapezoid(k, dx) == float(np.trapezoid(k, dx=dx))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in _extreme_rows(rng, n):
+            assert _same_bits(gradient(y, dx), np.gradient(y, dx, edge_order=2))
+            assert _same_bits(trapezoid(y, dx), np.trapezoid(y, dx=dx))
 
 
 @pytest.mark.parametrize("n", [3, 4, 401])
@@ -235,6 +256,17 @@ def test_row_kernels_match_one_row_at_a_time(n):
         assert np.array_equal(p, cumulative_trapezoid(y, dx=dx, initial=0.0))
     assert isinstance(trapezoid(rows[0], dx), float)
     assert isinstance(l2(rows[0], dx), float)
+    rows = _extreme_rows(rng, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y, s, nrm, p, gr in zip(rows, trapezoid(rows, dx), l2(rows, dx),
+                                    primitive(rows, dx), gradient(rows, dx)):
+            assert _same_bits(gr, gradient(y, dx))
+            assert _same_bits(s, trapezoid(y, dx))
+            assert _same_bits(s, np.trapezoid(y, dx=dx))
+            assert _same_bits(nrm, l2(y, dx))
+            assert _same_bits(nrm, math.sqrt(np.trapezoid(y * y, dx=dx)))
+            assert _same_bits(p, primitive(y, dx))
+            assert _same_bits(p, cumulative_trapezoid(y, dx=dx, initial=0.0))
 
 
 def test_pow2_is_the_scalar_square():
