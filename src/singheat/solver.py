@@ -285,14 +285,24 @@ def tridiag_solve(lower, diag, upper, b):
     return _solve_packed(packed)
 
 
+#: most samples (states x nodes) in a block of the march's diagnostics and
+#: forcing reads.  A block costs the numpy calls of one state, whatever its
+#: rows, so at n = 201 a diagnostics row costs 8-10 us in blocks of 20
+#: against 34-38 us alone; at n = 1601, blocks of 2 gain nothing.
+_BLOCK_VALUES = 2**12
+
+
 class Workspace:
     """What the steps of one march share: every n-sized buffer, and the flux terms they carry.
 
     packed is the (lower, diag, upper, b) buffer gtsv solves in place, with
     its call arguments and finiteness mask bound once.  terms, res and
     scratch take each iterate's _flux_divergence terms, its residual and the
-    temporaries of both, bands the Jacobian's temporaries, and diagnostic the
-    rows, gradients and integrands of `diagnostics`; each comes with the
+    temporaries of both, and bands the Jacobian's temporaries.  states holds
+    a block of accepted states, K = max(1, 2**12 // n) rows, whose
+    diagnostics `simulate` records in one call; memory holds the rows,
+    gradients and integrands of `diagnostics` for up to K states, and
+    diagnostic the views of them for K states.  Each buffer comes with the
     fixed views of it that its writer takes.  A step allocates only its
     trial iterates, each a fresh array, so an array `step` returns is never
     written again.  u is the last iterate a step accepted and flux its
@@ -312,11 +322,14 @@ class Workspace:
         self.gtsv = _gtsv_arguments(self.packed)
         self.b = self.gtsv[3]
         self.terms = _flux_buffers(n)
-        self.diagnostic = _diagnostic_buffers(n)
-        # neither a step nor a diagnostics row runs inside the other, so the
+        rows = max(1, _BLOCK_VALUES // n)
+        self.states = np.empty((rows, n))
+        self.memory = (np.empty(6 * rows * n), np.empty(6 * rows * n))
+        self.diagnostic = _diagnostic_buffers(*self.memory, rows, n)
+        # neither a step nor a diagnostics call runs inside the other, so the
         # step's residual and Jacobian temporaries take the memory of the
-        # integrands, which are spent between rows
-        self.res, self.scratch, bands, _ = np.split(self.diagnostic[2].reshape(-1),
+        # integrands, which are spent between calls
+        self.res, self.scratch, bands, _ = np.split(self.memory[1][:6 * n],
                                                     (n, 2 * n, 2 * n + 4 * m))
         self.bands = _band_scratch(m, self.packed, cfg.nu, cfg.dt, bands)
         self.u = self.flux = None
@@ -328,24 +341,27 @@ class Workspace:
 
 
 def step(un: np.ndarray, t: float, cfg: SimulationConfig,
-         work: Workspace | None = None) -> tuple[np.ndarray, int]:
+         work: Workspace | None = None, f: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """One implicit-Euler step of the nodal values un from t to t + dt.
 
     Returns the new values, a fresh array, and the Newton iteration count.
     They are finite: the loop ends only on a residual at most newton_tol,
-    which is finite.  work is the march's Workspace for cfg, or None for a
-    fresh one; the step writes its flux terms, residuals and bands into it
-    and allocates only the trial iterates.  When un is the very array the
-    last step with this workspace returned, unchanged since, the step takes
-    its flux terms from the workspace instead of computing them again; the
-    result has the same bits either way.
+    which is finite.  f is the forcing at t + dt, as `cfg.source.at(t +
+    cfg.dt)` gives it, or None to read it so; `simulate` passes each row of
+    the block it reads for the next steps.  work is the march's Workspace
+    for cfg, or None for a fresh one; the step writes its flux terms,
+    residuals and bands into it and allocates only the trial iterates.  When
+    un is the very array the last step with this workspace returned,
+    unchanged since, the step takes its flux terms from the workspace instead
+    of computing them again; the result has the same bits either way.
     """
     if work is None:
         work = Workspace(cfg)
     work.check(cfg)
     nu, dx, dt, floor, t_new = work.nu, work.dx, work.dt, cfg.positivity_floor, t + cfg.dt
     packed, scratch = work.packed, work.scratch
-    f = cfg.source.at(t_new)
+    if f is None:
+        f = cfg.source.at(t_new)
 
     def residual(v, flux):
         """The norm of v's residual, which is written into work.res."""
@@ -400,70 +416,94 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig,
     return v, iters
 
 
-def _diagnostic_buffers(n: int) -> tuple:
-    """diagnostics' buffers at n nodes: (3, n) rows, their gradients, (6, n)
-    integrands, the integrands' (6, n - 1) trapezoid panels and one row;
-    then the views of them it writes: each row, the first three integrands
-    and each integrand.
+def _diagnostic_buffers(spent: np.ndarray, integrands: np.ndarray, k: int, n: int) -> tuple:
+    """diagnostics' buffers for k states of n nodes, in the workspace's memory: the
+    (3, k, n) rows, their gradients, the (6, k, n) integrands and their (6, k, n - 1)
+    trapezoid panels; then the views of them it writes: each row, the third to
+    fifth integrands and each integrand.
 
-    The panels take the memory of the rows and gradients, which are spent
-    by the time the panels are written.
+    Each is a contiguous view of the first values of its memory, so a row
+    of a block is the row it would be alone.  The rows and gradients are
+    spent by the time the panels, which take their memory, are written.
     """
-    spent = np.empty(6 * n)
-    rows, integrands = spent[:3 * n].reshape(3, n), np.empty((6, n))
-    return (rows, spent[3 * n:].reshape(3, n), integrands,
-            spent[:6 * (n - 1)].reshape(6, n - 1), np.empty(n), *rows, integrands[:3],
-            *integrands)
+    rows, grads = (spent[i * k * n:(i + 3) * k * n].reshape(3, k, n) for i in (0, 3))
+    integrands = integrands[:6 * k * n].reshape(6, k, n)
+    return (rows, grads, integrands, spent[:6 * k * (n - 1)].reshape(6, k, n - 1), *rows,
+            integrands[2:5], *integrands)
 
 
-def diagnostics(uv: np.ndarray, t: float, cfg: SimulationConfig,
-                steady: SteadyState, work: Workspace | None = None) -> tuple:
-    """Energy/norm diagnostics of the nodal values uv: DIAGNOSTIC_COLUMNS but the last.
+def diagnostics(uv: np.ndarray, t, cfg: SimulationConfig, steady: SteadyState,
+                work: Workspace | None = None):
+    """Energy/norm diagnostics: DIAGNOSTIC_COLUMNS but the last.
 
-    One gradient and one trapezoid over rows, each row with the bits it has
-    alone.  They are computed in the buffers of work, the march's Workspace
-    for cfg, or in a fresh one if None.
+    uv is the nodal values at a time t, which gives a tuple of floats, or
+    a (k, n) block of states at a 1-D array of k times, which gives a (k, 8)
+    array, one row per state.  A block takes one gradient and one trapezoid
+    over all its rows and one forcing read for its times, and each row has
+    the bits it has alone: one state is the block of one.  They are computed
+    in the buffers of work, the march's Workspace for cfg, or of a fresh one
+    if None; a block holds at most its K states.
     """
     if work is None:
         work = Workspace(cfg)
     work.check(cfg)
+    n = cfg.grid.n
+    block = uv.reshape(-1, n)
+    k = len(block)
+    if not 0 < k <= len(work.states):
+        raise ValueError(f"a block of {k} states; the workspace holds 1 to {len(work.states)}")
     q_inf, inverse_u_inf = steady.inverse_profiles
-    # rows: q = sqrt(nu)/u, w = q - q_inf and y = 1/u - 1/u_inf; integrands:
-    # qx², wx², yx², the energy density, u and y²
-    (rows, grads, integrands, panels, fq, q, w, y, squares, qx2, _, _, density, u_row,
-     y2) = work.diagnostic
-    np.divide(work.sqrt_nu, uv, q)
+    # rows: w = q - q_inf, y = 1/u - 1/u_inf and q = sqrt(nu)/u; integrands:
+    # u, the energy density, wx², yx², qx² and y², so that the sums of the
+    # first five are the columns from mass to qx_l2 before the last steps
+    (rows, grads, integrands, panels, w, y, q, squares, u_rows, density, _, _, qx2,
+     y2) = work.diagnostic if k == len(work.states) else _diagnostic_buffers(*work.memory, k, n)
+    np.divide(work.sqrt_nu, block, q)
     np.subtract(q, q_inf, w)
-    np.divide(ONE, uv, y)
+    np.divide(ONE, block, y)
     y -= inverse_u_inf
     f = cfg.source.at(t)
     gradient(rows, cfg.grid.dx, grads, work.two_dx)
     np.multiply(grads, grads, squares)
     np.multiply(qx2, HALF, density)
-    np.multiply(f, q, fq)
-    fq *= work.inv_sqrt_nu
-    density += fq
-    u_row[:] = uv
+    np.multiply(f, q, y2)           # f q / sqrt(nu), in the row y² takes last
+    y2 *= work.inv_sqrt_nu
+    density += y2
+    np.copyto(u_rows, block)
     np.multiply(y, y, y2)
-    qx2, wx2, yx2, energy, mass, y2 = trapezoid(integrands, work.dx, panels).tolist()
-    return (t, mass, energy, 0.5 * wx2, math.sqrt(y2 + yx2), math.sqrt(qx2),
-            float(np.minimum.reduce(uv)), float(np.maximum.reduce(uv)))
+    sums = trapezoid(integrands, work.dx, panels)
+    out = np.empty((len(DIAGNOSTIC_COLUMNS) - 1, k))
+    out[0] = t
+    out[1:6] = sums[:5]
+    out[3] *= HALF                          # wx² to the relative energy
+    out[4] += sums[5]                       # yx² + y², the squared H1 error of 1/u
+    np.sqrt(out[4:6], out[4:6])
+    np.minimum.reduce(block, 1, None, out[6])
+    np.maximum.reduce(block, 1, None, out[7])
+    return tuple(out[:, 0].tolist()) if uv.ndim == 1 else out.T
 
 
 def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> SimulationRecord:
     """March to t_end, recording snapshots and per-step diagnostics.
 
-    The march steps plain arrays; only the snapshots are Fields, and the
-    forcing is read as arrays, through the source's memo `at`.  Its steps
+    The march steps plain arrays; only the snapshots are Fields.  Its steps
     and diagnostics share one Workspace: every n-sized buffer they write,
     the gtsv buffer among them with its arguments bound once, and the flux
     terms of each step's last iterate, which the next step's first residual
     reuses.  So a step allocates only its trial iterates, and the march's
     memory is bounded by its state and its record.  The diagnostics fill
     one (steps + 1) x 9 array, a row per recorded time; its columns, each
-    contiguous, become the record's series.  On a solver
-    failure the array is cut at the last completed step and the partial
-    record is returned with the failure annotated rather than lost.
+    contiguous, become the record's series.
+
+    The march goes in blocks of the workspace's K steps (K = max(1, 2**12 //
+    n)).  It reads the forcing once per block, as read-only rows through
+    `SourceTerm.at`: one row per step time k*dt + dt, handed to `step`.  It
+    copies each accepted state into the workspace's block and records the
+    block's rows in one `diagnostics` call, at the record times (k + 1)*dt,
+    when the block is full, at the end, before the fixed-point fill below,
+    and on a solver failure.  Every row has the bits it would have alone.
+    On a solver failure the array is cut at the last completed step and the
+    partial record is returned with the failure annotated rather than lost.
 
     Under a time-independent source a step is a function of u alone, so once
     a step returns its input bit for bit, every later step would return it
@@ -478,29 +518,46 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
     u = cfg.u0.values
     work = Workspace(cfg)
     data[0] = (*diagnostics(u, 0.0, cfg, steady, work=work), 0)
+    states, block = work.states, len(work.states)
+
+    def record(first: int, rows: int) -> None:
+        """Record the states of steps first to first + rows - 1, at their times (k + 1)*dt."""
+        times = np.arange(first + 1, first + rows + 1) * cfg.dt
+        data[first + 1:first + rows + 1, :-1] = diagnostics(states[:rows], times, cfg, steady,
+                                                            work=work)
+
     snapshot_times, snapshots = [0.0], [cfg.u0]
     failure = failure_time = fixed_point_time = None
     static = not cfg.source.time_dependent
     done = n_steps
     for k in range(n_steps):
+        j = k % block
+        if j == 0:
+            forcing = cfg.source.at(np.arange(k, min(k + block, n_steps)) * cfg.dt + cfg.dt)
         t = k * cfg.dt
         previous = u
         try:
-            u, iters = step(u, t, cfg, work=work)
+            u, iters = step(u, t, cfg, work=work, f=forcing[j])
         except SolverError as err:
             failure, failure_time, done = str(err), t, k
+            if j:
+                record(k - j, j)
             break
+        states[j] = u
+        data[k + 1, -1] = iters
+        # equal bytes are equal bits, which is all the step reads of u
+        fixed = static and u.tobytes() == previous.tobytes()
+        if fixed or j == block - 1 or k + 1 == n_steps:
+            record(k - j, j + 1)
         t_new = (k + 1) * cfg.dt
-        data[k + 1] = (*diagnostics(u, t_new, cfg, steady, work=work), iters)
         if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == n_steps:
             snapshot_times.append(t_new)
             snapshots.append(Field(cfg.grid, u))
-        # equal bytes are equal bits, which is all the step reads of u
-        if static and u.tobytes() == previous.tobytes():
+        if fixed:
             fixed_point_time = t_new
             later = np.arange(k + 2, n_steps + 1)
             data[k + 2:] = data[k + 1]
-            data[k + 2:, 0] = later * cfg.dt    # j * dt, as t_new is
+            data[k + 2:, 0] = later * cfg.dt    # row i at i * dt, as t_new is
             later = later[(later % cfg.snapshot_stride == 0) | (later == n_steps)]
             if len(later):
                 snapshot_times += (later * cfg.dt).tolist()

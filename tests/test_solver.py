@@ -131,54 +131,6 @@ class TestPointwiseBounds:
         assert max(ex33_record.max_u) <= 1.7011 + 1e-4
 
 
-class TestManufacturedSolution:
-    """u*(x,t) = 1 + eps e^{-t} cos(pi x) with the forcing chosen as the
-    defect of u* in the equation; implicit Euler with dt = dx^2 leaves the
-    spatial second-order error dominant."""
-
-    EPS = 0.05
-
-    @staticmethod
-    def exact(x, t):
-        return 1.0 + TestManufacturedSolution.EPS * np.exp(-t) * np.cos(np.pi * x)
-
-    @classmethod
-    def defect(cls, x, t):
-        eps = cls.EPS
-        c = np.cos(np.pi * x)
-        s = np.sin(np.pi * x)
-        u = 1.0 + eps * np.exp(-t) * c
-        ut = -eps * np.exp(-t) * c
-        ux = -eps * np.exp(-t) * np.pi * s
-        uxx = -eps * np.exp(-t) * np.pi**2 * c
-        diffusion = uxx / u**2 - 2 * ux**2 / u**3
-        return ut - diffusion
-
-    def error_at(self, n):
-        g = Grid(n)
-        u0 = Field(g, self.exact(g.nodes, 0.0))
-        u0 = u0.with_values(u0.values / trapezoid_integral(u0))
-        src = CallableSource(
-            g, self.defect, f_limit_fn=lambda x: np.zeros_like(x)
-        )
-        dt = g.dx**2
-        t_end = round(0.5 / dt) * dt
-        cfg = SimulationConfig(
-            nu=1.0, grid=g, u0=u0, source=src, dt=dt, t_end=t_end,
-            snapshot_stride=10**9,
-        )
-        rec = simulate(cfg)
-        assert rec.failure is None
-        u_end = rec.snapshots[-1]
-        return np.max(np.abs(u_end.values - self.exact(g.nodes, t_end)))
-
-    def test_second_order_in_space(self):
-        errs = [self.error_at(n) for n in (41, 81, 161)]
-        ratios = [errs[i] / errs[i + 1] for i in range(2)]
-        for r in ratios:
-            assert 3.5 <= r <= 4.5
-
-
 class TestSymmetry:
     def test_reflection(self):
         n = 101
@@ -286,10 +238,10 @@ def test_record_series_are_the_rows_of_each_step(tmp_path, monkeypatch):
         u, iters = step(u, k * cfg.dt, cfg)
         rows.append((*diagnostics(u, (k + 1) * cfg.dt, cfg, ss), iters))
 
-    def step_until_fourth(u, t, cfg, work=None):
+    def step_until_fourth(u, t, cfg, work=None, f=None):
         if t > 2.5 * cfg.dt:
             raise QuenchError("stopped")
-        return step(u, t, cfg, work)
+        return step(u, t, cfg, work, f)
 
     monkeypatch.setattr(solver, "step", step_until_fourth)
     rec = simulate(cfg, ss)
@@ -452,26 +404,32 @@ def _inverse_sine(g, eps):
 
 
 def _count_step_and_diagnostics(monkeypatch):
-    calls = {"step": 0, "diagnostics": 0}
+    """Counts of the steps, the diagnostics calls and the states they record."""
+    calls = {"step": 0, "diagnostics": 0, "diagnostic rows": 0}
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_step(*args, **kwargs):
+        calls["step"] += 1
+        return step(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "step", counted("step", solver.step))
-    monkeypatch.setattr(solver, "diagnostics", counted("diagnostics", solver.diagnostics))
+    def counted_diagnostics(uv, *args, **kwargs):
+        calls["diagnostics"] += 1
+        calls["diagnostic rows"] += len(uv) if uv.ndim == 2 else 1
+        return diagnostics(uv, *args, **kwargs)
+
+    step, diagnostics = solver.step, solver.diagnostics
+    monkeypatch.setattr(solver, "step", counted_step)
+    monkeypatch.setattr(solver, "diagnostics", counted_diagnostics)
     return calls
 
 
 def test_simulate_calls_step_and_diagnostics_through_module(monkeypatch):
     # perfbench times marches by rebinding solver.step and solver.diagnostics,
     # so every step that runs goes through them; from inverse_sine 0.1 no
-    # step of the 20 returns its input
+    # step of the 20 returns its input.  At n = 21 a block holds 195 states,
+    # so the 20 steps are recorded in one call after u0's
     calls = _count_step_and_diagnostics(monkeypatch)
     rec = simulate(flat_config(21, u0=_inverse_sine(Grid(21), 0.1), t_end=0.02))
-    assert calls == {"step": 20, "diagnostics": len(rec.times)}
+    assert calls == {"step": 20, "diagnostics": 2, "diagnostic rows": len(rec.times)}
     assert len(rec.times) == 21 and rec.fixed_point_time is None
 
 
@@ -480,7 +438,7 @@ def test_simulate_stops_stepping_at_a_fixed_point(monkeypatch):
     # other 19 rows are filled without stepping
     calls = _count_step_and_diagnostics(monkeypatch)
     rec = simulate(flat_config(21, t_end=0.02))
-    assert calls == {"step": 1, "diagnostics": 2}
+    assert calls == {"step": 1, "diagnostics": 2, "diagnostic rows": 2}
     assert len(rec.times) == 21 and rec.fixed_point_time == 1e-3
 
 
@@ -552,6 +510,24 @@ def test_arrays_a_step_returns_are_never_written_again():
         assert row == diagnostics(u, (k + 1) * cfg.dt, cfg, ss)
     assert all(np.array_equal(a, b) for a, b in kept)
     assert len({id(a) for a, _ in kept}) == 5
+
+
+def test_diagnostics_of_a_block_are_its_states_alone():
+    # a block of up to K states gives each state's one-state row, bit for bit
+    g = Grid(201)
+    cfg = flat_config(201, nu=2.0, source=make_source(g, "cosine_exp 1.5"))
+    ss = steady_profile(cfg.source, cfg.nu)
+    rng = np.random.default_rng(5)
+    states, times = 1.0 + 0.1 * rng.standard_normal((21, 201)), rng.uniform(0.0, 2.0, 21)
+    work = solver.Workspace(cfg)
+    for k in (1, 7, 20):
+        block = diagnostics(states[:k], times[:k], cfg, ss, work=work)
+        assert block.shape == (k, len(DIAGNOSTIC_COLUMNS) - 1)
+        for row, u, t in zip(block, states, times.tolist()):
+            assert tuple(row.tolist()) == diagnostics(u, t, cfg, ss)
+    for k in (0, 21):
+        with pytest.raises(ValueError, match="block of"):
+            diagnostics(states[:k], times[:k], cfg, ss, work=work)
 
 
 #: a warm march at n = 6401 in a fresh interpreter that loads no scipy, whose
@@ -630,11 +606,14 @@ def _reference_jacobian_bands(mid, d, nu, dx, dt):
     return lower, 1.0 - dt * diag, upper
 
 
-def _reference_step(un, t, cfg, work=None, damped=None):
+def _reference_step(un, t, cfg, work=None, f=None, damped=None):
     """The reference step; it ignores the workspace, and adds t to the list
-    damped, if given, for each update it damps (lambda < 1)."""
+    damped, if given, for each update it damps (lambda < 1).  A forcing f
+    it is given must be its own sample at t + dt, bit for bit."""
     dx, dt, nu = cfg.grid.dx, cfg.dt, cfg.nu
-    f = cfg.source.samples(t + dt)
+    own = cfg.source.samples(t + dt)
+    assert f is None or f.tobytes() == own.tobytes()
+    f = own
 
     def residual(v):
         terms, mid, d = _reference_rhs_terms(v, f, nu, dx)
@@ -673,7 +652,11 @@ def _reference_step(un, t, cfg, work=None, damped=None):
 
 
 def _reference_diagnostics(uv, t, cfg, steady, work=None):
-    """The reference diagnostics; it ignores the workspace."""
+    """The reference diagnostics, a tuple for one state and an array of them
+    for a block of states, row by row; it ignores the workspace."""
+    if uv.ndim == 2:
+        return np.array([_reference_diagnostics(u, s, cfg, steady)
+                         for u, s in zip(uv, t.tolist(), strict=True)])
     dx = cfg.grid.dx
     sqrt_nu = math.sqrt(cfg.nu)
     q = sqrt_nu / uv
@@ -758,19 +741,34 @@ def test_march_keeps_the_reference_bits(monkeypatch, n, source, eps, nu, dt, ste
 
 
 def _reference_simulate(cfg, steady):
-    """The march that steps every time, the reference for the fixed-point exit."""
+    """The march that steps every time and records each state on its own, the
+    reference for the fixed-point exit and the blocks; it stops at a SolverError."""
     n_steps = int(round(cfg.t_end / cfg.dt))
     u = cfg.u0.values
     rows = [(*solver.diagnostics(u, 0.0, cfg, steady), 0)]
     snapshot_times, snapshots = [0.0], [cfg.u0]
     for k in range(n_steps):
-        u, iters = solver.step(u, k * cfg.dt, cfg)
+        try:
+            u, iters = solver.step(u, k * cfg.dt, cfg)
+        except SolverError:
+            break
         t_new = (k + 1) * cfg.dt
         rows.append((*solver.diagnostics(u, t_new, cfg, steady), iters))
         if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == n_steps:
             snapshot_times.append(t_new)
             snapshots.append(Field(cfg.grid, u))
     return np.array(rows), snapshot_times, snapshots
+
+
+def _assert_same_march(rec, reference):
+    """rec's series, snapshot times and snapshots are the reference's, bit for bit."""
+    rows, snapshot_times, snapshots = reference
+    for column, series in zip(DIAGNOSTIC_COLUMNS, rows.T, strict=True):
+        name = "times" if column == "t" else column
+        assert np.array_equal(getattr(rec, name), series), column
+    assert rec.snapshot_times == snapshot_times
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(rec.snapshots, snapshots, strict=True))
 
 
 @pytest.mark.parametrize("source,t_end,stride,fixed_step", [
@@ -786,15 +784,9 @@ def test_fixed_point_exit_keeps_the_reference_bits(source, t_end, stride, fixed_
                       snapshot_stride=stride)
     ss = steady_profile(cfg.source, cfg.nu)
     rec = simulate(cfg, ss)
-    rows, snapshot_times, snapshots = _reference_simulate(cfg, ss)
     assert rec.failure is None
     assert rec.fixed_point_time == fixed_step * cfg.dt
-    for column, series in zip(DIAGNOSTIC_COLUMNS, rows.T, strict=True):
-        name = "times" if column == "t" else column
-        assert np.array_equal(getattr(rec, name), series), column
-    assert rec.snapshot_times == snapshot_times
-    assert all(np.array_equal(a.values, b.values)
-               for a, b in zip(rec.snapshots, snapshots, strict=True))
+    _assert_same_march(rec, _reference_simulate(cfg, ss))
 
 
 def test_time_dependent_source_is_stepped_past_a_fixed_point(monkeypatch):
@@ -805,6 +797,123 @@ def test_time_dependent_source_is_stepped_past_a_fixed_point(monkeypatch):
     calls = _count_step_and_diagnostics(monkeypatch)
     cfg = flat_config(21, source=src, t_end=0.05)
     rec = simulate(cfg)
-    assert src.time_dependent and calls == {"step": 50, "diagnostics": 51}
+    assert src.time_dependent
+    assert calls == {"step": 50, "diagnostics": 2, "diagnostic rows": 51}
     assert rec.fixed_point_time is None
     assert np.array_equal(rec.snapshots[-1].values, cfg.u0.values)
+
+
+# --- blocks of steps ---------------------------------------------------------
+# simulate records its states in blocks of K = max(1, 2**12 // n), and reads
+# the forcing for a block's K step times and K record times at once.  Every
+# record must be the one-row loop's, bit for bit, wherever a block ends.
+
+def _block_rows(n):
+    return max(1, 2**12 // n)
+
+
+@pytest.mark.parametrize("n,rows", [(21, 195), (201, 20), (401, 10), (1601, 2), (2049, 1),
+                                    (4097, 1)])
+def test_a_block_holds_about_4096_samples(n, rows):
+    assert _block_rows(n) == rows == len(solver.Workspace(flat_config(n)).states)
+
+
+def _forced_march(n, steps, source="cosine_exp 1.5", **kw):
+    g = Grid(n)
+    src = source(g) if callable(source) else make_source(g, source)
+    cfg = flat_config(n, nu=2.0, u0=_inverse_sine(g, 0.2), source=src,
+                      t_end=steps * 1e-3, snapshot_stride=7, **kw)
+    return cfg, steady_profile(cfg.source, cfg.nu)
+
+
+STEP_COUNTS = {"1": lambda k: 1, "K-1": lambda k: k - 1, "K": lambda k: k,
+               "K+1": lambda k: k + 1, "3K+7": lambda k: 3 * k + 7}
+
+
+@pytest.mark.parametrize("steps", STEP_COUNTS)
+@pytest.mark.parametrize("n", [21, 201])
+def test_block_boundaries_keep_the_one_row_bits(n, steps):
+    cfg, ss = _forced_march(n, STEP_COUNTS[steps](_block_rows(n)))
+    rec = simulate(cfg, ss)
+    assert rec.failure is None
+    _assert_same_march(rec, _reference_simulate(cfg, ss))
+
+
+def _step_that(monkeypatch, after: int, then):
+    """Rebind solver.step to the real step until step `after`, then `then`."""
+    real = solver.step
+
+    def patched(u, t, cfg, work=None, f=None):
+        if t > (after - 0.5) * cfg.dt:
+            return then(u)
+        return real(u, t, cfg, work, f)
+
+    monkeypatch.setattr(solver, "step", patched)
+
+
+@pytest.mark.parametrize("failing", ["0", "K", "K+3"])
+def test_solver_failure_in_a_block_records_the_rows_before_it(monkeypatch, failing):
+    # the failing step's block is recorded up to the step before it
+    K = _block_rows(201)
+    k = {"0": 0, "K": K, "K+3": K + 3}[failing]
+    cfg, ss = _forced_march(201, 2 * K + 5)
+
+    def stop(u):
+        raise QuenchError("stopped")
+
+    _step_that(monkeypatch, k, stop)
+    rec = simulate(cfg, ss)
+    assert (rec.failure, rec.failure_time) == ("stopped", k * cfg.dt)
+    assert len(rec.times) == k + 1
+    _assert_same_march(rec, _reference_simulate(cfg, ss))
+
+
+@pytest.mark.parametrize("row", ["mid-block", "last-row"])
+def test_fixed_point_in_a_block_keeps_the_one_row_bits(monkeypatch, row):
+    # from step k on the step returns a copy of its input, so a static march
+    # records the block up to k and fills the rest
+    K = _block_rows(201)
+    k = K + 5 if row == "mid-block" else 2 * K - 1
+    cfg, ss = _forced_march(201, 3 * K + 7, source="cosine_static 0.5")
+    _step_that(monkeypatch, k, lambda u: (u.copy(), 1))
+    rec = simulate(cfg, ss)
+    assert rec.failure is None and rec.fixed_point_time == (k + 1) * cfg.dt
+    _assert_same_march(rec, _reference_simulate(cfg, ss))
+
+
+def test_step_and_record_times_are_read_apart(monkeypatch):
+    # the step from k dt reads f at k dt + dt, and its record at (k + 1) dt.
+    # Where the two floats differ, this f differs by many ulps, enough to
+    # move the state's bits as well as the record's
+    def fast(g):
+        return CallableSource(g, lambda x, t: math.sin(1e6 * t) * np.cos(np.pi * x),
+                              f_limit_fn=lambda x: 0.0 * x)
+
+    K = _block_rows(21)
+    cfg, ss = _forced_march(21, 3 * K + 7, source=fast)
+    apart = [k for k in range(3 * K + 7) if k * cfg.dt + cfg.dt != (k + 1) * cfg.dt]
+    assert len(apart) > 10 and {k // K for k in apart} >= {0, 1, 2}   # in every full block
+    assert not any(np.array_equal(cfg.source.samples(k * cfg.dt + cfg.dt),
+                                  cfg.source.samples((k + 1) * cfg.dt)) for k in apart)
+    reference = _reference_simulate(cfg, ss)
+    wrong = []
+    real = solver.step
+
+    def checked(u, t, cfg, work=None, f=None):
+        if f.tobytes() != cfg.source.samples(t + cfg.dt).tobytes():
+            wrong.append(t)
+        return real(u, t, cfg, work, f)
+
+    monkeypatch.setattr(solver, "step", checked)
+    rec = simulate(cfg, ss)
+    assert rec.failure is None and not wrong
+    _assert_same_march(rec, reference)
+
+
+def test_one_state_blocks_past_4096_nodes():
+    cfg, ss = _forced_march(4097, 3, dt=1e-5)
+    cfg = SimulationConfig(**{**vars(cfg), "t_end": 3e-5})
+    assert len(solver.Workspace(cfg).states) == 1
+    rec = simulate(cfg, ss)
+    assert rec.failure is None and len(rec.times) == 4
+    _assert_same_march(rec, _reference_simulate(cfg, ss))

@@ -289,6 +289,29 @@ def test_rows_equal_one_time_calls(kind):
             assert np.array_equal(row, method(float(t)))
     for t, row in zip(times, src.samples(times)):
         assert np.array_equal(row, src.evaluate(t).values)
+    # the march's reads: read-only rows, each with its own time's bits
+    block = src.at(times)
+    assert block.shape == (len(times), g.n) and not block.flags.writeable
+    for t, row in zip(times.tolist(), block):
+        assert row.tobytes() == src.at(t).tobytes() == src.samples(t).tobytes()
+        assert not src.at(t).flags.writeable
+
+
+def test_at_refuses_what_a_field_would():
+    g = Grid(41)
+    late_nan = CallableSource(g, lambda x, t: np.cos(np.pi * x) * (np.nan if t > 1 else 1.0))
+    assert np.isfinite(late_nan.at(np.array([0.5, 1.0]))).all()
+    with pytest.raises(ValueError, match="non-finite"):
+        late_nan.at(np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match="non-finite"):
+        late_nan.at(1.5)
+    for src in (CosineStaticSource(g, 1.5), CosineExpSource(g, 0.7)):
+        for t in (-0.5, np.array([0.0, -0.5])):
+            with pytest.raises(ValueError, match="negative time"):
+                src.at(t)
+    # no memo: each read is sampled afresh
+    src = CosineExpSource(g, 0.7)
+    assert src.at(0.5) is not src.at(0.5)
 
 
 @pytest.mark.parametrize("kind", [*(kind for kind in SOURCES if kind != "cosine_static"),
