@@ -1,16 +1,19 @@
-"""Time whole `simulate` calls of a few fixed marches, each in fresh interpreters.
+"""Time whole `simulate` calls of a few fixed marches, and N_infinity, in fresh interpreters.
 
 perfbench prices each step of a march at the least time seen for its Newton
 count, so work that lands in one step out of many (a block of diagnostics,
 the fill past a fixed point) is priced away.  This script times the march
 itself: each measurement is a fresh interpreter, pinned to one CPU with
 OPENBLAS_NUM_THREADS=1, that builds the case's config and steady state,
-runs `simulate` --repeat times and reports the least wall time.  Per case it
+runs `simulate` --repeat times and reports the least wall time.  The
+`ninf-*` cases time `compute_N_infinity` at its defaults (10,001 times up to
+t = 100) the same way, on a source built once per interpreter.  Per case it
 prints the median and quartiles of those least times over --rounds
 interpreters:
 
     python3 scripts/march_timing.py
     python3 scripts/march_timing.py --against ../parent --rounds 10
+    python3 scripts/march_timing.py --cases ninf-decay-2001,ninf-exp-2001
 
 With --against, the checkout at that path (its `src` directory) is timed
 too, in pairs: each round runs both sides, the side that goes first
@@ -63,12 +66,37 @@ assert record.failure is None, record.failure
 print(best)
 """
 
+#: name -> (n, source spec) of an N_infinity case
+N_INFINITY_CASES = {
+    "ninf-decay-201": (201, "cosine_decay"),
+    "ninf-exp-201": (201, "cosine_exp 1.3"),
+    "ninf-decay-2001": (2001, "cosine_decay"),
+    "ninf-exp-2001": (2001, "cosine_exp 1.3"),
+}
+
+#: run in the child: argv is n, source, repeat; prints the least seconds
+N_INFINITY_CHILD = """
+import sys, time
+from singheat.grid import Grid
+from singheat.source import compute_N_infinity, make_source
+n, spec, repeat = sys.argv[1:]
+src = make_source(Grid(int(n)), spec)
+best = float("inf")
+for _ in range(int(repeat)):
+    t0 = time.perf_counter()
+    compute_N_infinity(src)
+    best = min(best, time.perf_counter() - t0)
+print(best)
+"""
+
 
 def least_seconds(src: Path, case: str, repeat: int, cpu: int) -> float:
-    """The least of `repeat` marches of `case` in a fresh interpreter importing src."""
+    """The least of `repeat` runs of `case` in a fresh interpreter importing src."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    child, case_args = ((CHILD, CASES[case]) if case in CASES
+                        else (N_INFINITY_CHILD, N_INFINITY_CASES[case]))
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, *map(str, CASES[case]), str(repeat)], env=env,
+        [sys.executable, "-c", child, *map(str, case_args), str(repeat)], env=env,
         capture_output=True, text=True, check=True,
         preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     return float(done.stdout)
@@ -83,23 +111,24 @@ def summary(ms: list) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=5, help="interpreters per case and side")
-    parser.add_argument("--repeat", type=int, default=7, help="marches per interpreter")
-    parser.add_argument("--cases", default=",".join(CASES),
-                        help=f"comma-separated subset of {', '.join(CASES)}")
+    parser.add_argument("--repeat", type=int, default=7, help="runs per interpreter")
+    every = [*CASES, *N_INFINITY_CASES]
+    parser.add_argument("--cases", default=",".join(every),
+                        help=f"comma-separated subset of {', '.join(every)}")
     parser.add_argument("--against", type=Path, default=None,
                         help="another checkout to time in alternating pairs")
     parser.add_argument("--cpu", type=int, default=max(os.sched_getaffinity(0)),
                         help="the CPU every interpreter is pinned to")
     args = parser.parse_args(argv)
     cases = args.cases.split(",")
-    unknown = set(cases) - set(CASES)
+    unknown = set(cases) - set(every)
     if unknown or args.rounds < 1 or args.repeat < 1:
         parser.error(f"unknown cases {sorted(unknown)}" if unknown
                      else "--rounds and --repeat must be at least 1")
     sides = {"this": ROOT / "src"}
     if args.against is not None:
         sides["base"] = args.against.resolve() / "src"
-    header = f"{'case':<11} " + " ".join(f"{side + ' ms: median [q1, q3]':>30}" for side in sides)
+    header = f"{'case':<15} " + " ".join(f"{side + ' ms: median [q1, q3]':>30}" for side in sides)
     print(header + ("   change  faster" if len(sides) == 2 else ""))
     for case in cases:
         times = {side: [] for side in sides}
@@ -107,7 +136,7 @@ def main(argv=None) -> int:
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for side in order:
                 times[side].append(1e3 * least_seconds(sides[side], case, args.repeat, args.cpu))
-        line = f"{case:<11} " + " ".join(f"{summary(times[side]):>30}" for side in sides)
+        line = f"{case:<15} " + " ".join(f"{summary(times[side]):>30}" for side in sides)
         if len(sides) == 2:
             this, base = times["this"], times["base"]
             change = statistics.median(this) / statistics.median(base) - 1

@@ -26,9 +26,9 @@ from .constants import TheoremConstants
 from .decay import (
     check_gradient_energy_envelope, check_homogeneous_envelope, envelope_csv, homogeneous_bound,
 )
-from .errors import ConfigError, HypothesisError, SingheatError, SolverError
+from .errors import ConfigError, HypothesisError, SingheatError, SolverError, require_positive
 from .grid import Field, Grid, read_field_csv, trapezoid, write_field_csv, write_json
-from .solver import SimulationConfig, SimulationRecord, require_positive, simulate, step_count
+from .solver import SimulationConfig, SimulationRecord, simulate, step_count
 from .source import HomogeneousSource, compute_P0, make_source, parse_spec
 from .steady import steady_profile
 
@@ -132,14 +132,20 @@ def _build_sim_config(cfg: dict) -> SimulationConfig:
                             source=source, **march)
 
 
-def _write_manifest(out: Path, command: str, config_path) -> None:
-    """What ran: the command, its config file and the sha256 of its bytes, and the versions."""
+def _write_manifest(out: Path, command: str, config_path,
+                    march: SimulationConfig | None = None) -> None:
+    """What ran: the command, its config file and the sha256 of its bytes, the
+    resolved settings of its march (null for a command that marches none), and
+    the versions."""
     write_json(out / "manifest.json", {
         "command": command,
         "config_path": str(config_path) if config_path else None,
         "config_sha256": (hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
                           if config_path else None),
         "output_dir": str(out),
+        "march": None if march is None else {
+            "n": march.grid.n, "nu": march.nu,
+            **{key: getattr(march, key) for key in MARCH_KEYS}},
         "seedless": True,
         "versions": {"singheat": __version__, "python": platform.python_version(),
                      "numpy": np.__version__},
@@ -231,14 +237,14 @@ def _run_and_report(sim_cfg: SimulationConfig, out: Path) -> int:
 
 def cmd_simulate(args) -> int:
     sim_cfg = _build_sim_config(_settings(args))
-    return _run_and_report(sim_cfg, _prepare_out(args, "simulate"))
+    return _run_and_report(sim_cfg, _prepare_out(args, "simulate", sim_cfg))
 
 
 def cmd_example(args) -> int:
     if args.config:
         raise ConfigError("example runs its built-in data and takes no --config")
     sim_cfg = _build_sim_config({**EXAMPLES[args.name], **_settings(args)})
-    return _run_and_report(sim_cfg, _prepare_out(args, f"example-{args.name}"))
+    return _run_and_report(sim_cfg, _prepare_out(args, f"example-{args.name}", sim_cfg))
 
 
 def cmd_transform(args) -> int:
@@ -291,7 +297,7 @@ def cmd_ssm_crosscheck(args) -> int:
     f0 = lagrangian.source_from_sheet(lmap, v0, nu)
     sim_cfg = SimulationConfig(nu=nu, grid=grid, u0=lmap.u, source=HomogeneousSource(f0),
                                dt=dt, t_end=t_check, snapshot_stride=steps)
-    out = _prepare_out(args, "ssm-crosscheck")
+    out = _prepare_out(args, "ssm-crosscheck", sim_cfg)
     record = _march(sim_cfg)
     u_final = record.snapshots[-1]
     f_final = sim_cfg.source.evaluate(t_check)
@@ -306,11 +312,12 @@ def cmd_ssm_crosscheck(args) -> int:
     return EXIT_OK if mismatch <= tolerance else EXIT_SOLVER
 
 
-def _prepare_out(args, command: str) -> Path:
-    """The output directory, made, with the manifest in it; every input is built by now."""
+def _prepare_out(args, command: str, march: SimulationConfig | None = None) -> Path:
+    """The output directory, made, with the manifest of the command (and of its
+    march, if any) in it; every input is built by now."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, command, args.config)
+    _write_manifest(out, command, args.config, march)
     args.running = True     # a ValueError from here on is no config error
     return out
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package (and mapped to CLI exit codes)."""
+"""Exception types shared across the package (and mapped to CLI exit codes),
+and the check of the positive numbers it takes."""
+
+import math
 
 
 class SingheatError(Exception):
@@ -27,3 +30,10 @@ class SolverError(SingheatError):
 
 class QuenchError(SolverError):
     """Solution approached the singular set u = 0."""
+
+
+def require_positive(**values) -> None:
+    """ValueError naming the first of the keyword values that is not finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")

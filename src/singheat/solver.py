@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import QuenchError, SolverError
+from .errors import QuenchError, SolverError, require_positive
 from .grid import HALF, ONE, Field, Grid, const, gradient, trapezoid, write_csv
 from .source import SourceTerm
 from .steady import SteadyState, steady_profile
@@ -55,13 +55,6 @@ class SimulationConfig:
         mass = trapezoid(self.u0.values, self.grid.dx)
         if abs(mass - 1.0) > 1e-10:
             raise ValueError(f"u0 must have unit mass, got {mass!r}")
-
-
-def require_positive(**values) -> None:
-    """ValueError naming the first of the keyword values that is not finite and > 0."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def step_count(t_end: float, dt: float, name: str = "t_end") -> int:

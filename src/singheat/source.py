@@ -7,9 +7,10 @@ exactly.  The functionals P0 and N_infinity computed here are the data
 constants entering the convergence theorems.
 
 Each family writes f and f_t once, for a time or for a 1-D array of times
-(one row of nodal samples per time).  The time-axis norms (N_infinity and the
-envelopes' forcing gap) run on blocks of such rows, with the operations of
-the one-time code, so they keep its bits.
+(one row of nodal samples per time); f_t can be written into a given array.
+The time-axis norms (N_infinity and the envelopes' forcing gap) run on blocks
+of such rows, with the operations of the one-time code, so they keep its
+bits; N_infinity reuses one set of block buffers for all of its times.
 """
 
 from __future__ import annotations
@@ -19,17 +20,16 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import ConfigError
-from .grid import Field, Grid, l2, pow2, primitive, read_csv_rows, trapezoid
+from .errors import ConfigError, require_positive
+from .grid import Field, Grid, _panels, l2, pow2, primitive, read_csv_rows, trapezoid
 
 #: most samples (times x nodes) one block of rows holds; bounds the memory of
-#: the time-axis norms whatever the grid or the number of times.  A block's
-#: temporaries must stay well below glibc's 128 KiB mmap and trim thresholds,
-#: or the memory of every block is trimmed and faulted in again: at n = 2001,
-#: blocks of 2**14 samples (125 KiB temporaries) cost N_infinity about 80k
-#: minor faults and 1.5x its time per call, and blocks of 2**13 none.  The
-#: 1.5x once measured for 2**15 against 2**14 samples was the same effect.
-_BLOCK_VALUES = 2**13
+#: the time-axis norms whatever the grid or the number of times.  N_infinity
+#: makes its three block buffers once per call, so a block may pass glibc's
+#: 128 KiB trim threshold without being trimmed and faulted in again block by
+#: block.  Blocks of 2**15 samples gave the same pass time on the benchmark's
+#: forcing workload and raised its peak memory by 0.4 MB more.
+_BLOCK_VALUES = 2**14
 
 
 def mean_zero(y: np.ndarray, dx: float) -> np.ndarray:
@@ -91,8 +91,12 @@ class SourceTerm(ABC):
         """Strong L2 limit of f(., t) as t -> infinity."""
         raise ConfigError(f"source kind '{self.kind}' declares no limit profile")
 
-    def dfdt(self, t) -> np.ndarray:
-        """Nodal samples of the time derivative (one-sided off kinks), shaped as `_raw`."""
+    def dfdt(self, t, out=None) -> np.ndarray:
+        """Nodal samples of the time derivative (one-sided off kinks), shaped as `_raw`.
+
+        Written into out, a float array of that shape, and returned, or into a
+        fresh array if None; the bits are the same either way.
+        """
         raise ConfigError(f"source kind '{self.kind}' has no time derivative")
 
     #: times where f(., t) is not smooth in t; the N-quadrature splits there
@@ -140,8 +144,11 @@ class HomogeneousSource(SourceTerm):
     def f_limit(self) -> Field:
         return self._f
 
-    def dfdt(self, t) -> np.ndarray:
-        return np.zeros(np.shape(t) + (self.grid.n,))
+    def dfdt(self, t, out=None) -> np.ndarray:
+        if out is None:
+            return np.zeros(np.shape(t) + (self.grid.n,))
+        out.fill(0.0)
+        return out
 
     def tail_norm_integral(self, t_cut: float):
         return 0.0
@@ -170,6 +177,7 @@ class CosineDecaySource(SourceTerm):
     def __init__(self, grid: Grid):
         super().__init__(grid)
         self._cos = np.cos(np.pi * grid.nodes)
+        self._minus_cos = -self._cos
 
     def _raw(self, t) -> np.ndarray:
         # min(1, 1/t) for t >= 0, with 1/1 = 1 exactly up to the kink
@@ -178,9 +186,11 @@ class CosineDecaySource(SourceTerm):
     def f_limit(self) -> Field:
         return Field(self.grid, mean_zero(np.zeros(self.grid.n), self.grid.dx))
 
-    def dfdt(self, t) -> np.ndarray:
-        late = -self._cos / pow2(np.maximum(t, 1.0))[..., None]
-        return np.where((np.asarray(t) > 1.0)[..., None], late, 0.0)
+    def dfdt(self, t, out=None) -> np.ndarray:
+        t = np.asarray(t)
+        out = np.divide(self._minus_cos, pow2(np.maximum(t, 1.0))[..., None], out)
+        out[~(t > 1.0)] = 0.0    # the rows up to the kink
+        return out
 
     def tail_norm_integral(self, t_cut: float):
         if t_cut < 1.0:
@@ -207,8 +217,8 @@ class CosineExpSource(SourceTerm):
     def f_limit(self) -> Field:
         return Field(self.grid, mean_zero(np.zeros(self.grid.n), self.grid.dx))
 
-    def dfdt(self, t) -> np.ndarray:
-        return (-self.rate * np.exp(-self.rate * t))[..., None] * self._cos
+    def dfdt(self, t, out=None) -> np.ndarray:
+        return np.multiply((-self.rate * np.exp(-self.rate * t))[..., None], self._cos, out)
 
     def tail_norm_integral(self, t_cut: float):
         return _primitive_norms(self._cos, self.grid.dx) * np.exp(-self.rate * t_cut)
@@ -248,10 +258,14 @@ class CallableSource(SourceTerm):
         limit = Field(self.grid, self._f_limit_fn(self.grid.nodes))   # checked as it enters
         return Field(self.grid, mean_zero(limit.values, self.grid.dx))
 
-    def dfdt(self, t) -> np.ndarray:
+    def dfdt(self, t, out=None) -> np.ndarray:
         if self._dfdt_fn is None:
-            return super().dfdt(t)
-        return self._rows(self._dfdt_fn, t)
+            return super().dfdt(t, out)
+        rows = self._rows(self._dfdt_fn, t)
+        if out is None:
+            return rows
+        out[...] = rows
+        return out
 
 
 class TabulatedSource(SourceTerm):
@@ -295,13 +309,14 @@ class TabulatedSource(SourceTerm):
     def f_limit(self) -> Field:
         return Field(self.grid, mean_zero(self._table[-1], self.grid.dx))
 
-    def dfdt(self, t) -> np.ndarray:
+    def dfdt(self, t, out=None) -> np.ndarray:
         if len(self.times) < 2:
             raise ConfigError("tabulated source has no time resolution")
         _, k = self._interval(t)
-        dt = (self.times[k + 1] - self.times[k])[..., None]
-        slope = (self._table[k + 1] - self._table[k]) / dt
-        return np.where((np.asarray(t) > self.times[-1])[..., None], 0.0, slope)
+        slope = np.subtract(self._table[k + 1], self._table[k], out)
+        slope /= (self.times[k + 1] - self.times[k])[..., None]
+        slope[np.asarray(t) > self.times[-1]] = 0.0
+        return slope
 
     def tail_norm_integral(self, t_cut: float):
         return 0.0 if t_cut >= self.times[-1] else None
@@ -312,19 +327,24 @@ def compute_P0(src: SourceTerm) -> float:
     return _primitive_norms(src.f_initial().values, src.grid.dx)
 
 
-def over_time(kernel, ts, n: int) -> np.ndarray:
-    """kernel(block) for consecutive blocks of the times `ts`, concatenated.
+def _block_rows(n: int) -> int:
+    """Times per block of the time-axis norms on n nodes."""
+    return max(1, _BLOCK_VALUES // n)
 
-    `kernel` maps a 1-D block of times to one value per time, computed from
-    that block's (times x n) rows of samples; a block holds at most
-    _BLOCK_VALUES samples.  A non-finite sample makes its time's value
-    non-finite, which raises ValueError, as a Field of it would.
+
+def over_time(kernel, ts, n: int) -> np.ndarray:
+    """kernel(block) for consecutive blocks of the times `ts`, in one array.
+
+    `kernel` maps a 1-D block of at most _block_rows(n) times to one value per
+    time, computed from that block's (times x n) rows of samples.  A
+    non-finite sample makes its time's value non-finite, which raises
+    ValueError, as a Field of it would.
     """
     ts = np.asarray(ts, dtype=float)
-    rows = max(1, _BLOCK_VALUES // n)
-    out = np.concatenate(
-        [kernel(ts[i:i + rows]) for i in range(0, len(ts), rows)] or [np.empty(0)]
-    )
+    rows = _block_rows(n)
+    out = np.empty(len(ts))
+    for i in range(0, len(ts), rows):
+        out[i:i + rows] = kernel(ts[i:i + rows])
     bad = ~np.isfinite(out)
     if bad.any():
         raise ValueError(f"non-finite source samples at t={ts[bad][0]}")
@@ -337,6 +357,36 @@ def _primitive_norms(rows: np.ndarray, dx: float) -> np.ndarray:
     return l2(prim, dx, out=prim)   # squared in place
 
 
+def _dfdt_primitive_norms(src: SourceTerm):
+    """N_infinity's kernel for over_time: ||primitive of f_t||_2 at each time of a block.
+
+    A block's f_t rows, panels and primitives are written into three buffers
+    made once, with _primitive_norms' operations in its order, so each time
+    keeps the bits of its row alone.  The panels run over the flattened rows
+    and those straddling two rows are never read; no panel's overflow is
+    reported, as a row's own makes its norm non-finite, which over_time refuses.
+    """
+    n, dx = src.grid.n, src.grid.dx
+    rows = _block_rows(n)
+    samples, panels = np.empty(rows * n), np.empty(rows * n)
+    prim = np.zeros((rows, n))    # column 0 stays zero: primitive(0) = 0
+
+    def norms(block: np.ndarray) -> np.ndarray:
+        r = len(block)
+        f_t, flat, sq = samples[:r * n], panels[:r * n], prim[:r].reshape(-1)
+        inside = flat.reshape(r, n)[:, :-1]    # each row's n - 1 panels
+        src.dfdt(block, f_t.reshape(r, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _panels(f_t, dx, flat[:-1])
+        np.add.accumulate(inside, -1, None, prim[:r, 1:])
+        np.multiply(sq, sq, sq)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _panels(sq, dx, flat[:-1])
+        return np.sqrt(np.add.reduce(inside, -1))
+
+    return norms
+
+
 def _segments(src: SourceTerm, t_cut: float):
     cuts = sorted({0.0, t_cut, *(b for b in src.breakpoints if 0.0 < b < t_cut)})
     return list(zip(cuts[:-1], cuts[1:]))
@@ -347,17 +397,18 @@ def compute_N_infinity(
 ):
     """Time integral of ||primitive of f_t||_2 over (0, infinity).
 
-    Composite trapezoid on [0, t_cut], split exactly at the source's kinks;
-    a closed-form tail is added when the family provides one, otherwise the
-    result is flagged as tail-truncated.
+    Composite trapezoid on [0, t_cut] with steps of at most dt_quad, split
+    exactly at the source's kinks; a closed-form tail is added when the family
+    provides one, otherwise the result is flagged as tail-truncated.  The
+    blocks of times reuse one set of buffers per call.  t_cut and dt_quad
+    must be finite and positive (ValueError).
 
     Returns (value, tail_truncated).
     """
+    require_positive(t_cut=t_cut, dt_quad=dt_quad)
     if not src.time_dependent:
         return 0.0, False
-    if t_cut <= 0:
-        raise ValueError("t_cut must be positive")
-    total, dx = 0.0, src.grid.dx
+    total, norms = 0.0, _dfdt_primitive_norms(src)
     for a, b in _segments(src, t_cut):
         m = max(2, int(np.ceil((b - a) / dt_quad)) + 1)
         ts = np.linspace(a, b, m)
@@ -366,8 +417,7 @@ def compute_N_infinity(
         ts_eval = ts.copy()
         ts_eval[0] += eps
         ts_eval[-1] -= eps
-        vals = over_time(lambda block: _primitive_norms(src.dfdt(block), dx),
-                         ts_eval, src.grid.n)
+        vals = over_time(norms, ts_eval, src.grid.n)
         total += np.trapezoid(vals, ts)
     tail = src.tail_norm_integral(t_cut)
     if tail is None:

@@ -192,6 +192,32 @@ def test_manifest_records_the_versions_and_the_config_hash(tmp_path):
     assert manifest["config_path"] is None and manifest["config_sha256"] is None
 
 
+def test_manifest_records_the_resolved_march_settings(tmp_path):
+    defaults = {"newton_max_iter": 50, "positivity_floor": 1e-8}
+    text = ("source = cosine_static 0.5\nnu = 1.5\nn = 21\ndt = 0.005\nt_end = 0.02\n"
+            "snapshot_stride = 2\nnewton_tol = 1e-11\n")
+    runs = {
+        "simulate": (["simulate", "--config", write_config(tmp_path, text)],
+                     {"n": 21, "nu": 1.5, "dt": 0.005, "t_end": 0.02, "snapshot_stride": 2,
+                      "newton_tol": 1e-11, **defaults}),
+        # the example's data, with its flags
+        "example": (["example", "ex-3-3", "--n", "21", "--t-end", "0.01"],
+                    {"n": 21, "nu": 10.0, "dt": 1e-3, "t_end": 0.01, "snapshot_stride": 100,
+                     "newton_tol": 1e-12, **defaults}),
+        # the cross-check's march ends at t_check, with one snapshot there
+        "ssm-crosscheck": (["ssm-crosscheck", "--n", "21", "--t-end", "0.01"],
+                           {"n": 21, "nu": 1.0, "dt": 1e-3, "t_end": 0.01,
+                            "snapshot_stride": 10, "newton_tol": 1e-12, **defaults}),
+        "steady": (["steady", "--config", write_config(tmp_path, "source = zero\nnu = 1\nn = 21\n",
+                                                       "steady.txt")], None),
+    }
+    for name, (argv, march) in runs.items():
+        out = tmp_path / name
+        run([*argv, "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["march"] == march, name
+
+
 class TestTransform:
     def test_sine_kick_source(self, tmp_path):
         cfg = write_config(

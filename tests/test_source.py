@@ -388,6 +388,16 @@ def test_nan_sample_raises():
         compute_N_infinity(src, t_cut=1.0, dt_quad=0.1)
 
 
+@pytest.mark.parametrize("arg,value", [
+    ("dt_quad", -1.0), ("dt_quad", math.inf), ("dt_quad", 0.0), ("dt_quad", math.nan),
+    ("t_cut", math.inf), ("t_cut", 0.0), ("t_cut", -1.0), ("t_cut", math.nan),
+])
+def test_N_infinity_refuses_bad_quadrature_arguments(arg, value):
+    # each once gave a wrong value (a 2-point trapezoid) or a bare numeric error
+    with pytest.raises(ValueError, match=f"{arg} must be finite and positive"):
+        compute_N_infinity(CosineExpSource(Grid(41), 1.0), **{arg: value})
+
+
 def test_negative_time_rejected_in_rows(grid):
     with pytest.raises(ValueError, match="negative time"):
         CosineExpSource(grid, 1.0).samples(np.array([0.0, -0.5]))
