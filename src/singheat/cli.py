@@ -304,9 +304,9 @@ def cmd_ssm_crosscheck(args) -> int:
     u_t = lagrangian.pde_time_derivative(u_final, f_final, nu)
 
     initial = lagrangian.SheetState(t=0.0, grid=grid, h=h0, v=v0, M=M, nu=nu)
-    states = lagrangian.solve_ssm(initial, dt=dt_ssm, t_end=t_check)
-    mismatch = lagrangian.crosscheck_heights(states[-1], u_final, u_t, M)
-    states[-1].to_csv(out / "sheet_final.csv")
+    sheet = lagrangian.solve_ssm(initial, dt=dt_ssm, t_end=t_check)
+    mismatch = lagrangian.crosscheck_heights(sheet, u_final, u_t, M)
+    sheet.to_csv(out / "sheet_final.csv")
     write_json(out / "crosscheck.json", {"t": t_check, "max_rel_error_h": mismatch})
     print(f"max relative height mismatch at t={t_check}: {mismatch:.4f}")
     return EXIT_OK if mismatch <= tolerance else EXIT_SOLVER

@@ -64,9 +64,9 @@ def fit_rate(times, errors, floor: float = DEFAULT_FLOOR):
     return -float(slope), float(np.exp(intercept)), (float(times[start]), float(times[end]))
 
 
-def _envelope_report(times, observed, bound, theory_rate, floor, tol=ENVELOPE_TOL):
+def _envelope_report(times, observed, bound, theory_rate, floor):
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = observed / ((1 + tol) * bound)
+        ratios = observed / ((1 + ENVELOPE_TOL) * bound)
     # samples at or below the noise floor carry no envelope information
     # (they also dodge 0/0 on degenerate runs that start at the steady state)
     ratios = np.where(observed <= floor, 0.0, ratios)

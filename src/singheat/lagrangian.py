@@ -237,9 +237,8 @@ def pde_time_derivative(u: Field, f: Field, nu: float) -> Field:
     return u.with_values(rhs(u.values, f.values, nu, u.grid.dx))
 
 
-def solve_ssm(initial: SheetState, dt: float, t_end: float,
-              sample_times=None) -> list[SheetState]:
-    """Validation-grade staggered-grid march of the sheet system.
+def solve_ssm(initial: SheetState, dt: float, t_end: float) -> SheetState:
+    """Validation-grade staggered-grid march of the sheet system to t_end.
 
     h lives on cell centers and is transported by first-order upwind fluxes
     evaluated at the velocity nodes (mass conserved to round-off); v lives on
@@ -253,9 +252,6 @@ def solve_ssm(initial: SheetState, dt: float, t_end: float,
     n = grid.n
     dx = grid.dx
     nu, M = initial.nu, initial.M
-    if sample_times is None:
-        sample_times = [t_end]
-    sample_times = sorted(sample_times)
 
     # cell-center heights chosen so the cell sum reproduces the trapezoid mass
     h_nodes = initial.h.values
@@ -263,69 +259,60 @@ def solve_ssm(initial: SheetState, dt: float, t_end: float,
     v = initial.v.values.copy()
     v[0] = v[-1] = 0.0
 
-    states: list[SheetState] = []
     t = 0.0
     min_dt = dt * 1e-6
+    while t < t_end - 1e-12:
+        vmax = float(np.max(np.abs(v)))
+        step_dt = dt if vmax == 0 else min(dt, 0.4 * dx / vmax)
+        step_dt = min(step_dt, t_end - t)
+        if step_dt < min_dt:
+            raise SolverError(f"CFL floor reached at t={t:.6g}")
 
-    def emit(t_now):
-        # back to nodes: interior averages; endpoint values from the parabola
-        # with zero slope at the wall (consistent with h_y = 0 there)
-        hn = np.empty(n)
-        hn[1:-1] = 0.5 * (hc[:-1] + hc[1:])
-        hn[0] = (9.0 * hc[0] - hc[1]) / 8.0
-        hn[-1] = (9.0 * hc[-1] - hc[-2]) / 8.0
-        states.append(
-            SheetState(t=t_now, grid=grid, h=Field(grid, hn),
-                       v=Field(grid, v.copy()), M=M, nu=nu)
-        )
+        # conservative upwind transport of h; v=0 at the ends gives zero flux
+        flux = np.zeros(n)
+        up = np.where(v[1:-1] > 0, hc[:-1], hc[1:])
+        flux[1:-1] = v[1:-1] * up
+        hc_new = hc - step_dt * (flux[1:] - flux[:-1]) / dx
+        if np.any(hc_new <= 0):
+            raise SolverError(f"sheet height lost positivity at t={t:.6g}")
 
-    for target in sample_times:
-        while t < target - 1e-12:
-            vmax = float(np.max(np.abs(v)))
-            step_dt = dt if vmax == 0 else min(dt, 0.4 * dx / vmax)
-            step_dt = min(step_dt, target - t)
-            if step_dt < min_dt:
-                raise SolverError(f"CFL floor reached at t={t:.6g}")
+        # explicit upwind advection of v
+        dv_minus = np.zeros(n)
+        dv_plus = np.zeros(n)
+        dv_minus[1:] = (v[1:] - v[:-1]) / dx
+        dv_plus[:-1] = (v[1:] - v[:-1]) / dx
+        adv = np.where(v > 0, v * dv_minus, v * dv_plus)
+        v_star = v - step_dt * adv
+        v_star[0] = v_star[-1] = 0.0
 
-            # conservative upwind transport of h; v=0 at the ends gives zero flux
-            flux = np.zeros(n)
-            up = np.where(v[1:-1] > 0, hc[:-1], hc[1:])
-            flux[1:-1] = v[1:-1] * up
-            hc_new = hc - step_dt * (flux[1:] - flux[:-1]) / dx
-            if np.any(hc_new <= 0):
-                raise SolverError(f"sheet height lost positivity at t={t:.6g}")
+        # implicit viscous solve on the new height field
+        h_node = np.empty(n)
+        h_node[1:-1] = 0.5 * (hc_new[:-1] + hc_new[1:])
+        h_node[0] = hc_new[0]
+        h_node[-1] = hc_new[-1]
+        c = step_dt * nu / (h_node * dx**2)
+        lower = np.zeros(n)
+        diag = np.ones(n)
+        upper = np.zeros(n)
+        lower[1:-1] = -c[1:-1] * hc_new[:-1]
+        upper[1:-1] = -c[1:-1] * hc_new[1:]
+        diag[1:-1] = 1.0 + c[1:-1] * (hc_new[:-1] + hc_new[1:])
+        try:
+            v = tridiag_solve(lower[1:], diag, upper[:-1], v_star)
+        except ValueError as err:  # LinAlgError included
+            raise SolverError(f"viscous solve failed at t={t:.6g}: {err}") from err
+        v[0] = v[-1] = 0.0
 
-            # explicit upwind advection of v
-            dv_minus = np.zeros(n)
-            dv_plus = np.zeros(n)
-            dv_minus[1:] = (v[1:] - v[:-1]) / dx
-            dv_plus[:-1] = (v[1:] - v[:-1]) / dx
-            adv = np.where(v > 0, v * dv_minus, v * dv_plus)
-            v_star = v - step_dt * adv
-            v_star[0] = v_star[-1] = 0.0
+        hc = hc_new
+        t += step_dt
 
-            # implicit viscous solve on the new height field
-            h_node = np.empty(n)
-            h_node[1:-1] = 0.5 * (hc_new[:-1] + hc_new[1:])
-            h_node[0] = hc_new[0]
-            h_node[-1] = hc_new[-1]
-            c = step_dt * nu / (h_node * dx**2)
-            lower = np.zeros(n)
-            diag = np.ones(n)
-            upper = np.zeros(n)
-            lower[1:-1] = -c[1:-1] * hc_new[:-1]
-            upper[1:-1] = -c[1:-1] * hc_new[1:]
-            diag[1:-1] = 1.0 + c[1:-1] * (hc_new[:-1] + hc_new[1:])
-            try:
-                v = tridiag_solve(lower[1:], diag, upper[:-1], v_star)
-            except ValueError as err:  # LinAlgError included
-                raise SolverError(f"viscous solve failed at t={t:.6g}: {err}") from err
-            v[0] = v[-1] = 0.0
-
-            hc = hc_new
-            t += step_dt
-        emit(t)
-    return states
+    # back to nodes: interior averages; endpoint values from the parabola
+    # with zero slope at the wall (consistent with h_y = 0 there)
+    hn = np.empty(n)
+    hn[1:-1] = 0.5 * (hc[:-1] + hc[1:])
+    hn[0] = (9.0 * hc[0] - hc[1]) / 8.0
+    hn[-1] = (9.0 * hc[-1] - hc[-2]) / 8.0
+    return SheetState(t=t, grid=grid, h=Field(grid, hn), v=Field(grid, v), M=M, nu=nu)
 
 
 def crosscheck_heights(ssm_state: SheetState, u: Field, u_t: Field,

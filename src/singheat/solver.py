@@ -141,46 +141,37 @@ def _flux_divergence(u: np.ndarray, nu, dx, buffers: tuple | None = None):
     return out, mid, mid2, d
 
 
-def _rhs_terms(u: np.ndarray, f: np.ndarray, nu: float, dx: float):
-    """rhs(u), with the half-node means, their squares and the differences of u."""
-    out, mid, mid2, d = _flux_divergence(u, nu, dx)
-    out += f
-    return out, mid, mid2, d
-
-
 def rhs(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> np.ndarray:
     """nu * flux divergence + f on half-width boundary control volumes."""
-    return _rhs_terms(u, f, nu, dx)[0]
+    out = _flux_divergence(u, nu, dx)[0]
+    out += f
+    return out
 
 
 _CUBE = const(3.0)
 
 
-def _band_scratch(m: int, packed: np.ndarray, nu: float, dt: float,
-                  memory: np.ndarray | None = None) -> tuple:
+def _band_scratch(m: int, packed: np.ndarray, nu: float, dt: float, memory: np.ndarray) -> tuple:
     """_jacobian_bands' scratch for m = n - 1 half nodes, nu and dt: 1/mid², d/mid³
-    and the (2, m) flux derivatives, in memory (4m values) or fresh if None; the
-    views of them and of packed that it writes; and -nu and -dt as consts."""
-    memory = np.empty(4 * m) if memory is None else memory
+    and the (2, m) flux derivatives, in memory (4m values); the views of them
+    and of packed that it writes; and -nu and -dt as consts."""
     a, c, dF = memory[:m], memory[m:2 * m], memory[2 * m:4 * m].reshape(2, m)
     lower, diag, upper = packed[:m], packed[m:2 * m + 1], packed[2 * m + 1:3 * m + 1]
     return (a, c, dF, *dF, dF[0, 1:], dF[1, :-1], lower, diag, upper, diag[1:-1],
             packed[:3 * m + 1], const(-nu), const(-dt))
 
 
-def _jacobian_bands(mid, mid2, d, nu, dx, dt, packed: np.ndarray,
-                    scratch: tuple | None = None):
-    """Bands (lower, diag, upper) of I - dt * d(rhs)/du, written into packed.
+def _jacobian_bands(mid, mid2, d, nu, dx, scratch: tuple):
+    """Bands (lower, diag, upper) of I - dt * d(rhs)/du, written into the packed
+    buffer of scratch, _band_scratch(n - 1, packed, nu, dt, memory).
 
     They fill packed[:3n - 2] in _solve_packed's order and are returned as
-    views of it.  mid, mid2 and d are those _rhs_terms returns at the
+    views of it.  mid, mid2 and d are those _flux_divergence returns at the
     linearization point.  Row i is divided by its control-volume width: dx,
-    or dx/2 at the ends.  The temporaries are written into scratch,
-    _band_scratch(n - 1, packed, nu, dt), or fresh arrays if None.  nu, dx
-    and dt are floats or consts.
+    or dx/2 at the ends.  nu and dx are floats or consts.
     """
     (a, c, dF, dF_left, dF_right, left_tail, right_head, lower, diag, upper, inner, bands,
-     neg_nu, neg_dt) = scratch or _band_scratch(len(mid), packed, float(nu), float(dt))
+     neg_nu, neg_dt) = scratch
     np.divide(ONE, mid2, a)
     np.power(mid, _CUBE, c)
     np.divide(d, c, c)          # d / mid³
@@ -286,7 +277,8 @@ _BLOCK_VALUES = 2**12
 
 
 class Workspace:
-    """What the steps of one march share: every n-sized buffer, and the flux terms they carry.
+    """What the steps of one march share: its config, every n-sized buffer, and
+    the flux terms they carry.
 
     packed is the (lower, diag, upper, b) buffer gtsv solves in place, with
     its call arguments and finiteness mask bound once.  terms, res and
@@ -295,15 +287,12 @@ class Workspace:
     a block of accepted states, K = max(1, 2**12 // n) rows, whose
     diagnostics `simulate` records in one call; memory holds the rows,
     gradients and integrands of `diagnostics` for up to K states, and
-    diagnostic the views of them for K states.  Each buffer comes with the
-    fixed views of it that its writer takes.  A step allocates only its
-    trial iterates, each a fresh array, so an array `step` returns is never
-    written again.  u is the last iterate a step accepted and flux its
-    terms, which the next step, starting from that very array, takes in
-    place of computing them again.  The config's scalars that numpy takes
-    as operands are consts: dx, two_dx (2 dx), nu, dt, sqrt_nu and
-    inv_sqrt_nu (1/sqrt_nu).  A workspace serves the steps and diagnostics
-    of one config, one call at a time.
+    diagnostic the views of them for K states.  u is the last iterate a step
+    accepted and flux its terms, which the next step, starting from that
+    very array, takes in place of computing them again.  The config's
+    scalars that numpy takes as operands are consts: dx, two_dx (2 dx), nu,
+    dt, sqrt_nu and inv_sqrt_nu (1/sqrt_nu).  A workspace serves one call at
+    a time.
     """
 
     def __init__(self, cfg: SimulationConfig):
@@ -327,34 +316,23 @@ class Workspace:
         self.bands = _band_scratch(m, self.packed, cfg.nu, cfg.dt, bands)
         self.u = self.flux = None
 
-    def check(self, cfg: SimulationConfig) -> None:
-        """ValueError unless the workspace was made for cfg."""
-        if self.cfg is not cfg:
-            raise ValueError("the workspace belongs to another config")
 
-
-def step(un: np.ndarray, t: float, cfg: SimulationConfig,
-         work: Workspace | None = None, f: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.ndarray, int]:
     """One implicit-Euler step of the nodal values un from t to t + dt.
 
     Returns the new values, a fresh array, and the Newton iteration count.
     They are finite: the loop ends only on a residual at most newton_tol,
-    which is finite.  f is the forcing at t + dt, as `cfg.source.at(t +
-    cfg.dt)` gives it, or None to read it so; `simulate` passes each row of
-    the block it reads for the next steps.  work is the march's Workspace
-    for cfg, or None for a fresh one; the step writes its flux terms,
-    residuals and bands into it and allocates only the trial iterates.  When
-    un is the very array the last step with this workspace returned,
-    unchanged since, the step takes its flux terms from the workspace instead
-    of computing them again; the result has the same bits either way.
+    which is finite.  work is the march's Workspace, whose config the step
+    takes; f is the forcing at t + dt, as `work.cfg.source.at(t + dt)` gives
+    it.  The step writes its flux terms, residuals and bands into work and
+    allocates only the trial iterates.  When un is the very array the last
+    step with this workspace returned, unchanged since, the step takes its
+    flux terms from the workspace instead of computing them again; the
+    result has the same bits either way.
     """
-    if work is None:
-        work = Workspace(cfg)
-    work.check(cfg)
+    cfg = work.cfg
     nu, dx, dt, floor, t_new = work.nu, work.dx, work.dt, cfg.positivity_floor, t + cfg.dt
     packed, scratch = work.packed, work.scratch
-    if f is None:
-        f = cfg.source.at(t_new)
 
     def residual(v, flux):
         """The norm of v's residual, which is written into work.res."""
@@ -381,7 +359,7 @@ def step(un: np.ndarray, t: float, cfg: SimulationConfig,
             raise SolverError(
                 f"Newton stalled at t={t_new:.6g} with residual {res_norm:.3g}"
             )
-        _jacobian_bands(*flux[1:], nu, dx, dt, packed, work.bands)
+        _jacobian_bands(*flux[1:], nu, dx, work.bands)
         np.negative(work.res, work.b)
         try:
             dv = _solve_packed(packed, work.gtsv)    # lives in packed until the next solve
@@ -425,24 +403,17 @@ def _diagnostic_buffers(spent: np.ndarray, integrands: np.ndarray, k: int, n: in
             integrands[2:5], *integrands)
 
 
-def diagnostics(uv: np.ndarray, t, cfg: SimulationConfig, steady: SteadyState,
-                work: Workspace | None = None):
-    """Energy/norm diagnostics: DIAGNOSTIC_COLUMNS but the last.
+def diagnostics(block: np.ndarray, t: np.ndarray, steady: SteadyState, work: Workspace):
+    """Energy/norm diagnostics: DIAGNOSTIC_COLUMNS but the last, a (k, 8) array.
 
-    uv is the nodal values at a time t, which gives a tuple of floats, or
-    a (k, n) block of states at a 1-D array of k times, which gives a (k, 8)
-    array, one row per state.  A block takes one gradient and one trapezoid
-    over all its rows and one forcing read for its times, and each row has
-    the bits it has alone: one state is the block of one.  They are computed
-    in the buffers of work, the march's Workspace for cfg, or of a fresh one
-    if None; a block holds at most its K states.
+    block is a (k, n) block of states at the 1-D array t of their k times,
+    at most the workspace's K states; a row per state.  A block takes one
+    gradient and one trapezoid over all its rows and one forcing read for
+    its times, and each row has the bits it has alone.  They are computed in
+    the buffers of work, the march's Workspace, whose config they take.
     """
-    if work is None:
-        work = Workspace(cfg)
-    work.check(cfg)
-    n = cfg.grid.n
-    block = uv.reshape(-1, n)
-    k = len(block)
+    cfg = work.cfg
+    n, k = cfg.grid.n, len(block)
     if not 0 < k <= len(work.states):
         raise ValueError(f"a block of {k} states; the workspace holds 1 to {len(work.states)}")
     q_inf, inverse_u_inf = steady.inverse_profiles
@@ -473,7 +444,7 @@ def diagnostics(uv: np.ndarray, t, cfg: SimulationConfig, steady: SteadyState,
     np.sqrt(out[4:6], out[4:6])
     np.minimum.reduce(block, 1, None, out[6])
     np.maximum.reduce(block, 1, None, out[7])
-    return tuple(out[:, 0].tolist()) if uv.ndim == 1 else out.T
+    return out.T
 
 
 def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> SimulationRecord:
@@ -510,14 +481,14 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
     data = np.empty((n_steps + 1, len(DIAGNOSTIC_COLUMNS)), order="F")
     u = cfg.u0.values
     work = Workspace(cfg)
-    data[0] = (*diagnostics(u, 0.0, cfg, steady, work=work), 0)
+    data[:1, :-1] = diagnostics(u[None], np.zeros(1), steady, work)
+    data[0, -1] = 0
     states, block = work.states, len(work.states)
 
     def record(first: int, rows: int) -> None:
         """Record the states of steps first to first + rows - 1, at their times (k + 1)*dt."""
         times = np.arange(first + 1, first + rows + 1) * cfg.dt
-        data[first + 1:first + rows + 1, :-1] = diagnostics(states[:rows], times, cfg, steady,
-                                                            work=work)
+        data[first + 1:first + rows + 1, :-1] = diagnostics(states[:rows], times, steady, work)
 
     snapshot_times, snapshots = [0.0], [cfg.u0]
     failure = failure_time = fixed_point_time = None
@@ -530,7 +501,7 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
         t = k * cfg.dt
         previous = u
         try:
-            u, iters = step(u, t, cfg, work=work, f=forcing[j])
+            u, iters = step(u, t, work, forcing[j])
         except SolverError as err:
             failure, failure_time, done = str(err), t, k
             if j:

@@ -45,7 +45,6 @@ class SourceTerm(ABC):
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self._last = (None, None)   # the last (t, evaluate(t))
 
     @abstractmethod
     def _raw(self, t) -> np.ndarray:
@@ -59,10 +58,8 @@ class SourceTerm(ABC):
         return True
 
     def evaluate(self, t: float) -> Field:
-        """f(., t); asked again for the last t, the same Field, not a new one."""
-        if t != self._last[0]:
-            self._last = (t, Field(self.grid, self.samples(t)))
-        return self._last[1]
+        """f(., t) as a Field."""
+        return Field(self.grid, self.at(t))
 
     def at(self, t) -> np.ndarray:
         """f(., t) as read-only nodal samples, shaped as `_raw`, for the march; no Field is built.
@@ -115,17 +112,13 @@ class HomogeneousSource(SourceTerm):
     def __init__(self, f0: Field):
         super().__init__(f0.grid)
         self._f0 = mean_zero(f0.values, f0.grid.dx)
-        # _f0 projected once more, as SourceTerm.evaluate does; not _f0 itself,
+        # _f0 projected once more, as SourceTerm.samples does; not _f0 itself,
         # whose last bits can differ
-        self._f = super().evaluate(0.0)
+        self._f = Field(f0.grid, self.samples(0.0))
 
     @property
     def time_dependent(self) -> bool:
         return False
-
-    def evaluate(self, t: float) -> Field:
-        # a negative t goes to SourceTerm.evaluate, which rejects it
-        return self._f if t >= 0 else super().evaluate(t)
 
     def at(self, t) -> np.ndarray:
         # a negative t goes to SourceTerm.at, which rejects it

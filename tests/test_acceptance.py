@@ -264,13 +264,13 @@ def test_criterion_11_ssm_crosscheck(criterion, ex24_record):
     rec1 = simulate(cfg)
     u1 = rec1.snapshots[-1]
     ut1 = pde_time_derivative(u1, src.evaluate(1.0), 1.0)
-    ssm1 = solve_ssm(init, dt=1e-3, t_end=1.0)[-1]
+    ssm1 = solve_ssm(init, dt=1e-3, t_end=1.0)
     mismatch_t1 = crosscheck_heights(ssm1, u1, ut1, 1.0)
 
     # long-time limit: both routes against h_inf composed through the map
     ss = steady_profile(src, 1.0, which="initial")
     h_inf_view = limit_sheet(ss, 1.0)
-    ssm8 = solve_ssm(init, dt=1e-3, t_end=8.0)[-1]
+    ssm8 = solve_ssm(init, dt=1e-3, t_end=8.0)
     h_ssm_on_map = np.interp(h_inf_view.y_of_x.values, g.nodes, ssm8.h.values)
     ssm_rel = float(np.max(np.abs(h_ssm_on_map - h_inf_view.h_on_map.values)
                            / h_inf_view.h_on_map.values))

@@ -287,15 +287,15 @@ class TestSolveSSM:
             t=0.0, grid=g, h=Field(g, np.full(101, 2.0)),
             v=Field(g, np.zeros(101)), M=2.0, nu=1.0,
         )
-        states = solve_ssm(init, dt=1e-3, t_end=0.5)
-        assert np.max(np.abs(states[-1].h.values - 2.0)) < 1e-12
-        assert np.max(np.abs(states[-1].v.values)) < 1e-12
+        state = solve_ssm(init, dt=1e-3, t_end=0.5)
+        assert state.t == pytest.approx(0.5, abs=1e-12)
+        assert np.max(np.abs(state.h.values - 2.0)) < 1e-12
+        assert np.max(np.abs(state.v.values)) < 1e-12
 
     def test_mass_conserved(self):
-        states = solve_ssm(ex24_sheet(), dt=1e-3, t_end=1.0,
-                           sample_times=[0.25, 0.5, 1.0])
-        for st in states:
-            assert st.mass() == pytest.approx(1.0, abs=1e-8)
+        for t_end in (0.25, 0.5, 1.0):
+            state = solve_ssm(ex24_sheet(), dt=1e-3, t_end=t_end)
+            assert state.mass() == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("err", [LinAlgError("singular matrix"),
                                      ValueError("infs or NaNs")])
@@ -308,8 +308,8 @@ class TestSolveSSM:
             solve_ssm(ex24_sheet(21), dt=1e-3, t_end=0.01)
 
     def test_long_time_limit(self):
-        states = solve_ssm(ex24_sheet(), dt=1e-3, t_end=8.0)
-        g = states[-1].grid
+        state = solve_ssm(ex24_sheet(), dt=1e-3, t_end=8.0)
+        g = state.grid
         # closed form gives h at the mapped points y(x); push it to the
         # y-grid through the limit map before comparing
         x_fine = np.linspace(0.0, 1.0, 4001)
@@ -319,9 +319,9 @@ class TestSolveSSM:
         )
         h_inf_x = (C_EXACT - np.cos(np.pi * x_fine)) / (2 * np.pi)
         h_inf_y = np.interp(g.nodes, y_inf / y_inf[-1], h_inf_x)
-        err = np.max(np.abs(states[-1].h.values - h_inf_y))
+        err = np.max(np.abs(state.h.values - h_inf_y))
         assert err <= 0.02
-        assert np.max(np.abs(states[-1].v.values)) < 1e-3
+        assert np.max(np.abs(state.v.values)) < 1e-3
 
 
 class TestCrosscheck:
@@ -336,5 +336,5 @@ class TestCrosscheck:
         rec = simulate(cfg)
         u1 = rec.snapshots[-1]
         ut1 = pde_time_derivative(u1, src.evaluate(1.0), 1.0)
-        ssm = solve_ssm(ex24_sheet(n), dt=1e-3, t_end=1.0)[-1]
+        ssm = solve_ssm(ex24_sheet(n), dt=1e-3, t_end=1.0)
         assert crosscheck_heights(ssm, u1, ut1, 1.0) <= 0.02

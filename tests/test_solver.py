@@ -42,6 +42,18 @@ def flat_config(n=101, **kw):
     return SimulationConfig(**defaults)
 
 
+def _step(u, t, cfg):
+    """solver.step from t, in a fresh workspace, with the forcing at t + dt."""
+    return solver.step(u, t, solver.Workspace(cfg), cfg.source.at(t + cfg.dt))
+
+
+def _row(u, t, cfg, ss, work=None):
+    """solver.diagnostics of the state u at t as the block of one, a tuple of
+    floats; in work, or a fresh workspace if None."""
+    block = solver.diagnostics(u[None], np.array([t]), ss, work or solver.Workspace(cfg))
+    return tuple(block[0].tolist())
+
+
 class TestConfigValidation:
     def test_rejects_nonunit_mass(self):
         g = Grid(11)
@@ -86,7 +98,7 @@ class TestConfigValidation:
 class TestFixedPoint:
     def test_flat_profile_is_exact(self):
         cfg = flat_config()
-        u, iters = step(cfg.u0.values, 0.0, cfg)
+        u, iters = _step(cfg.u0.values, 0.0, cfg)
         assert np.array_equal(u, cfg.u0.values)
 
     def test_steady_profile_nearly_fixed(self):
@@ -94,7 +106,7 @@ class TestFixedPoint:
         src = CosineStaticSource(g, math.pi / 2)
         ss = steady_profile(src, 1.0, which="initial")
         cfg = flat_config(401, u0=ss.u_infinity, source=src)
-        u, _ = step(ss.u_infinity.values, 0.0, cfg)
+        u, _ = _step(ss.u_infinity.values, 0.0, cfg)
         drift = np.max(np.abs(u - ss.u_infinity.values))
         # one step moves the discrete profile by at most dt * residual-scale
         assert drift <= cfg.dt * (10 * ss.residual_l2 + 1e-8) + 10 * cfg.newton_tol
@@ -209,11 +221,9 @@ class TestFailureHandling:
 
 
 def test_diagnostics_flat_state():
-    from singheat.solver import diagnostics
-
     cfg = flat_config()
     ss = steady_profile(cfg.source, cfg.nu, which="initial")
-    d = dict(zip(DIAGNOSTIC_COLUMNS, diagnostics(cfg.u0.values, 0.0, cfg, ss)))
+    d = dict(zip(DIAGNOSTIC_COLUMNS, _row(cfg.u0.values, 0.0, cfg, ss)))
     assert d["energy"] == pytest.approx(0.0, abs=1e-14)
     assert d["relative_energy"] == pytest.approx(0.0, abs=1e-14)
     assert d["mass"] == pytest.approx(1.0, abs=1e-14)
@@ -233,15 +243,15 @@ def test_record_series_are_the_rows_of_each_step(tmp_path, monkeypatch):
     g = Grid(21)
     cfg = flat_config(21, source=make_source(g, "cosine_static 0.5"), t_end=0.01)
     ss = steady_profile(cfg.source, cfg.nu, which="initial")
-    u, rows = cfg.u0.values, [(*diagnostics(cfg.u0.values, 0.0, cfg, ss), 0)]
+    u, rows = cfg.u0.values, [(*_row(cfg.u0.values, 0.0, cfg, ss), 0)]
     for k in range(3):
-        u, iters = step(u, k * cfg.dt, cfg)
-        rows.append((*diagnostics(u, (k + 1) * cfg.dt, cfg, ss), iters))
+        u, iters = _step(u, k * cfg.dt, cfg)
+        rows.append((*_row(u, (k + 1) * cfg.dt, cfg, ss), iters))
 
-    def step_until_fourth(u, t, cfg, work=None, f=None):
+    def step_until_fourth(u, t, work, f):
         if t > 2.5 * cfg.dt:
             raise QuenchError("stopped")
-        return step(u, t, cfg, work, f)
+        return step(u, t, work, f)
 
     monkeypatch.setattr(solver, "step", step_until_fourth)
     rec = simulate(cfg, ss)
@@ -258,6 +268,14 @@ def dense(lower, diag, upper):
     return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
+def _bands(u, nu, dx, dt, packed):
+    """solver._jacobian_bands at u, written into packed, and the flux terms of u."""
+    m = len(u) - 1
+    _, mid, mid2, d = solver._flux_divergence(u, nu, dx)
+    scratch = solver._band_scratch(m, packed, nu, dt, np.empty(4 * m))
+    return solver._jacobian_bands(mid, mid2, d, nu, dx, scratch), (mid, mid2, d)
+
+
 class TestNewtonLinearAlgebra:
     @pytest.mark.parametrize("n", [5, 41])
     def test_jacobian_bands_match_finite_differences(self, n):
@@ -266,8 +284,7 @@ class TestNewtonLinearAlgebra:
         for _ in range(5):
             u = rng.uniform(0.5, 2.0, n)
             f = rng.standard_normal(n)
-            terms = solver._rhs_terms(u, f, nu, dx)[1:]
-            bands = solver._jacobian_bands(*terms, nu, dx, dt, np.empty(3 * n - 2))
+            bands, _ = _bands(u, nu, dx, dt, np.empty(3 * n - 2))
             assert [len(band) for band in bands] == [n - 1, n, n - 1]
             jac = (np.eye(n) - dense(*bands)) / dt
             fd = np.empty((n, n))
@@ -363,7 +380,7 @@ class TestNewtonLinearAlgebra:
         monkeypatch.setattr(solver, "_jacobian_bands", broken_bands)
         cfg = flat_config(21, t_end=0.01)
         with pytest.raises(SolverError, match="Newton solve failed at t=0.001"):
-            step(cfg.u0.values, 0.0, cfg)
+            _step(cfg.u0.values, 0.0, cfg)
         rec = simulate(cfg)
         assert rec.failure.startswith("Newton solve failed at t=0.001")
         assert len(rec.times) == 1
@@ -395,7 +412,7 @@ def test_diagnostics_match_field_reference_exactly(spec):
             float(np.min(u.values)),
             float(np.max(u.values)),
         )
-        assert diagnostics(u.values, t, cfg, ss) == expected
+        assert _row(u.values, t, cfg, ss) == expected
 
 
 def _inverse_sine(g, eps):
@@ -411,10 +428,10 @@ def _count_step_and_diagnostics(monkeypatch):
         calls["step"] += 1
         return step(*args, **kwargs)
 
-    def counted_diagnostics(uv, *args, **kwargs):
+    def counted_diagnostics(block, *args, **kwargs):
         calls["diagnostics"] += 1
-        calls["diagnostic rows"] += len(uv) if uv.ndim == 2 else 1
-        return diagnostics(uv, *args, **kwargs)
+        calls["diagnostic rows"] += len(block)
+        return diagnostics(block, *args, **kwargs)
 
     step, diagnostics = solver.step, solver.diagnostics
     monkeypatch.setattr(solver, "step", counted_step)
@@ -488,13 +505,6 @@ def test_march_reuses_flux_terms_and_builds_no_forcing_fields(monkeypatch, field
     assert len(fields_built) == len(rec.snapshots) - 1 == 5
 
 
-def test_step_refuses_the_workspace_of_another_config():
-    # a workspace carries flux terms computed with its own config's nu and dx
-    cfg, other = flat_config(21), flat_config(21, nu=2.0)
-    with pytest.raises(ValueError, match="another config"):
-        step(cfg.u0.values, 0.0, cfg, solver.Workspace(other))
-
-
 def test_arrays_a_step_returns_are_never_written_again():
     # the workspace's buffers are rewritten by every step; the values each
     # step returns, which snapshots and the next step hold, are not
@@ -504,10 +514,10 @@ def test_arrays_a_step_returns_are_never_written_again():
     work = solver.Workspace(cfg)
     u, kept = cfg.u0.values, []
     for k in range(5):
-        u, _ = step(u, k * cfg.dt, cfg, work=work)
+        u, _ = step(u, k * cfg.dt, work, cfg.source.at(k * cfg.dt + cfg.dt))
         kept.append((u, u.copy()))
-        row = diagnostics(u, (k + 1) * cfg.dt, cfg, ss, work=work)
-        assert row == diagnostics(u, (k + 1) * cfg.dt, cfg, ss)
+        row = _row(u, (k + 1) * cfg.dt, cfg, ss, work)
+        assert row == _row(u, (k + 1) * cfg.dt, cfg, ss)
     assert all(np.array_equal(a, b) for a, b in kept)
     assert len({id(a) for a, _ in kept}) == 5
 
@@ -521,13 +531,13 @@ def test_diagnostics_of_a_block_are_its_states_alone():
     states, times = 1.0 + 0.1 * rng.standard_normal((21, 201)), rng.uniform(0.0, 2.0, 21)
     work = solver.Workspace(cfg)
     for k in (1, 7, 20):
-        block = diagnostics(states[:k], times[:k], cfg, ss, work=work)
+        block = diagnostics(states[:k], times[:k], ss, work)
         assert block.shape == (k, len(DIAGNOSTIC_COLUMNS) - 1)
         for row, u, t in zip(block, states, times.tolist()):
-            assert tuple(row.tolist()) == diagnostics(u, t, cfg, ss)
+            assert tuple(row.tolist()) == _row(u, t, cfg, ss)
     for k in (0, 21):
         with pytest.raises(ValueError, match="block of"):
-            diagnostics(states[:k], times[:k], cfg, ss, work=work)
+            diagnostics(states[:k], times[:k], ss, work)
 
 
 #: a warm march at n = 6401 in a fresh interpreter that loads no scipy, whose
@@ -606,13 +616,14 @@ def _reference_jacobian_bands(mid, d, nu, dx, dt):
     return lower, 1.0 - dt * diag, upper
 
 
-def _reference_step(un, t, cfg, work=None, f=None, damped=None):
-    """The reference step; it ignores the workspace, and adds t to the list
-    damped, if given, for each update it damps (lambda < 1).  A forcing f
-    it is given must be its own sample at t + dt, bit for bit."""
+def _reference_step(un, t, work, f, damped=None):
+    """The reference step; it takes only the config of the workspace, and adds
+    t to the list damped, if given, for each update it damps (lambda < 1).
+    The forcing f it is given must be its own sample at t + dt, bit for bit."""
+    cfg = work.cfg
     dx, dt, nu = cfg.grid.dx, cfg.dt, cfg.nu
     own = cfg.source.samples(t + dt)
-    assert f is None or f.tobytes() == own.tobytes()
+    assert f.tobytes() == own.tobytes()
     f = own
 
     def residual(v):
@@ -651,12 +662,14 @@ def _reference_step(un, t, cfg, work=None, f=None, damped=None):
     return v, iters
 
 
-def _reference_diagnostics(uv, t, cfg, steady, work=None):
-    """The reference diagnostics, a tuple for one state and an array of them
-    for a block of states, row by row; it ignores the workspace."""
-    if uv.ndim == 2:
-        return np.array([_reference_diagnostics(u, s, cfg, steady)
-                         for u, s in zip(uv, t.tolist(), strict=True)])
+def _reference_diagnostics(block, t, steady, work):
+    """The reference diagnostics of a block of states, row by row; it takes
+    only the config of the workspace."""
+    return np.array([_reference_row(u, s, work.cfg, steady)
+                     for u, s in zip(block, t.tolist(), strict=True)])
+
+
+def _reference_row(uv, t, cfg, steady):
     dx = cfg.grid.dx
     sqrt_nu = math.sqrt(cfg.nu)
     q = sqrt_nu / uv
@@ -688,12 +701,11 @@ def test_residual_and_bands_keep_the_reference_bits(n):
         u = rng.uniform(0.2, 5.0, n)
         f = rng.standard_normal(n)
         nu, dt = rng.uniform(0.5, 20.0), 10.0 ** rng.uniform(-5, -1)
-        out, mid, mid2, d = solver._rhs_terms(u, f, nu, dx)
-        ref_out, ref_mid, ref_d = _reference_rhs_terms(u, f, nu, dx)
-        assert all(map(np.array_equal, (out, mid, d), (ref_out, ref_mid, ref_d)))
-        assert np.array_equal(mid2, mid**2)
         packed = np.full(4 * n - 2, np.nan)
-        lower, diag, upper = solver._jacobian_bands(mid, mid2, d, nu, dx, dt, packed)
+        (lower, diag, upper), (mid, mid2, d) = _bands(u, nu, dx, dt, packed)
+        ref_out, ref_mid, ref_d = _reference_rhs_terms(u, f, nu, dx)
+        assert all(map(np.array_equal, (rhs(u, f, nu, dx), mid, d), (ref_out, ref_mid, ref_d)))
+        assert np.array_equal(mid2, mid**2)
         assert np.array_equal(packed[:3 * n - 2], np.concatenate((lower, diag, upper)))
         assert np.isnan(packed[3 * n - 2:]).all()    # the right-hand side's slot is left
         ref_lower, ref_diag, ref_upper = _reference_jacobian_bands(mid, d, nu, dx, dt)
@@ -742,18 +754,20 @@ def test_march_keeps_the_reference_bits(monkeypatch, n, source, eps, nu, dt, ste
 
 def _reference_simulate(cfg, steady):
     """The march that steps every time and records each state on its own, the
-    reference for the fixed-point exit and the blocks; it stops at a SolverError."""
+    reference for the fixed-point exit and the blocks; it stops at a SolverError.
+    Each step takes a fresh workspace, so none reuses the flux terms of the
+    step before it."""
     n_steps = int(round(cfg.t_end / cfg.dt))
     u = cfg.u0.values
-    rows = [(*solver.diagnostics(u, 0.0, cfg, steady), 0)]
+    rows = [(*_row(u, 0.0, cfg, steady), 0)]
     snapshot_times, snapshots = [0.0], [cfg.u0]
     for k in range(n_steps):
         try:
-            u, iters = solver.step(u, k * cfg.dt, cfg)
+            u, iters = _step(u, k * cfg.dt, cfg)
         except SolverError:
             break
         t_new = (k + 1) * cfg.dt
-        rows.append((*solver.diagnostics(u, t_new, cfg, steady), iters))
+        rows.append((*_row(u, t_new, cfg, steady), iters))
         if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == n_steps:
             snapshot_times.append(t_new)
             snapshots.append(Field(cfg.grid, u))
@@ -843,10 +857,10 @@ def _step_that(monkeypatch, after: int, then):
     """Rebind solver.step to the real step until step `after`, then `then`."""
     real = solver.step
 
-    def patched(u, t, cfg, work=None, f=None):
-        if t > (after - 0.5) * cfg.dt:
+    def patched(u, t, work, f):
+        if t > (after - 0.5) * work.cfg.dt:
             return then(u)
-        return real(u, t, cfg, work, f)
+        return real(u, t, work, f)
 
     monkeypatch.setattr(solver, "step", patched)
 
@@ -899,10 +913,10 @@ def test_step_and_record_times_are_read_apart(monkeypatch):
     wrong = []
     real = solver.step
 
-    def checked(u, t, cfg, work=None, f=None):
+    def checked(u, t, work, f):
         if f.tobytes() != cfg.source.samples(t + cfg.dt).tobytes():
             wrong.append(t)
-        return real(u, t, cfg, work, f)
+        return real(u, t, work, f)
 
     monkeypatch.setattr(solver, "step", checked)
     rec = simulate(cfg, ss)
