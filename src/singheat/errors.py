@@ -32,6 +32,10 @@ class QuenchError(SolverError):
     """Solution approached the singular set u = 0."""
 
 
+class NewtonStallError(SolverError):
+    """Newton's damped updates stopped lowering the residual while u stayed positive."""
+
+
 def require_positive(**values) -> None:
     """ValueError naming the first of the keyword values that is not finite and > 0."""
     for name, value in values.items():

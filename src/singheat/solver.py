@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import QuenchError, SolverError, require_positive
+from .errors import NewtonStallError, QuenchError, SolverError, require_positive
 from .grid import HALF, ONE, Field, Grid, const, gradient, trapezoid, write_csv
 from .source import SourceTerm
 from .steady import SteadyState, steady_profile
@@ -291,8 +291,9 @@ class Workspace:
     accepted and flux its terms, which the next step, starting from that
     very array, takes in place of computing them again.  The config's
     scalars that numpy takes as operands are consts: dx, two_dx (2 dx), nu,
-    dt, sqrt_nu and inv_sqrt_nu (1/sqrt_nu).  A workspace serves one call at
-    a time.
+    dt, sqrt_nu and inv_sqrt_nu (1/sqrt_nu).  round_off is 3 eps dt nu/dx²,
+    a float: times max(u/mid²), it is the floor below which a step's
+    residual is round-off.  A workspace serves one call at a time.
     """
 
     def __init__(self, cfg: SimulationConfig):
@@ -314,6 +315,7 @@ class Workspace:
         self.res, self.scratch, bands, _ = np.split(self.memory[1][:6 * n],
                                                     (n, 2 * n, 2 * n + 4 * m))
         self.bands = _band_scratch(m, self.packed, cfg.nu, cfg.dt, bands)
+        self.round_off = 3.0 * math.ulp(1.0) * cfg.dt * cfg.nu / (dx * dx)
         self.u = self.flux = None
 
 
@@ -321,8 +323,10 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
     """One implicit-Euler step of the nodal values un from t to t + dt.
 
     Returns the new values, a fresh array, and the Newton iteration count.
-    They are finite: the loop ends only on a residual at most newton_tol,
-    which is finite.  work is the march's Workspace, whose config the step
+    They are finite: the loop ends only on a finite residual at most tol,
+    the larger of newton_tol and the residual's round-off floor at un.  A
+    line search that runs out of halvings raises QuenchError if every trial
+    fell to the positivity floor, and NewtonStallError otherwise.  work is the march's Workspace, whose config the step
     takes; f is the forcing at t + dt, as `work.cfg.source.at(t + dt)` gives
     it.  The step writes its flux terms, residuals and bands into work and
     allocates only the trial iterates.  When un is the very array the last
@@ -348,10 +352,14 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
     # rewrites them, so until the step returns they belong to no array
     work.u = None
     res_norm = residual(v, flux)
+    # the residual's round-off, which Newton cannot get below: 3 eps dt nu/dx²
+    # times max(u/mid²), in scratch, which the residual has spent
+    q = np.divide(un[1:], flux[2], scratch[1:])
+    tol = max(cfg.newton_tol, work.round_off * float(np.maximum.reduce(q)))
     iters = 0
     polish = False
     while True:
-        if res_norm <= cfg.newton_tol:
+        if res_norm <= tol:
             if polish:
                 break
             polish = True  # one extra iteration sharpens the mass balance
@@ -365,17 +373,23 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
             dv = _solve_packed(packed, work.gtsv)    # lives in packed until the next solve
         except ValueError as err:  # LinAlgError included
             raise SolverError(f"Newton solve failed at t={t_new:.6g}: {err}") from err
-        lam = 1.0
+        lam, positive = 1.0, False
         for _ in range(10):
             trial = v + dv if lam == 1.0 else v + lam * dv  # 1.0 * dv is dv
             # a NaN entry makes the minimum NaN, which fails the test
             if np.minimum.reduce(trial) > floor:
+                positive = True
                 trial_flux = _flux_divergence(trial, nu, dx, work.terms)
                 trial_norm = residual(trial, trial_flux)
-                if trial_norm < res_norm or res_norm <= cfg.newton_tol:
+                if trial_norm < res_norm or res_norm <= tol:
                     break
             lam *= 0.5
         else:
+            if positive:
+                raise NewtonStallError(
+                    f"Newton stalled at t={t_new:.6g}: no damped update lowers the "
+                    f"residual {res_norm:.3g} (floor {tol:.3g})"
+                )
             raise QuenchError(
                 f"Newton damping exhausted at t={t_new:.6g} "
                 f"(solution near the singular set u=0)"

@@ -56,3 +56,9 @@ def test_first_order_in_time():
     # the constant too: forcing sampled at t instead of t + dt keeps the
     # order and multiplies the error (1.16e-4 here) by about 15
     assert errors[-1] < 2e-4
+
+
+def test_large_mesh_ratio_marches():
+    # dt/dx² = 12,800: the residual's round-off lies above newton_tol, and the
+    # step stops at that floor instead of stalling
+    assert sup_error(801, 2e-2, 0.4) < 5e-4

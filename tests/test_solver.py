@@ -12,7 +12,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import solve_banded
 
 from singheat import solver
-from singheat.errors import QuenchError, SolverError
+from singheat.errors import NewtonStallError, QuenchError, SolverError
 from singheat.grid import Field, Grid, derivative, h1, l2, trapezoid_integral
 from singheat.solver import (
     DIAGNOSTIC_COLUMNS,
@@ -218,6 +218,35 @@ class TestFailureHandling:
         assert rec.failure.startswith("Newton solve failed at t=0.001")
         assert rec.failure_time == 0.0
         assert len(rec.times) == 1
+
+    @pytest.mark.parametrize("update,error", [(0.0, NewtonStallError), (-1e4, QuenchError)],
+                             ids=["stall", "quench"])
+    def test_exhausted_line_search_names_its_cause(self, monkeypatch, update, error):
+        # a zero update keeps every trial positive and lowers no residual: a
+        # stall.  A huge negative one sends every trial, down to 2**-9 of it,
+        # below the positivity floor: a quench
+        def solve(packed, bound=None):
+            return np.full((len(packed) + 2) // 4, update)
+
+        monkeypatch.setattr(solver, "_solve_packed", solve)
+        g = Grid(51)
+        cfg = flat_config(51, u0=_inverse_sine(g, 0.1), source=make_source(g, "cosine_static 0.5"))
+        with pytest.raises(error) as err:
+            _step(cfg.u0.values, 0.0, cfg)
+        assert type(err.value) is error
+
+    @pytest.mark.parametrize("n", [1601, 6401])
+    def test_fine_grid_steps_stop_at_the_round_off_floor(self, n):
+        # ex-2-4's data with dt = 1e-3: the residual's round-off, about
+        # eps dt nu/dx² max(u/mid²), lies above newton_tol = 1e-12, which
+        # Newton cannot reach, so a step must stop at the floor
+        g = Grid(n)
+        cfg = flat_config(n, source=make_source(g, f"cosine_static {math.pi / 2!r}"),
+                          t_end=0.01)
+        assert solver.Workspace(cfg).round_off > cfg.newton_tol
+        rec = simulate(cfg)
+        assert rec.failure is None
+        assert rec.newton_iters[1:].tolist() == [3] * 10
 
 
 def test_diagnostics_flat_state():
