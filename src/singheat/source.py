@@ -265,15 +265,16 @@ class TabulatedSource(SourceTerm):
     """Forcing tabulated at time stamps, linearly interpolated in t.
 
     Past the last time stamp f stays at its last profile, the limit, so f_t
-    is zero there and f has a kink at every time stamp after the first.
+    is zero there and f has a kink at every time stamp after the first.  It
+    needs two stamps or more; one profile is a HomogeneousSource.
     """
 
     kind = "tabulated"
 
     def __init__(self, times, fields):
         times = np.asarray(times, dtype=float)
-        if len(times) < 1 or len(times) != len(fields):
-            raise ConfigError("tabulated source needs matching times and fields")
+        if len(times) < 2 or len(times) != len(fields):
+            raise ConfigError("tabulated source needs two or more matching times and fields")
         if np.any(np.diff(times) <= 0):
             raise ConfigError("tabulated source times must increase")
         super().__init__(fields[0].grid)
@@ -293,8 +294,6 @@ class TabulatedSource(SourceTerm):
             raise ConfigError(
                 f"t={lo} before the tabulated range [{self.times[0]}, {self.times[-1]}]"
             )
-        if len(self.times) == 1:
-            return self._table[np.zeros(np.shape(t), dtype=int)]
         t, k = self._interval(t)
         w = ((t - self.times[k]) / (self.times[k + 1] - self.times[k]))[..., None]
         return (1 - w) * self._table[k] + w * self._table[k + 1]
@@ -303,8 +302,6 @@ class TabulatedSource(SourceTerm):
         return Field(self.grid, mean_zero(self._table[-1], self.grid.dx))
 
     def dfdt(self, t, out=None) -> np.ndarray:
-        if len(self.times) < 2:
-            raise ConfigError("tabulated source has no time resolution")
         _, k = self._interval(t)
         slope = np.subtract(self._table[k + 1], self._table[k], out)
         slope /= (self.times[k + 1] - self.times[k])[..., None]
@@ -463,8 +460,11 @@ def make_source(grid: Grid, spec: str) -> SourceTerm:
     })
 
 
-def load_tabulated_csv(grid: Grid, path) -> TabulatedSource:
-    """Load a tabulated source from CSV rows (t, x, f)."""
+def load_tabulated_csv(grid: Grid, path) -> SourceTerm:
+    """Load a tabulated source from CSV rows (t, x, f).
+
+    A table of one time stamp is constant in time: a HomogeneousSource.
+    """
     data = read_csv_rows(path, ("t", "x", "f"))
     times = np.unique(data[:, 0])
     fields = []
@@ -476,4 +476,4 @@ def load_tabulated_csv(grid: Grid, path) -> TabulatedSource:
                 f"{path}: {len(rows)} samples at t={t}, expected {grid.n}"
             )
         fields.append(Field(grid, rows[order, 2]))
-    return TabulatedSource(times, fields)
+    return HomogeneousSource(fields[0]) if len(fields) == 1 else TabulatedSource(times, fields)
