@@ -326,13 +326,14 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
     They are finite: the loop ends only on a finite residual at most tol,
     the larger of newton_tol and the residual's round-off floor at un.  A
     line search that runs out of halvings raises QuenchError if every trial
-    fell to the positivity floor, and NewtonStallError otherwise.  work is the march's Workspace, whose config the step
-    takes; f is the forcing at t + dt, as `work.cfg.source.at(t + dt)` gives
-    it.  The step writes its flux terms, residuals and bands into work and
-    allocates only the trial iterates.  When un is the very array the last
-    step with this workspace returned, unchanged since, the step takes its
-    flux terms from the workspace instead of computing them again; the
-    result has the same bits either way.
+    fell to the positivity floor, and NewtonStallError otherwise.  work is
+    the march's Workspace, whose config the step takes; f is the forcing at
+    t + dt, as `work.cfg.source.at(t + dt)` gives it.  The step writes its
+    flux terms, residuals and bands into work and allocates only the trial
+    iterates.  When un is the very array the last step with this workspace
+    returned, unchanged since, the step takes its flux terms from the
+    workspace instead of computing them again; the result has the same bits
+    either way.
     """
     cfg = work.cfg
     nu, dx, dt, floor, t_new = work.nu, work.dx, work.dt, cfg.positivity_floor, t + cfg.dt
@@ -464,14 +465,10 @@ def diagnostics(block: np.ndarray, t: np.ndarray, steady: SteadyState, work: Wor
 def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> SimulationRecord:
     """March to t_end, recording snapshots and per-step diagnostics.
 
-    The march steps plain arrays; only the snapshots are Fields.  Its steps
-    and diagnostics share one Workspace: every n-sized buffer they write,
-    the gtsv buffer among them with its arguments bound once, and the flux
-    terms of each step's last iterate, which the next step's first residual
-    reuses.  So a step allocates only its trial iterates, and the march's
-    memory is bounded by its state and its record.  The diagnostics fill
-    one (steps + 1) x 9 array, a row per recorded time; its columns, each
-    contiguous, become the record's series.
+    The march steps plain arrays in one Workspace, so its memory is bounded
+    by its state and its record; only the snapshots are Fields.  The
+    diagnostics fill one (steps + 1) x 9 array, a row per recorded time; its
+    columns, each contiguous, become the record's series.
 
     The march goes in blocks of the workspace's K steps (K = max(1, 2**12 //
     n)).  It reads the forcing once per block, as read-only rows through
