@@ -231,9 +231,8 @@ class TestFailureHandling:
         monkeypatch.setattr(solver, "_solve_packed", solve)
         g = Grid(51)
         cfg = flat_config(51, u0=_inverse_sine(g, 0.1), source=make_source(g, "cosine_static 0.5"))
-        with pytest.raises(error) as err:
+        with pytest.raises(error):
             _step(cfg.u0.values, 0.0, cfg)
-        assert type(err.value) is error
 
     @pytest.mark.parametrize("n", [1601, 6401])
     def test_fine_grid_steps_stop_at_the_round_off_floor(self, n):
