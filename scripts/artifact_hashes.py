@@ -5,20 +5,21 @@ read a fixed CSV data file), into a temporary directory and prints one
 `sha256  relative/path` line per output file, and one `sha256  <run>/stdout`
 line per run over what the CLI printed to standard output followed by
 `exit N` (its exit code), all sorted by path.  `manifest.json` holds the
-output path and is skipped.  Comparing the output of two checkouts shows
-which artifacts, verdicts or exit codes a change altered:
+output path and is skipped.  The lines are preceded by a `#` header that
+records numpy's version and its CPU baseline and dispatch features: numpy's
+SIMD loops (cos and exp among them) may round differently on another CPU, so
+hashes compare only between hosts with the same header.  Comparing the
+output of two checkouts shows which artifacts, verdicts or exit codes a
+change altered:
 
     python3 scripts/artifact_hashes.py > after.txt
     diff before.txt after.txt
 
-With --golden, the lines are preceded by a `#` header that records numpy's
-version and its CPU baseline and dispatch features: numpy's SIMD loops
-(cos and exp among them) may round differently on another CPU, so hashes
-compare only between hosts with the same header.  tests/artifact_hashes.txt
-is this output, and tests/test_artifact_hashes.py checks the package against
-it; a change that moves bits on purpose regenerates it with
+tests/artifact_hashes.txt is this output, and tests/test_artifact_hashes.py
+checks the package against it; a change that moves bits on purpose
+regenerates it with
 
-    python3 scripts/artifact_hashes.py --golden > tests/artifact_hashes.txt
+    python3 scripts/artifact_hashes.py > tests/artifact_hashes.txt
 
 The package is imported from the `src` directory next to this script.  The
 CLI's own standard output and each command's exit code are also echoed to
@@ -27,7 +28,6 @@ standard error.  Uses only the standard library and the package.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -124,7 +124,7 @@ def run_all(root: Path) -> dict:
 
 
 def fingerprint() -> list[str]:
-    """The header lines of --golden: what the hashes depend on beyond the source.
+    """The header lines: what the hashes depend on beyond the source.
 
     cpu_dispatch lists the dispatch targets of numpy's build that this CPU
     runs, which pick the SIMD loops numpy calls.
@@ -134,7 +134,7 @@ def fingerprint() -> list[str]:
 
     runs = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
     return [
-        "# python3 scripts/artifact_hashes.py --golden > tests/artifact_hashes.txt",
+        "# python3 scripts/artifact_hashes.py > tests/artifact_hashes.txt",
         f"# numpy {numpy.__version__}",
         f"# cpu_baseline {' '.join(umath.__cpu_baseline__)}",
         f"# cpu_dispatch {' '.join(runs)}",
@@ -142,11 +142,7 @@ def fingerprint() -> list[str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Hash the CLI's deterministic artifacts.")
-    parser.add_argument("--golden", action="store_true",
-                        help="precede the lines with the numpy and CPU fingerprint header")
-    if parser.parse_args().golden:
-        print("\n".join(fingerprint()))
+    print("\n".join(fingerprint()))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         contents = {key: text.encode() for key, text in run_all(root).items()}

@@ -463,7 +463,7 @@ def make_source(grid: Grid, spec: str) -> SourceTerm:
 def load_tabulated_csv(grid: Grid, path) -> SourceTerm:
     """Load a tabulated source from CSV rows (t, x, f).
 
-    A table of one time stamp is constant in time: a HomogeneousSource.
+    A table of one time stamp at t = 0 is constant in time: a HomogeneousSource.
     """
     data = read_csv_rows(path, ("t", "x", "f"))
     times = np.unique(data[:, 0])
@@ -476,4 +476,8 @@ def load_tabulated_csv(grid: Grid, path) -> SourceTerm:
                 f"{path}: {len(rows)} samples at t={t}, expected {grid.n}"
             )
         fields.append(Field(grid, rows[order, 2]))
-    return HomogeneousSource(fields[0]) if len(fields) == 1 else TabulatedSource(times, fields)
+    if len(fields) > 1:
+        return TabulatedSource(times, fields)
+    if times[0] > 1e-12:   # refused as TabulatedSource refuses t = 0
+        raise ConfigError(f"t=0.0 before the tabulated range [{times[0]}, {times[0]}]")
+    return HomogeneousSource(fields[0])

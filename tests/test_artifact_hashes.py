@@ -1,11 +1,11 @@
 """The byte-identity gate: every deterministic CLI artifact keeps its committed hash.
 
-tests/artifact_hashes.txt is `scripts/artifact_hashes.py --golden`'s output: a
+tests/artifact_hashes.txt is `scripts/artifact_hashes.py`'s output: a
 header with numpy's version and the CPU features its SIMD loops dispatch on,
 then one sha256 line per artifact.  A change that moves bits on purpose
 regenerates the file in the same commit, and the file's diff lists what moved:
 
-    python3 scripts/artifact_hashes.py --golden > tests/artifact_hashes.txt
+    python3 scripts/artifact_hashes.py > tests/artifact_hashes.txt
 """
 
 import subprocess
@@ -19,7 +19,7 @@ GOLDEN = ROOT / "tests" / "artifact_hashes.txt"
 
 
 def _parse(text: str):
-    """(header lines, {path: sha256}) of the script's --golden output."""
+    """(header lines, {path: sha256}) of the script's output."""
     lines = text.splitlines()
     header = [line for line in lines if line.startswith("#")]
     hashes = dict(line.split("  ", 1)[::-1] for line in lines if not line.startswith("#"))
@@ -27,8 +27,8 @@ def _parse(text: str):
 
 
 def test_cli_artifacts_keep_their_committed_hashes():
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_hashes.py"),
-                           "--golden"], capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_hashes.py")],
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     header, hashes = _parse(done.stdout)
     golden_header, golden = _parse(GOLDEN.read_text())

@@ -270,18 +270,26 @@ def test_simulate_past_tabulated_source_end(tmp_path):
     assert (out / "u_t00002.5000.csv").exists()
 
 
+@pytest.mark.parametrize("stamp", [0.0, 5.0])
 @pytest.mark.parametrize("command", ["simulate", "constants", "steady"])
-def test_one_time_stamp_table_is_a_static_source(tmp_path, command):
-    # a table of one profile is constant in time, so the homogeneous theorem
-    # applies; its time derivative is zero, not a config error after the march
+def test_one_time_stamp_table_is_a_static_source(tmp_path, command, stamp, capsys):
+    # a table of one profile at t = 0 is constant in time, so the homogeneous
+    # theorem applies; its time derivative is zero, not a config error after
+    # the march.  Like a table of several stamps, one stamp at t = 5 leaves f
+    # undefined on [0, 5), a config error before any output
     g = Grid(21)
     path = tmp_path / "source.csv"
     path.write_text("t,x,f\n" + "".join(
-        f"0.0,{x!r},{0.3 * math.cos(math.pi * x)!r}\n" for x in g.nodes.tolist()))
+        f"{stamp!r},{x!r},{0.3 * math.cos(math.pi * x)!r}\n" for x in g.nodes.tolist()))
     cfg = write_config(tmp_path, f"source = csv {path}\nnu = 1\nn = 21\nt_end = 0.01\n")
     if command != "simulate":
         cfg = write_config(tmp_path, f"source = csv {path}\nnu = 1\nn = 21\n", "other.txt")
     out = tmp_path / "out"
+    if stamp > 0:
+        assert run([command, "--config", cfg, "--out", str(out)]) == 4
+        assert "before the tabulated range" in capsys.readouterr().err
+        assert not out.exists()
+        return
     assert run([command, "--config", cfg, "--out", str(out)]) == 0
     if command == "constants":
         assert json.loads((out / "constants.json").read_text())["N_infinity"] == 0.0
