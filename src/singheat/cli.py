@@ -45,10 +45,9 @@ EXAMPLES = {
     "ex-3-3": {"nu": 10.0, "n": 201, "source": "cosine_decay", "t_end": 3.0},
 }
 
-#: march settings a simulate config may set, with their parsers; an unset one
-#: keeps SimulationConfig's default
-MARCH_KEYS = {"dt": float, "t_end": float, "snapshot_stride": int, "newton_tol": float,
-              "newton_max_iter": int, "positivity_floor": float}
+#: march settings a simulate config may set; an unset one keeps SimulationConfig's default
+MARCH_KEYS = ("dt", "t_end", "snapshot_stride", "newton_tol", "newton_max_iter",
+              "positivity_floor")
 
 #: what --dt and --t-end set on the commands that take them: (config key, help)
 TIME_FLAGS = {
@@ -58,13 +57,22 @@ TIME_FLAGS = {
                        ("t_check", "time of the check")),
 }
 
-#: the config keys each command reads; any other key is a config error
+_SIMULATE_KEYS = {"source": str, "nu": float, "n": 401, "u0": "constant 1",
+                  **{key: getattr(SimulationConfig, key) for key in MARCH_KEYS}}
+
+#: the config keys each command reads, each with its default, or with its type
+#: where the command needs it set; any other key is a config error.  A key's
+#: kind is that type, or the type of its default: a str is a spec, passed on as
+#: it is; an int must be at least 1; a float must be finite and positive
 CONFIG_KEYS = {
-    "steady": ("source", "nu", "n"),
-    "constants": ("source", "nu", "n", "u0"),
-    "simulate": ("source", "nu", "n", "u0", *MARCH_KEYS),
-    "transform": ("nu", "n", "M", "h0", "v0"),
-    "ssm-crosscheck": ("nu", "n", "M", "h0", "v0", "dt", "dt_ssm", "t_check", "tolerance"),
+    "steady": {"source": str, "nu": float, "n": 4097},
+    "constants": {"source": str, "nu": float, "n": 2001, "u0": "constant 1"},
+    "simulate": _SIMULATE_KEYS,
+    "example": _SIMULATE_KEYS,     # set by its EXAMPLES entry and its flags alone
+    "transform": {"nu": float, "n": 401, "M": 1.0, "h0": "constant", "v0": "zero"},
+    "ssm-crosscheck": {"nu": 1.0, "n": 201, "M": 1.0, "h0": "constant", "v0": "sine 0.5",
+                       "dt": SimulationConfig.dt, "dt_ssm": 2e-3, "t_check": 1.0,
+                       "tolerance": 0.02},
 }
 
 
@@ -90,12 +98,6 @@ def read_config(path, keys) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str) -> str:
-    if key not in cfg:
-        raise ConfigError(f"missing config key '{key}'")
-    return cfg[key]
-
-
 def _normalized(grid: Grid, vals: np.ndarray, mass: float) -> Field:
     """vals scaled to the given trapezoid mass."""
     return Field(grid, mass * vals / trapezoid(vals, grid.dx))
@@ -111,25 +113,37 @@ def _make_u0(grid: Grid, spec: str) -> Field:
     })
 
 
-def _settings(args) -> dict:
-    """The command's config, with the keys its flags set (n and its TIME_FLAGS) overridden."""
-    cfg = read_config(args.config, CONFIG_KEYS[args.command]) if args.config else {}
+def _settings(args, data=None) -> dict:
+    """The command's config keys, each parsed and checked by its kind, from its
+    flag (n and the command's TIME_FLAGS), the config file, the data given (an
+    example's) or its default, the first that sets it."""
+    keys = CONFIG_KEYS[args.command]
+    given = {**(data or {}), **(read_config(args.config, keys) if args.config else {})}
     for key in ("n", *(key for key, _ in TIME_FLAGS.get(args.command, ()))):
         if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
+            given[key] = getattr(args, key)
+    cfg = {}
+    for key, entry in keys.items():
+        kind = entry if isinstance(entry, type) else type(entry)
+        if key not in given and kind is entry:
+            raise ConfigError(f"missing config key '{key}'")
+        try:
+            value = kind(given.get(key, entry))
+        except ValueError:
+            raise ConfigError(f"{key} must be {kind.__name__}, got {given[key]!r}") from None
+        if kind is int and value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
+        if kind is float:
+            require_positive(**{key: value})
+        cfg[key] = value
     return cfg
 
 
 def _build_sim_config(cfg: dict) -> SimulationConfig:
-    grid = Grid(int(cfg.get("n", 401)))
-    source = make_source(grid, _require(cfg, "source"))
-    u0 = _make_u0(grid, cfg.get("u0", "constant 1"))
-    march = {key: parse(cfg[key]) for key, parse in MARCH_KEYS.items() if key in cfg}
-    # SimulationConfig takes 0, a march whose every unsolved step stalls; a config may not
-    if march.get("newton_max_iter", 1) < 1:
-        raise ConfigError(f"newton_max_iter must be at least 1, got {march['newton_max_iter']}")
-    return SimulationConfig(nu=float(_require(cfg, "nu")), grid=grid, u0=u0,
-                            source=source, **march)
+    grid = Grid(cfg["n"])
+    source = make_source(grid, cfg["source"])
+    return SimulationConfig(nu=cfg["nu"], grid=grid, u0=_make_u0(grid, cfg["u0"]),
+                            source=source, **{key: cfg[key] for key in MARCH_KEYS})
 
 
 def _write_manifest(out: Path, command: str, config_path,
@@ -154,12 +168,9 @@ def _write_manifest(out: Path, command: str, config_path,
 
 def cmd_steady(args) -> int:
     cfg = _settings(args)
-    grid = Grid(int(cfg.get("n", 4097)))
-    source = make_source(grid, _require(cfg, "source"))
-    nu = float(_require(cfg, "nu"))
-    require_positive(nu=nu)
+    source = make_source(Grid(cfg["n"]), cfg["source"])
     out = _prepare_out(args, "steady")
-    state = steady_profile(source, nu)
+    state = steady_profile(source, cfg["nu"])
     state.to_json(out / "steady.json")
     state.profile_csv(out / "u_infinity.csv")
     # sheet-side constant: h_inf(y_inf(x)) = M/u_inf scaled into 2 pi h form
@@ -175,13 +186,11 @@ def cmd_steady(args) -> int:
 
 def cmd_constants(args) -> int:
     cfg = _settings(args)
-    grid = Grid(int(cfg.get("n", 2001)))
-    source = make_source(grid, _require(cfg, "source"))
-    u0 = _make_u0(grid, cfg.get("u0", "constant 1"))
-    nu = float(_require(cfg, "nu"))
-    require_positive(nu=nu)
+    grid = Grid(cfg["n"])
+    source = make_source(grid, cfg["source"])
+    u0 = _make_u0(grid, cfg["u0"])
     out = _prepare_out(args, "constants")
-    consts = TheoremConstants.from_problem(u0, source, nu)
+    consts = TheoremConstants.from_problem(u0, source, cfg["nu"])
     consts.to_json(out / "constants.json")
     print(
         f"R0={consts.R0:.6g} P0={consts.P0:.6g} N_inf={consts.N_infinity:.6g} "
@@ -243,19 +252,16 @@ def cmd_simulate(args) -> int:
 def cmd_example(args) -> int:
     if args.config:
         raise ConfigError("example runs its built-in data and takes no --config")
-    sim_cfg = _build_sim_config({**EXAMPLES[args.name], **_settings(args)})
+    sim_cfg = _build_sim_config(_settings(args, EXAMPLES[args.name]))
     return _run_and_report(sim_cfg, _prepare_out(args, f"example-{args.name}", sim_cfg))
 
 
 def cmd_transform(args) -> int:
     cfg = _settings(args)
-    grid = Grid(int(cfg.get("n", 401)))
-    M = float(cfg.get("M", 1.0))
-    nu = float(_require(cfg, "nu"))
-    require_positive(M=M, nu=nu)
-    h0 = _sheet_profile(grid, cfg.get("h0", "constant 1"), M)
-    v0 = _sheet_velocity(grid, cfg.get("v0", "zero"))
-    f0 = lagrangian.source_from_sheet(lagrangian.initial_map(h0, M), v0, nu)
+    grid = Grid(cfg["n"])
+    h0 = _sheet_profile(grid, cfg["h0"], cfg["M"])
+    v0 = _sheet_velocity(grid, cfg["v0"])
+    f0 = lagrangian.source_from_sheet(lagrangian.initial_map(h0, cfg["M"]), v0, cfg["nu"])
     out = _prepare_out(args, "transform")
     write_field_csv(out / "f0.csv", f0, header=("x", "f0"))
     print(f"P0 = {compute_P0(HomogeneousSource(f0)):.6g}")
@@ -282,16 +288,10 @@ def _sheet_velocity(grid: Grid, spec: str) -> Field:
 
 def cmd_ssm_crosscheck(args) -> int:
     cfg = _settings(args)
-    grid = Grid(int(cfg.get("n", 201)))
-    M = float(cfg.get("M", 1.0))
-    nu = float(cfg.get("nu", 1.0))
-    t_check = float(cfg.get("t_check", 1.0))
-    dt_ssm = float(cfg.get("dt_ssm", 2e-3))
-    dt = float(cfg.get("dt", SimulationConfig.dt))
-    tolerance = float(cfg.get("tolerance", 0.02))
-    require_positive(M=M, nu=nu, dt=dt, dt_ssm=dt_ssm, tolerance=tolerance)
-    h0 = _sheet_profile(grid, cfg.get("h0", "constant 1"), M)
-    v0 = _sheet_velocity(grid, cfg.get("v0", "sine 0.5"))
+    nu, M, dt, t_check = cfg["nu"], cfg["M"], cfg["dt"], cfg["t_check"]
+    grid = Grid(cfg["n"])
+    h0 = _sheet_profile(grid, cfg["h0"], M)
+    v0 = _sheet_velocity(grid, cfg["v0"])
     steps = step_count(t_check, dt, "t_check")   # the march's t_end is t_check
     lmap = lagrangian.initial_map(h0, M)
     f0 = lagrangian.source_from_sheet(lmap, v0, nu)
@@ -304,12 +304,12 @@ def cmd_ssm_crosscheck(args) -> int:
     u_t = lagrangian.pde_time_derivative(u_final, f_final, nu)
 
     initial = lagrangian.SheetState(t=0.0, grid=grid, h=h0, v=v0, M=M, nu=nu)
-    sheet = lagrangian.solve_ssm(initial, dt=dt_ssm, t_end=t_check)
+    sheet = lagrangian.solve_ssm(initial, dt=cfg["dt_ssm"], t_end=t_check)
     mismatch = lagrangian.crosscheck_heights(sheet, u_final, u_t, M)
     sheet.to_csv(out / "sheet_final.csv")
     write_json(out / "crosscheck.json", {"t": t_check, "max_rel_error_h": mismatch})
     print(f"max relative height mismatch at t={t_check}: {mismatch:.4f}")
-    return EXIT_OK if mismatch <= tolerance else EXIT_SOLVER
+    return EXIT_OK if mismatch <= cfg["tolerance"] else EXIT_SOLVER
 
 
 def _prepare_out(args, command: str, march: SimulationConfig | None = None) -> Path:

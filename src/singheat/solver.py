@@ -58,12 +58,15 @@ class SimulationConfig:
 
 
 def step_count(t_end: float, dt: float, name: str = "t_end") -> int:
-    """t_end/dt, which must be a whole number, at least one; errors call t_end `name`."""
+    """t_end/dt, which must be a whole number, at least one, and small enough
+    that numpy can shape the march's record; errors call t_end `name`."""
     steps = t_end / dt
     if not (math.isfinite(steps) and round(steps) >= 1
             and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ValueError(f"{name} must be a whole number of steps dt, at least one; "
                          f"got {name}/dt = {steps:.10g}")
+    if (round(steps) + 1) * len(DIAGNOSTIC_COLUMNS) * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"{name}/dt = {steps:.10g} steps are more than a record can hold")
     return round(steps)
 
 

@@ -257,6 +257,20 @@ def test_sheet_commands_build_one_map(tmp_path, monkeypatch, command):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["transform", "ssm-crosscheck"])
+def test_unset_h0_is_the_constant_sheet_of_mass_M(tmp_path, command):
+    # h0 defaults to `constant`, whose value defaults to M, not to 1
+    outs = []
+    for h0 in ("", "h0 = constant 2\n"):
+        out = tmp_path / f"out{len(outs)}"
+        cfg = write_config(tmp_path, f"nu = 1\nM = 2\n{h0}", f"config{len(outs)}.txt")
+        flags = ["--t-end", "0.01"] if command == "ssm-crosscheck" else []
+        assert run([command, "--config", cfg, "--n", "51", *flags, "--out", str(out)]) == 0
+        outs.append(out)
+    for path in outs[0].glob("*.csv"):
+        assert path.read_bytes() == (outs[1] / path.name).read_bytes()
+
+
 def test_simulate_past_tabulated_source_end(tmp_path):
     # the table ends at t = 2; past it f is held at its last profile
     g = Grid(51)
@@ -459,6 +473,11 @@ LATE_CONFIG_ERRORS = {
     "transform-nu-negative": (["transform"], "nu = -1\nn = 21\nv0 = sine 0.5\n"),
     # the cross-check divides t_check by its march step dt
     "ssm-crosscheck-dt-zero": (["ssm-crosscheck", "--n", "21"], "dt = 0\n"),
+    # more steps than numpy can shape a record of, refused before any output
+    "simulate-dt-tiny": (["simulate"], "source = zero\nnu = 1\nn = 21\ndt = 1e-300\n"
+                                       "t_end = 0.01\n"),
+    "simulate-t-end-huge": (["simulate"], "source = zero\nnu = 1\nn = 21\nt_end = 1e300\n"),
+    "simulate-n-fraction": (["simulate"], "source = zero\nnu = 1\nn = 21.5\n"),
 }
 
 #: what the error says, where its wording is the point of the case
@@ -480,6 +499,9 @@ LATE_CONFIG_MESSAGES = {
     "transform-M-inf": "M must be finite and positive, got inf",
     "ssm-crosscheck-M-nan": "M must be finite and positive, got nan",
     "ssm-crosscheck-M-inf": "M must be finite and positive, got inf",
+    "simulate-dt-tiny": "t_end/dt = 1e+298 steps are more than a record can hold",
+    "simulate-t-end-huge": "t_end/dt = 1e+303 steps are more than a record can hold",
+    "simulate-n-fraction": "n must be int, got '21.5'",
 }
 
 
