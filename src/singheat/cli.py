@@ -295,7 +295,9 @@ def cmd_ssm_crosscheck(args) -> int:
     steps = step_count(t_check, dt, "t_check")   # the march's t_end is t_check
     lmap = lagrangian.initial_map(h0, M)
     f0 = lagrangian.source_from_sheet(lmap, v0, nu)
-    sim_cfg = SimulationConfig(nu=nu, grid=grid, u0=lmap.u, source=HomogeneousSource(f0),
+    # the map's u misses unit mass by its quadrature error, 1e-9 on coarse grids
+    u0 = _normalized(grid, lmap.u.values, 1.0)
+    sim_cfg = SimulationConfig(nu=nu, grid=grid, u0=u0, source=HomogeneousSource(f0),
                                dt=dt, t_end=t_check, snapshot_stride=steps)
     out = _prepare_out(args, "ssm-crosscheck", sim_cfg)
     record = _march(sim_cfg)
