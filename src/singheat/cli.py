@@ -104,13 +104,17 @@ def _normalized(grid: Grid, vals: np.ndarray, mass: float) -> Field:
 
 
 def _make_u0(grid: Grid, spec: str) -> Field:
-    return parse_spec("u0", spec, {
+    """The initial data of a spec, refused unless positive at every node."""
+    u0 = parse_spec("u0", spec, {
         "constant": lambda value=1.0: Field(grid, np.full(grid.n, float(value))),
         # 1/(1 + eps sin(pi x)): unit mass to round-off is restored by scaling
         "inverse_sine": lambda eps: _normalized(
             grid, 1.0 / (1.0 + float(eps) * np.sin(np.pi * grid.nodes)), 1.0),
         "csv": lambda path: read_field_csv(path, grid),
     })
+    if np.any(u0.values <= 0):
+        raise ConfigError("u0 must be positive nodewise")
+    return u0
 
 
 def _settings(args, data=None) -> dict:

@@ -198,8 +198,8 @@ class CosineExpSource(SourceTerm):
     kind = "cosine_exp"
 
     def __init__(self, grid: Grid, rate: float = 1.0):
-        if rate <= 0:
-            raise ConfigError("cosine_exp needs a positive decay rate")
+        if not (np.isfinite(rate) and rate > 0):
+            raise ConfigError(f"cosine_exp needs a finite positive decay rate, got {rate!r}")
         super().__init__(grid)
         self.rate = float(rate)
         self._cos = np.cos(np.pi * grid.nodes)

@@ -485,6 +485,11 @@ LATE_CONFIG_ERRORS = {
                                        "t_end = 0.01\n"),
     "simulate-t-end-huge": (["simulate"], "source = zero\nnu = 1\nn = 21\nt_end = 1e300\n"),
     "simulate-n-fraction": (["simulate"], "source = zero\nnu = 1\nn = 21.5\n"),
+    # data the theorem constants refuse, found before the output is begun
+    "constants-u0-zero": (["constants"], "source = cosine_static 0.5\nnu = 1\nn = 21\n"
+                                         "u0 = constant 0\n"),
+    "constants-source-rate-nan": (["constants"], "source = cosine_exp nan\nnu = 1\nn = 21\n"),
+    "steady-source-rate-inf": (["steady"], "source = cosine_exp inf\nnu = 1\nn = 21\n"),
 }
 
 #: what the error says, where its wording is the point of the case
@@ -509,6 +514,9 @@ LATE_CONFIG_MESSAGES = {
     "simulate-dt-tiny": "t_end/dt = 1e+298 steps are more than a record can hold",
     "simulate-t-end-huge": "t_end/dt = 1e+303 steps are more than a record can hold",
     "simulate-n-fraction": "n must be int, got '21.5'",
+    "constants-u0-zero": "u0 must be positive nodewise",
+    "constants-source-rate-nan": "cosine_exp needs a finite positive decay rate, got nan",
+    "steady-source-rate-inf": "cosine_exp needs a finite positive decay rate, got inf",
 }
 
 

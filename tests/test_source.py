@@ -77,6 +77,12 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             CosineExpSource(grid, -1.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_exp_rate_must_be_finite(self, grid, rate):
+        # exp(-rate t) is nan at t = 0 for an infinite rate, and everywhere for nan
+        with pytest.raises(ConfigError, match="finite positive decay rate"):
+            CosineExpSource(grid, rate)
+
     def test_static_evaluation_is_computed_once(self, grid):
         src = CosineStaticSource(grid, 1.5)
         first = src.evaluate(0.0)
