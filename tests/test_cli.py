@@ -15,7 +15,7 @@ from numpy.linalg import LinAlgError
 import singheat
 from singheat import lagrangian, solver
 from singheat.source import SourceTerm
-from singheat.cli import main
+from singheat.cli import CONFIG_KEYS, main
 from singheat.grid import Grid
 from singheat.lagrangian import initial_map
 
@@ -584,6 +584,35 @@ def test_crosscheck_help_names_what_its_flags_set(capsys):
     assert "--dt DT_SSM" in text and "--t-end T_CHECK" in text
 
 
+def _readme_key_table() -> dict:
+    """README's table of config keys: {command: {key: cell}}, blank cells left out."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| key | `steady`"))
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    header, body = rows[0], rows[2:]     # rows[1] is the |---| row
+    commands = header[1:-1]              # the last column says what a key sets
+    return {command: {row[0]: row[column] for row in body if row[column]}
+            for column, command in enumerate(commands, 1)}
+
+
+def test_readme_key_table_matches_config_keys():
+    table = _readme_key_table()
+    assert CONFIG_KEYS["example"] is CONFIG_KEYS["simulate"]
+    assert table.keys() == CONFIG_KEYS.keys() - {"example"}
+    for command, cells in table.items():
+        keys = CONFIG_KEYS[command]
+        assert cells.keys() == keys.keys(), command
+        for key, entry in keys.items():
+            if isinstance(entry, type):
+                assert cells[key] == "required", (command, key)
+            else:
+                assert type(entry)(cells[key]) == entry, (command, key)
+
+
 def test_example_rejects_config(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["example", "ex-3-3", "--config", "nonexistent.txt",
@@ -599,7 +628,7 @@ def test_example_rejects_config(tmp_path, capsys):
 #: its last stdout line lists (command, exit code, the scipy modules loaded so far)
 COLD_START = """
 import json, sys
-from singheat.cli import main
+from singheat.cli import CONFIG_KEYS, main
 seen = []
 for argv in json.loads(sys.argv[1]):
     code = main(argv)
