@@ -57,9 +57,6 @@ TIME_FLAGS = {
                        ("t_check", "time of the check")),
 }
 
-_SIMULATE_KEYS = {"source": str, "nu": float, "n": 401, "u0": "constant 1",
-                  **{key: getattr(SimulationConfig, key) for key in MARCH_KEYS}}
-
 #: the config keys each command reads, each with its default, or with its type
 #: where the command needs it set; any other key is a config error.  A key's
 #: kind is that type, or the type of its default: a str is a spec, passed on as
@@ -67,13 +64,14 @@ _SIMULATE_KEYS = {"source": str, "nu": float, "n": 401, "u0": "constant 1",
 CONFIG_KEYS = {
     "steady": {"source": str, "nu": float, "n": 4097},
     "constants": {"source": str, "nu": float, "n": 2001, "u0": "constant 1"},
-    "simulate": _SIMULATE_KEYS,
-    "example": _SIMULATE_KEYS,     # set by its EXAMPLES entry and its flags alone
+    "simulate": {"source": str, "nu": float, "n": 401, "u0": "constant 1",
+                 **{key: getattr(SimulationConfig, key) for key in MARCH_KEYS}},
     "transform": {"nu": float, "n": 401, "M": 1.0, "h0": "constant", "v0": "zero"},
     "ssm-crosscheck": {"nu": 1.0, "n": 201, "M": 1.0, "h0": "constant", "v0": "sine 0.5",
                        "dt": SimulationConfig.dt, "dt_ssm": 2e-3, "t_check": 1.0,
                        "tolerance": 0.02},
 }
+CONFIG_KEYS["example"] = CONFIG_KEYS["simulate"]     # set by its EXAMPLES entry and flags
 
 
 def read_config(path, keys) -> dict:
@@ -104,17 +102,13 @@ def _normalized(grid: Grid, vals: np.ndarray, mass: float) -> Field:
 
 
 def _make_u0(grid: Grid, spec: str) -> Field:
-    """The initial data of a spec, refused unless positive at every node."""
-    u0 = parse_spec("u0", spec, {
+    return parse_spec("u0", spec, {
         "constant": lambda value=1.0: Field(grid, np.full(grid.n, float(value))),
         # 1/(1 + eps sin(pi x)): unit mass to round-off is restored by scaling
         "inverse_sine": lambda eps: _normalized(
             grid, 1.0 / (1.0 + float(eps) * np.sin(np.pi * grid.nodes)), 1.0),
         "csv": lambda path: read_field_csv(path, grid),
     })
-    if np.any(u0.values <= 0):
-        raise ConfigError("u0 must be positive nodewise")
-    return u0
 
 
 def _settings(args, data=None) -> dict:
@@ -122,19 +116,14 @@ def _settings(args, data=None) -> dict:
     flag (n and the command's TIME_FLAGS), the config file, the data given (an
     example's) or its default, the first that sets it."""
     keys = CONFIG_KEYS[args.command]
-    given = {**(data or {}), **(read_config(args.config, keys) if args.config else {})}
-    for key in ("n", *(key for key, _ in TIME_FLAGS.get(args.command, ()))):
-        if getattr(args, key) is not None:
-            given[key] = getattr(args, key)
+    flags = {key: value for key, value in vars(args).items() if key in keys and value is not None}
+    given = {**(data or {}), **(read_config(args.config, keys) if args.config else {}), **flags}
     cfg = {}
     for key, entry in keys.items():
         kind = entry if isinstance(entry, type) else type(entry)
         if key not in given and kind is entry:
             raise ConfigError(f"missing config key '{key}'")
-        try:
-            value = kind(given.get(key, entry))
-        except ValueError:
-            raise ConfigError(f"{key} must be {kind.__name__}, got {given[key]!r}") from None
+        value = kind(given.get(key, entry))
         if kind is int and value < 1:
             raise ConfigError(f"{key} must be at least 1, got {value}")
         if kind is float:
@@ -192,9 +181,8 @@ def cmd_constants(args) -> int:
     cfg = _settings(args)
     grid = Grid(cfg["n"])
     source = make_source(grid, cfg["source"])
-    u0 = _make_u0(grid, cfg["u0"])
+    consts = TheoremConstants.from_problem(_make_u0(grid, cfg["u0"]), source, cfg["nu"])
     out = _prepare_out(args, "constants")
-    consts = TheoremConstants.from_problem(u0, source, cfg["nu"])
     consts.to_json(out / "constants.json")
     print(
         f"R0={consts.R0:.6g} P0={consts.P0:.6g} N_inf={consts.N_infinity:.6g} "

@@ -484,7 +484,6 @@ LATE_CONFIG_ERRORS = {
     "simulate-dt-tiny": (["simulate"], "source = zero\nnu = 1\nn = 21\ndt = 1e-300\n"
                                        "t_end = 0.01\n"),
     "simulate-t-end-huge": (["simulate"], "source = zero\nnu = 1\nn = 21\nt_end = 1e300\n"),
-    "simulate-n-fraction": (["simulate"], "source = zero\nnu = 1\nn = 21.5\n"),
     # data the theorem constants refuse, found before the output is begun
     "constants-u0-zero": (["constants"], "source = cosine_static 0.5\nnu = 1\nn = 21\n"
                                          "u0 = constant 0\n"),
@@ -513,7 +512,6 @@ LATE_CONFIG_MESSAGES = {
     "ssm-crosscheck-M-inf": "M must be finite and positive, got inf",
     "simulate-dt-tiny": "t_end/dt = 1e+298 steps are more than a record can hold",
     "simulate-t-end-huge": "t_end/dt = 1e+303 steps are more than a record can hold",
-    "simulate-n-fraction": "n must be int, got '21.5'",
     "constants-u0-zero": "u0 must be positive nodewise",
     "constants-source-rate-nan": "cosine_exp needs a finite positive decay rate, got nan",
     "steady-source-rate-inf": "cosine_exp needs a finite positive decay rate, got inf",
