@@ -626,7 +626,7 @@ def test_example_rejects_config(tmp_path, capsys):
 #: its last stdout line lists (command, exit code, the scipy modules loaded so far)
 COLD_START = """
 import json, sys
-from singheat.cli import CONFIG_KEYS, main
+from singheat.cli import main
 seen = []
 for argv in json.loads(sys.argv[1]):
     code = main(argv)
