@@ -1,4 +1,4 @@
-"""Time whole `simulate` calls of a few fixed marches, and N_infinity, in fresh interpreters.
+"""Time `simulate` calls of fixed marches, N_infinity and the sheet solver in fresh interpreters.
 
 perfbench prices each step of a march at the least time seen for its Newton
 count, so work that lands in one step out of many (a block of diagnostics,
@@ -7,13 +7,15 @@ itself: each measurement is a fresh interpreter, pinned to one CPU with
 OPENBLAS_NUM_THREADS=1, that builds the case's config and steady state,
 runs `simulate` --repeat times and reports the least wall time.  The
 `ninf-*` cases time `compute_N_infinity` at its defaults (10,001 times up to
-t = 100) the same way, on a source built once per interpreter.  Per case it
-prints the median and quartiles of those least times over --rounds
-interpreters:
+t = 100) the same way, on a source built once per interpreter, and the
+`ssm-*` cases time `solve_ssm` on sheet data built once per interpreter.
+Per case it prints the median and quartiles of those least times over
+--rounds interpreters:
 
     python3 scripts/march_timing.py
     python3 scripts/march_timing.py --against ../parent --rounds 10
     python3 scripts/march_timing.py --cases ninf-decay-2001,ninf-exp-2001
+    python3 scripts/march_timing.py --cases ssm-1601
 
 With --against, the checkout at that path (its `src` directory) is timed
 too, in pairs: each round runs both sides, the side that goes first
@@ -90,11 +92,38 @@ print(best)
 """
 
 
+#: name -> (nu, M, h0 spec, v0 spec, n, dt, t_end) of a sheet-solver case;
+#: ssm-1601 is fine-grid's sheet data, 584 sheet steps
+SSM_CASES = {
+    "ssm-1601": (1.0, 1.0, "cosine_bump 0.15", "sine 0.5", 1601, 2e-3, 1.0),
+}
+
+#: run in the child: argv is nu, M, h0, v0, n, dt, t_end, repeat; prints the least seconds
+SSM_CHILD = """
+import sys, time
+from singheat.cli import _sheet_profile, _sheet_velocity
+from singheat.grid import Grid
+from singheat.lagrangian import SheetState, solve_ssm
+nu, M, h0, v0, n, dt, t_end, repeat = sys.argv[1:]
+g = Grid(int(n))
+initial = SheetState(t=0.0, grid=g, h=_sheet_profile(g, h0, float(M)),
+                     v=_sheet_velocity(g, v0), M=float(M), nu=float(nu))
+best = float("inf")
+for _ in range(int(repeat)):
+    t0 = time.perf_counter()
+    solve_ssm(initial, float(dt), float(t_end))
+    best = min(best, time.perf_counter() - t0)
+print(best)
+"""
+
+#: each table of cases with the child that runs them
+KINDS = ((CASES, CHILD), (N_INFINITY_CASES, N_INFINITY_CHILD), (SSM_CASES, SSM_CHILD))
+
+
 def least_seconds(src: Path, case: str, repeat: int, cpu: int) -> float:
     """The least of `repeat` runs of `case` in a fresh interpreter importing src."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-    child, case_args = ((CHILD, CASES[case]) if case in CASES
-                        else (N_INFINITY_CHILD, N_INFINITY_CASES[case]))
+    child, case_args = next((child, table[case]) for table, child in KINDS if case in table)
     done = subprocess.run(
         [sys.executable, "-c", child, *map(str, case_args), str(repeat)], env=env,
         capture_output=True, text=True, check=True,
@@ -112,7 +141,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=5, help="interpreters per case and side")
     parser.add_argument("--repeat", type=int, default=7, help="runs per interpreter")
-    every = [*CASES, *N_INFINITY_CASES]
+    every = [case for table, _ in KINDS for case in table]
     parser.add_argument("--cases", default=",".join(every),
                         help=f"comma-separated subset of {', '.join(every)}")
     parser.add_argument("--against", type=Path, default=None,

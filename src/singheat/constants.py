@@ -95,14 +95,17 @@ class TheoremConstants:
             R0=R0, P0=P0, N_infinity=N_inf, nu=nu, nu_plus=nu_plus,
             hom_ok=hom_ok, inhom_ok=inhom_ok,
         )
-        if hom_ok:
-            fields["lambda_hom"] = homogeneous_rate(R0, P0, nu)
-        if inhom_ok:
-            a_minus, a_plus = compute_A_bounds(R0, P0, N_inf, nu)
-            fields["A_minus"] = a_minus
-            fields["A_plus"] = a_plus
-            fields["B"] = nu * math.pi**2 / (2 * a_plus**2)
-            fields["C_big"] = (1 / a_minus**2 + 1 / a_plus**2) / math.sqrt(nu)
+        try:    # the rate and the bracket square nu, and ** raises on overflow
+            if hom_ok:
+                fields["lambda_hom"] = homogeneous_rate(R0, P0, nu)
+            if inhom_ok:
+                a_minus, a_plus = compute_A_bounds(R0, P0, N_inf, nu)
+                fields["A_minus"] = a_minus
+                fields["A_plus"] = a_plus
+                fields["B"] = nu * math.pi**2 / (2 * a_plus**2)
+                fields["C_big"] = (1 / a_minus**2 + 1 / a_plus**2) / math.sqrt(nu)
+        except OverflowError as err:
+            raise ValueError(f"nu={nu!r} is too large: the theorem constants overflow") from err
         return cls(**fields)
 
     @classmethod

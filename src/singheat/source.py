@@ -415,6 +415,14 @@ def compute_N_infinity(
     return total + tail, False
 
 
+def spec_number(word) -> float:
+    """A spec's numeric word as a float; ValueError, before any arithmetic, if not finite."""
+    value = float(word)
+    if not np.isfinite(value):
+        raise ValueError(f"{word} is not a finite number")
+    return value
+
+
 def parse_spec(slot: str, spec: str, builders: dict):
     """Build the object a `NAME ARG...` config spec names.
 
@@ -453,9 +461,9 @@ def make_source(grid: Grid, spec: str) -> SourceTerm:
     """
     return parse_spec("source", spec, {
         "zero": lambda: HomogeneousSource(Field(grid, np.zeros(grid.n))),
-        "cosine_static": lambda amplitude: CosineStaticSource(grid, float(amplitude)),
+        "cosine_static": lambda amplitude: CosineStaticSource(grid, spec_number(amplitude)),
         "cosine_decay": lambda: CosineDecaySource(grid),
-        "cosine_exp": lambda rate=1.0: CosineExpSource(grid, float(rate)),
+        "cosine_exp": lambda rate=1.0: CosineExpSource(grid, spec_number(rate)),
         "csv": lambda path: load_tabulated_csv(grid, path),
     })
 

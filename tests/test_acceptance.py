@@ -263,9 +263,8 @@ def test_criterion_11_ssm_crosscheck(criterion, ex24_record):
     )
     rec1 = simulate(cfg)
     u1 = rec1.snapshots[-1]
-    ut1 = pde_time_derivative(u1, src.evaluate(1.0), 1.0)
     ssm1 = solve_ssm(init, dt=1e-3, t_end=1.0)
-    mismatch_t1 = crosscheck_heights(ssm1, u1, ut1, 1.0)
+    mismatch_t1 = crosscheck_heights(ssm1, u1, 1.0)
 
     # long-time limit: both routes against h_inf composed through the map
     ss = steady_profile(src, 1.0, which="initial")

@@ -489,6 +489,13 @@ LATE_CONFIG_ERRORS = {
                                          "u0 = constant 0\n"),
     "constants-source-rate-nan": (["constants"], "source = cosine_exp nan\nnu = 1\nn = 21\n"),
     "steady-source-rate-inf": (["steady"], "source = cosine_exp inf\nnu = 1\nn = 21\n"),
+    # a viscosity whose square overflows in the theorem constants
+    "constants-nu-1e155": (["constants"], "source = cosine_decay\nnu = 1e155\nn = 21\n"),
+    "constants-nu-1e300": (["constants"], "source = cosine_decay\nnu = 1e300\nn = 21\n"),
+    # non-finite spec numbers, refused before numpy's arithmetic warns on them
+    "simulate-u0-inf": (["simulate"], "source = zero\nnu = 1\nn = 21\nu0 = inverse_sine inf\n"),
+    "transform-h0-inf": (["transform"], "nu = 1\nn = 21\nh0 = cosine_bump inf\n"),
+    "transform-v0-inf": (["transform"], "nu = 1\nn = 21\nv0 = sine inf\n"),
 }
 
 #: what the error says, where its wording is the point of the case
@@ -513,11 +520,17 @@ LATE_CONFIG_MESSAGES = {
     "simulate-dt-tiny": "t_end/dt = 1e+298 steps are more than a record can hold",
     "simulate-t-end-huge": "t_end/dt = 1e+303 steps are more than a record can hold",
     "constants-u0-zero": "u0 must be positive nodewise",
-    "constants-source-rate-nan": "cosine_exp needs a finite positive decay rate, got nan",
-    "steady-source-rate-inf": "cosine_exp needs a finite positive decay rate, got inf",
+    "constants-source-rate-nan": "source spec 'cosine_exp nan': nan is not a finite number",
+    "steady-source-rate-inf": "source spec 'cosine_exp inf': inf is not a finite number",
+    "constants-nu-1e155": "nu=1e+155 is too large: the theorem constants overflow",
+    "constants-nu-1e300": "nu=1e+300 is too large: the theorem constants overflow",
+    "simulate-u0-inf": "u0 spec 'inverse_sine inf': inf is not a finite number",
+    "transform-h0-inf": "h0 spec 'cosine_bump inf': inf is not a finite number",
+    "transform-v0-inf": "v0 spec 'sine inf': inf is not a finite number",
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", LATE_CONFIG_ERRORS)
 def test_config_error_leaves_no_output_directory(tmp_path, capsys, case):
     argv, text = LATE_CONFIG_ERRORS[case]
@@ -530,6 +543,14 @@ def test_config_error_leaves_no_output_directory(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "config error:" in err and LATE_CONFIG_MESSAGES.get(case, "") in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("nu", ["1e155", "1e300"])
+def test_huge_nu_fails_the_steady_state_of_a_march(tmp_path, capsys, nu):
+    # the constants refuse this nu as a config error; the march fails first
+    cfg = write_config(tmp_path, f"source = cosine_decay\nnu = {nu}\nn = 21\nt_end = 0.01\n")
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "error: mass integral never drops below 1/nu" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["snapshot_stride", "newton_max_iter"])

@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.linalg import LinAlgError
 from scipy.interpolate import CubicSpline
 
 from singheat import lagrangian
 from singheat.errors import ConfigError, SolverError
-from singheat.grid import Field, Grid, derivative, trapezoid_integral
+from singheat.grid import Field, Grid, derivative, trapezoid, trapezoid_integral
 from singheat.lagrangian import (
     LagrangianMap,
     SheetState,
@@ -20,7 +22,7 @@ from singheat.lagrangian import (
     solve_ssm,
     source_from_sheet,
 )
-from singheat.solver import SimulationConfig, simulate
+from singheat.solver import SimulationConfig, simulate, tridiag_solve
 from singheat.source import CosineStaticSource, make_source
 from singheat.steady import steady_profile
 
@@ -280,6 +282,78 @@ def ex24_sheet(n=201):
     )
 
 
+def _reference_solve_ssm(initial: SheetState, dt: float, t_end: float):
+    """The sheet march as first written: full-length bands, masks and
+    differences each step.  solve_ssm must return its bits."""
+    if dt <= 0:
+        raise ValueError(f"sheet time step must be positive, got dt={dt}")
+    grid = initial.grid
+    n = grid.n
+    dx = grid.dx
+    nu, M = initial.nu, initial.M
+
+    # cell-center heights chosen so the cell sum reproduces the trapezoid mass
+    h_nodes = initial.h.values
+    hc = 0.5 * (h_nodes[:-1] + h_nodes[1:])
+    v = initial.v.values.copy()
+    v[0] = v[-1] = 0.0
+
+    t = 0.0
+    min_dt = dt * 1e-6
+    while t < t_end - 1e-12:
+        vmax = float(np.max(np.abs(v)))
+        step_dt = dt if vmax == 0 else min(dt, 0.4 * dx / vmax)
+        step_dt = min(step_dt, t_end - t)
+        if step_dt < min_dt:
+            raise SolverError(f"CFL floor reached at t={t:.6g}")
+
+        # conservative upwind transport of h; v=0 at the ends gives zero flux
+        flux = np.zeros(n)
+        up = np.where(v[1:-1] > 0, hc[:-1], hc[1:])
+        flux[1:-1] = v[1:-1] * up
+        hc_new = hc - step_dt * (flux[1:] - flux[:-1]) / dx
+        if np.any(hc_new <= 0):
+            raise SolverError(f"sheet height lost positivity at t={t:.6g}")
+
+        # explicit upwind advection of v
+        dv_minus = np.zeros(n)
+        dv_plus = np.zeros(n)
+        dv_minus[1:] = (v[1:] - v[:-1]) / dx
+        dv_plus[:-1] = (v[1:] - v[:-1]) / dx
+        adv = np.where(v > 0, v * dv_minus, v * dv_plus)
+        v_star = v - step_dt * adv
+        v_star[0] = v_star[-1] = 0.0
+
+        # implicit viscous solve on the new height field
+        h_node = np.empty(n)
+        h_node[1:-1] = 0.5 * (hc_new[:-1] + hc_new[1:])
+        h_node[0] = hc_new[0]
+        h_node[-1] = hc_new[-1]
+        c = step_dt * nu / (h_node * dx**2)
+        lower = np.zeros(n)
+        diag = np.ones(n)
+        upper = np.zeros(n)
+        lower[1:-1] = -c[1:-1] * hc_new[:-1]
+        upper[1:-1] = -c[1:-1] * hc_new[1:]
+        diag[1:-1] = 1.0 + c[1:-1] * (hc_new[:-1] + hc_new[1:])
+        try:
+            v = tridiag_solve(lower[1:], diag, upper[:-1], v_star)
+        except ValueError as err:  # LinAlgError included
+            raise SolverError(f"viscous solve failed at t={t:.6g}: {err}") from err
+        v[0] = v[-1] = 0.0
+
+        hc = hc_new
+        t += step_dt
+
+    # back to nodes: interior averages; endpoint values from the parabola
+    # with zero slope at the wall (consistent with h_y = 0 there)
+    hn = np.empty(n)
+    hn[1:-1] = 0.5 * (hc[:-1] + hc[1:])
+    hn[0] = (9.0 * hc[0] - hc[1]) / 8.0
+    hn[-1] = (9.0 * hc[-1] - hc[-2]) / 8.0
+    return SheetState(t=t, grid=grid, h=Field(grid, hn), v=Field(grid, v), M=M, nu=nu)
+
+
 class TestSolveSSM:
     def test_stationary_sheet(self):
         g = Grid(101)
@@ -306,6 +380,21 @@ class TestSolveSSM:
         monkeypatch.setattr(lagrangian, "tridiag_solve", fail)
         with pytest.raises(SolverError, match="viscous solve failed"):
             solve_ssm(ex24_sheet(21), dt=1e-3, t_end=0.01)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(n=st.integers(5, 101), eps=st.floats(0.0, 0.3), amp=st.floats(0.0, 0.9),
+           nu=st.floats(0.1, 10.0), dt=st.sampled_from((1e-3, 1e-2, 0.1)),
+           t_end=st.floats(0.005, 0.1))
+    def test_bits_match_the_reference_march(self, n, eps, amp, nu, dt, t_end):
+        # dt = 0.1 always and dt = 1e-2 mostly take the CFL-limited step
+        g = Grid(n)
+        h = 1.0 + eps * np.cos(np.pi * g.nodes)
+        init = SheetState(t=0.0, grid=g, h=Field(g, h / trapezoid(h, g.dx)),
+                          v=Field(g, amp * np.sin(np.pi * g.nodes)), M=1.0, nu=nu)
+        got, want = solve_ssm(init, dt, t_end), _reference_solve_ssm(init, dt, t_end)
+        assert got.t == want.t
+        assert got.h.values.tobytes() == want.h.values.tobytes()
+        assert got.v.values.tobytes() == want.v.values.tobytes()
 
     def test_long_time_limit(self):
         state = solve_ssm(ex24_sheet(), dt=1e-3, t_end=8.0)
@@ -335,6 +424,5 @@ class TestCrosscheck:
         )
         rec = simulate(cfg)
         u1 = rec.snapshots[-1]
-        ut1 = pde_time_derivative(u1, src.evaluate(1.0), 1.0)
         ssm = solve_ssm(ex24_sheet(n), dt=1e-3, t_end=1.0)
-        assert crosscheck_heights(ssm, u1, ut1, 1.0) <= 0.02
+        assert crosscheck_heights(ssm, u1, 1.0) <= 0.02
