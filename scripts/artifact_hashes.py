@@ -68,7 +68,7 @@ RUNS = (
     # homogeneous constants: the two paths the forcing alone now picks
     ("steady-decay", "source = cosine_decay\nnu = 10\n", ["steady"]),
     ("constants-static", "source = cosine_static 0.5\nnu = 1\n", ["constants"]),
-    # default n = 2001: the exp family's N-infinity over many row blocks
+    # default n = 2001: the exp family's N-infinity, |g'(t)| times one profile norm
     ("constants-exp", "source = cosine_exp 0.7\nnu = 10\n", ["constants"]),
     ("simulate-homogeneous",
      "source = cosine_static 0.3\nnu = 1\nn = 101\nu0 = inverse_sine 0.1\n",

@@ -68,21 +68,30 @@ assert record.failure is None, record.failure
 print(best)
 """
 
-#: name -> (n, source spec) of an N_infinity case
+#: name -> (n, source spec) of an N_infinity case.  The cosine families' N_infinity
+#: is factored; "tabulated", two stamps with f falling linearly from cos(pi x)
+#: at t = 0 to 0 at t = 100, times the path on blocks of f_t rows
 N_INFINITY_CASES = {
     "ninf-decay-201": (201, "cosine_decay"),
     "ninf-exp-201": (201, "cosine_exp 1.3"),
     "ninf-decay-2001": (2001, "cosine_decay"),
     "ninf-exp-2001": (2001, "cosine_exp 1.3"),
+    "ninf-tab-2001": (2001, "tabulated"),
 }
 
 #: run in the child: argv is n, source, repeat; prints the least seconds
 N_INFINITY_CHILD = """
 import sys, time
-from singheat.grid import Grid
-from singheat.source import compute_N_infinity, make_source
+import numpy as np
+from singheat.grid import Field, Grid
+from singheat.source import TabulatedSource, compute_N_infinity, make_source
 n, spec, repeat = sys.argv[1:]
-src = make_source(Grid(int(n)), spec)
+g = Grid(int(n))
+if spec == "tabulated":
+    cos = np.cos(np.pi * g.nodes)
+    src = TabulatedSource([0.0, 100.0], [Field(g, cos), Field(g, 0.0 * cos)])
+else:
+    src = make_source(g, spec)
 best = float("inf")
 for _ in range(int(repeat)):
     t0 = time.perf_counter()

@@ -17,7 +17,7 @@ from .errors import HypothesisError, SolverError
 from .constants import TheoremConstants
 from .grid import h1, l2, pow2, write_csv, write_json
 from .solver import SimulationRecord
-from .source import SourceTerm, over_time
+from .source import SeparableSource, SourceTerm, mean_zero, over_time
 
 ENVELOPE_TOL = 0.05
 DEFAULT_FLOOR = 1e-9
@@ -108,6 +108,9 @@ def homogeneous_bound(record: SimulationRecord, rate: float) -> np.ndarray:
 def _forcing_gap_sq(record: SimulationRecord, src: SourceTerm) -> np.ndarray:
     """||f(t) - f_inf||_2^2 at each recorded time."""
     f_inf, dx = src.f_limit().values, src.grid.dx
+    if isinstance(src, SeparableSource):    # |g(t)| times ||mean_zero(phi)||_2
+        norm = l2(mean_zero(src.phi, dx), dx)
+        return pow2(over_time(lambda block: norm * np.abs(src.g(block)), record.times, 1))
     gap = over_time(lambda block: l2(src.samples(block) - f_inf, dx),
                     record.times, src.grid.n)
     return pow2(gap)

@@ -8,9 +8,11 @@ constants entering the convergence theorems.
 
 Each family writes f and f_t once, for a time or for a 1-D array of times
 (one row of nodal samples per time); f_t can be written into a given array.
-The time-axis norms (N_infinity and the envelopes' forcing gap) run on blocks
-of such rows, with the operations of the one-time code, so they keep its
-bits; N_infinity reuses one set of block buffers for all of its times.
+The time-axis norms (N_infinity and the envelopes' forcing gap) of a separable
+source, f = g(t) cos(pi x), are one profile norm times |g'(t)| or |g(t)|.  Any
+other source's run on blocks of such rows, with the operations of the one-time
+code, so they keep its bits; N_infinity reuses one set of block buffers for
+all of its times.
 """
 
 from __future__ import annotations
@@ -157,42 +159,55 @@ class CosineStaticSource(HomogeneousSource):
         super().__init__(Field(grid, amplitude * np.cos(np.pi * grid.nodes)))
 
 
-class CosineDecaySource(SourceTerm):
-    """f(x, t) = min(1, 1/t) cos(pi x), decaying to zero.
+class SeparableSource(SourceTerm):
+    """f(x, t) = g(t) phi(x), phi = cos(pi x), with g falling monotonically to 0.
 
-    f is only piecewise smooth at t = 1; the time derivative is taken
-    piecewise (0 for t < 1, -cos(pi x)/t^2 for t > 1).
+    Each family gives g(t) and g'(t) (one-sided off kinks) as `g` and `dgdt`,
+    at a time or at a 1-D array of times.
     """
-
-    kind = "cosine_decay"
-    breakpoints = (1.0,)
 
     def __init__(self, grid: Grid):
         super().__init__(grid)
-        self._cos = np.cos(np.pi * grid.nodes)
-        self._minus_cos = -self._cos
+        self.phi = np.cos(np.pi * grid.nodes)
 
     def _raw(self, t) -> np.ndarray:
-        # min(1, 1/t) for t >= 0, with 1/1 = 1 exactly up to the kink
-        return (1.0 / np.maximum(t, 1.0))[..., None] * self._cos
+        return self.g(t)[..., None] * self.phi
 
     def f_limit(self) -> Field:
         return Field(self.grid, mean_zero(np.zeros(self.grid.n), self.grid.dx))
 
     def dfdt(self, t, out=None) -> np.ndarray:
+        return np.multiply(self.dgdt(t)[..., None], self.phi, out)
+
+    def tail_norm_integral(self, t_cut: float):
+        return _primitive_norms(self.phi, self.grid.dx) * self.g(t_cut)
+
+
+class CosineDecaySource(SeparableSource):
+    """f(x, t) = min(1, 1/t) cos(pi x), decaying to zero.
+
+    f is only piecewise smooth at t = 1; the time derivative is taken
+    piecewise: 0 for t < 1, and -cos(pi x) / t^2 as divided, not g'(t) cos(pi x).
+    """
+
+    kind = "cosine_decay"
+    breakpoints = (1.0,)
+
+    def g(self, t):
+        # min(1, 1/t) for t >= 0, with 1/1 = 1 exactly up to the kink
+        return 1.0 / np.maximum(t, 1.0)
+
+    def dgdt(self, t):
+        return np.where(t > 1.0, -1.0 / np.square(np.maximum(t, 1.0)), 0.0)
+
+    def dfdt(self, t, out=None) -> np.ndarray:
         t = np.asarray(t)
-        out = np.divide(self._minus_cos, pow2(np.maximum(t, 1.0))[..., None], out)
+        out = np.divide(-self.phi, pow2(np.maximum(t, 1.0))[..., None], out)
         out[~(t > 1.0)] = 0.0    # the rows up to the kink
         return out
 
-    def tail_norm_integral(self, t_cut: float):
-        if t_cut < 1.0:
-            return None
-        # integrand is ||primitive of cos(pi x)||_2 / t^2 for t > 1
-        return _primitive_norms(self._cos, self.grid.dx) / t_cut
 
-
-class CosineExpSource(SourceTerm):
+class CosineExpSource(SeparableSource):
     """f(x, t) = exp(-rate * t) cos(pi x), decaying to zero."""
 
     kind = "cosine_exp"
@@ -202,19 +217,12 @@ class CosineExpSource(SourceTerm):
             raise ConfigError(f"cosine_exp needs a finite positive decay rate, got {rate!r}")
         super().__init__(grid)
         self.rate = float(rate)
-        self._cos = np.cos(np.pi * grid.nodes)
 
-    def _raw(self, t) -> np.ndarray:
-        return np.exp(-self.rate * t)[..., None] * self._cos
+    def g(self, t):
+        return np.exp(-self.rate * t)
 
-    def f_limit(self) -> Field:
-        return Field(self.grid, mean_zero(np.zeros(self.grid.n), self.grid.dx))
-
-    def dfdt(self, t, out=None) -> np.ndarray:
-        return np.multiply((-self.rate * np.exp(-self.rate * t))[..., None], self._cos, out)
-
-    def tail_norm_integral(self, t_cut: float):
-        return _primitive_norms(self._cos, self.grid.dx) * np.exp(-self.rate * t_cut)
+    def dgdt(self, t):
+        return -self.rate * np.exp(-self.rate * t)
 
 
 class CallableSource(SourceTerm):
@@ -326,9 +334,8 @@ def over_time(kernel, ts, n: int) -> np.ndarray:
     """kernel(block) for consecutive blocks of the times `ts`, in one array.
 
     `kernel` maps a 1-D block of at most _block_rows(n) times to one value per
-    time, computed from that block's (times x n) rows of samples.  A
-    non-finite sample makes its time's value non-finite, which raises
-    ValueError, as a Field of it would.
+    time, computed from its n samples per time.  A non-finite sample makes its
+    time's value non-finite, which raises ValueError, as a Field of it would.
     """
     ts = np.asarray(ts, dtype=float)
     rows = _block_rows(n)
@@ -377,11 +384,6 @@ def _dfdt_primitive_norms(src: SourceTerm):
     return norms
 
 
-def _segments(src: SourceTerm, t_cut: float):
-    cuts = sorted({0.0, t_cut, *(b for b in src.breakpoints if 0.0 < b < t_cut)})
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def compute_N_infinity(
     src: SourceTerm, t_cut: float = 100.0, dt_quad: float = 1e-2
 ):
@@ -389,17 +391,24 @@ def compute_N_infinity(
 
     Composite trapezoid on [0, t_cut] with steps of at most dt_quad, split
     exactly at the source's kinks; a closed-form tail is added when the family
-    provides one, otherwise the result is flagged as tail-truncated.  The
-    blocks of times reuse one set of buffers per call.  t_cut and dt_quad
-    must be finite and positive (ValueError).
+    provides one, otherwise the result is flagged as tail-truncated.  A
+    separable source's integrand is |g'(t)| times one profile norm; any
+    other's runs on blocks of f_t rows that reuse one set of buffers per call.
+    t_cut and dt_quad must be finite and positive (ValueError).
 
     Returns (value, tail_truncated).
     """
     require_positive(t_cut=t_cut, dt_quad=dt_quad)
     if not src.time_dependent:
         return 0.0, False
-    total, norms = 0.0, _dfdt_primitive_norms(src)
-    for a, b in _segments(src, t_cut):
+    if isinstance(src, SeparableSource):
+        norm = _primitive_norms(src.phi, src.grid.dx)
+        norms, width = (lambda block: norm * np.abs(src.dgdt(block))), 1
+    else:
+        norms, width = _dfdt_primitive_norms(src), src.grid.n
+    total = 0.0
+    cuts = sorted({0.0, t_cut, *(b for b in src.breakpoints if 0.0 < b < t_cut)})
+    for a, b in zip(cuts[:-1], cuts[1:]):
         m = max(2, int(np.ceil((b - a) / dt_quad)) + 1)
         ts = np.linspace(a, b, m)
         # keep samples strictly inside the smooth segment
@@ -407,12 +416,10 @@ def compute_N_infinity(
         ts_eval = ts.copy()
         ts_eval[0] += eps
         ts_eval[-1] -= eps
-        vals = over_time(norms, ts_eval, src.grid.n)
+        vals = over_time(norms, ts_eval, width)
         total += np.trapezoid(vals, ts)
     tail = src.tail_norm_integral(t_cut)
-    if tail is None:
-        return total, True
-    return total + tail, False
+    return (total, True) if tail is None else (total + tail, False)
 
 
 def spec_number(word) -> float:

@@ -8,6 +8,10 @@ config, so its keys that have a flag are set by the flag.  A key added to the
 table later is drawn too.  Every run must exit 0, 2, 3 or 4, print no
 traceback and raise no numpy `RuntimeWarning`, leave no `--out` when it
 exits 4, and exit 4 on any non-finite number.  The runs are derandomized and keep no example database.
+
+Beside the drawn runs, a fixed table sets every numeric key of each command
+to each of nan, ±inf, 0, -1 and 1e300, so those runs are made whatever the
+draws, with the same assertions.
 """
 
 import contextlib
@@ -49,23 +53,48 @@ LEFT_OUT = {
 }
 
 
+def _keys(command):
+    """The keys of a command a run may change."""
+    return sorted(EXAMPLE_FLAGS if command == "example" else CONFIG_KEYS[command])
+
+
+def _is_spec(command, key) -> bool:
+    entry = CONFIG_KEYS[command][key]
+    return entry is str or isinstance(entry, str)
+
+
 @st.composite
 def runs(draw):
     command = draw(st.sampled_from(sorted(CONFIG_KEYS)), label="command")
-    keys = EXAMPLE_FLAGS if command == "example" else CONFIG_KEYS[command]
-    key = draw(st.sampled_from(sorted(keys)), label="key")
+    key = draw(st.sampled_from(_keys(command)), label="key")
     # a spec key's values are mostly specs, whose arguments take the numbers
-    entry = CONFIG_KEYS[command][key]
-    spec = entry is str or isinstance(entry, str)
-    return command, key, draw(SPEC if spec else NUMERIC, label="value")
+    return command, key, draw(SPEC if _is_spec(command, key) else NUMERIC, label="value")
+
+
+#: every numeric key of each command against each non-finite or extreme value
+TABLE = [(command, key, value)
+         for command in sorted(CONFIG_KEYS) for key in _keys(command)
+         if not _is_spec(command, key)
+         for value in ("nan", "inf", "-inf", "0", "-1", "1e300")
+         if (command, key, value) not in LEFT_OUT]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(runs())
 def test_one_changed_key_exits_with_a_verdict_or_a_config_error(run):
-    command, key, value = run
     assume(run not in LEFT_OUT)
+    _check(*run)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,key,value", TABLE)
+def test_each_numeric_key_at_each_extreme(command, key, value):
+    _check(command, key, value)
+
+
+def _check(command, key, value):
+    """Run the command with one key changed; assert the fuzz's verdicts."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp, "out")

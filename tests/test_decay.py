@@ -18,7 +18,14 @@ from singheat.decay import (
 from singheat.errors import HypothesisError, SolverError
 from singheat.grid import Field, Grid, h1, l2
 from singheat.solver import SimulationConfig, simulate
-from singheat.source import CallableSource, TabulatedSource, make_source
+from singheat.source import (
+    CallableSource,
+    SeparableSource,
+    TabulatedSource,
+    make_source,
+    mean_zero,
+)
+from test_source import _amplitude
 
 
 class TestFitRate:
@@ -157,10 +164,24 @@ class TestForcingGap:
         return np.array([l2(src.evaluate(t).values - f_inf.values, src.grid.dx) ** 2
                          for t in record.times])
 
+    @staticmethod
+    def factored(record, src):
+        """per_time for a separable source: (|g(t)| ||mean_zero(cos(pi x))||_2)^2."""
+        dx = src.grid.dx
+        norm = l2(mean_zero(np.cos(np.pi * src.grid.nodes), dx), dx)
+        g = _amplitude(src)[0]
+        return np.array([(abs(g(t)) * norm) ** 2 for t in record.times])
+
+    def check(self, record, src):
+        got, rows = _forcing_gap_sq(record, src), self.per_time(record, src)
+        if not isinstance(src, SeparableSource):
+            assert np.array_equal(got, rows)
+            return
+        assert np.array_equal(got, self.factored(record, src))
+        assert np.all(np.abs(got - rows) <= 1e-14 * rows)
+
     def test_equals_per_time_loop(self, ex33_record):
-        src = ex33_record.config.source
-        assert np.array_equal(_forcing_gap_sq(ex33_record, src),
-                              self.per_time(ex33_record, src))
+        self.check(ex33_record, ex33_record.config.source)
 
     @pytest.mark.parametrize("spec", ["cosine_exp 0.7", "cosine_static 1.5", "tabulated"])
     def test_other_families_equal_per_time_loop(self, spec):
@@ -171,8 +192,7 @@ class TestForcingGap:
                                   [Field(g, (1 - t / 2) * cos) for t in (0.0, 1.0, 2.0)])
         else:
             src = make_source(g, spec)
-        record = SimpleNamespace(times=[k * 1e-3 for k in range(2001)])
-        assert np.array_equal(_forcing_gap_sq(record, src), self.per_time(record, src))
+        self.check(SimpleNamespace(times=[k * 1e-3 for k in range(2001)]), src)
 
     def test_nan_sample_raises(self, ex33_record, ex33_consts):
         bad_t = ex33_record.times[100]

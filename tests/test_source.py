@@ -17,6 +17,7 @@ from singheat.source import (
     CosineExpSource,
     CosineStaticSource,
     HomogeneousSource,
+    SeparableSource,
     TabulatedSource,
     compute_N_infinity,
     compute_P0,
@@ -355,14 +356,8 @@ def test_cosine_rows_keep_the_scalar_formulas():
         assert np.array_equal(row, -0.7 * np.exp(-0.7 * t) * cos)
 
 
-def _per_time_N_infinity(src, t_cut, dt_quad=1e-2):
-    """compute_N_infinity one time at a time, on numpy's and scipy's quadratures."""
-    dx = src.grid.dx
-
-    def rate(t):
-        y = cumulative_trapezoid(src.dfdt(t), dx=dx, initial=0.0)
-        return math.sqrt(np.trapezoid(y * y, dx=dx))
-
+def _per_time_quadrature(rate, src, t_cut, dt_quad):
+    """compute_N_infinity's segments and trapezoid, with rate(t) one time at a time."""
     cuts = sorted({0.0, t_cut, *(b for b in src.breakpoints if 0.0 < b < t_cut)})
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -371,16 +366,69 @@ def _per_time_N_infinity(src, t_cut, dt_quad=1e-2):
         ts_eval[0] += 1e-9 * (b - a)
         ts_eval[-1] -= 1e-9 * (b - a)
         total += np.trapezoid(np.array([rate(t) for t in ts_eval]), ts)
+    return total
+
+
+def _per_time_N_infinity(src, t_cut, dt_quad=1e-2):
+    """compute_N_infinity on f_t's rows one time at a time, on numpy's and scipy's quadratures."""
+    dx = src.grid.dx
+
+    def rate(t):
+        y = cumulative_trapezoid(src.dfdt(t), dx=dx, initial=0.0)
+        return math.sqrt(np.trapezoid(y * y, dx=dx))
+
+    total = _per_time_quadrature(rate, src, t_cut, dt_quad)
     tail = src.tail_norm_integral(t_cut)
     return (total, True) if tail is None else (total + tail, False)
+
+
+def _amplitude(src):
+    """g and |g'| of a separable family, as scalar code writes them."""
+    if isinstance(src, CosineDecaySource):
+        return (lambda t: min(1.0, 1.0 / t if t > 0 else 1.0),
+                lambda t: 0.0 if t <= 1.0 else 1.0 / (t * t))
+    return lambda t: np.exp(-src.rate * t), lambda t: src.rate * np.exp(-src.rate * t)
+
+
+def _factored_N_infinity(src, t_cut, dt_quad=1e-2):
+    """compute_N_infinity of a separable source one time at a time:
+    |g'(t)| ||primitive of cos(pi x)||_2, and the tail g(t_cut) times that norm."""
+    dx = src.grid.dx
+    y = cumulative_trapezoid(_cos(src.grid), dx=dx, initial=0.0)
+    norm = math.sqrt(np.trapezoid(y * y, dx=dx))
+    g, abs_dgdt = _amplitude(src)
+    total = _per_time_quadrature(lambda t: abs_dgdt(t) * norm, src, t_cut, dt_quad)
+    return total + norm * g(t_cut), False
+
+
+def check_N_infinity(src, t_cut, dt_quad=1e-2):
+    """compute_N_infinity against its per-time references.
+
+    A separable source gives the factored reference's bits, within 1e-14 of the
+    row reference; any other gives the row reference's bits.
+    """
+    got, rows = compute_N_infinity(src, t_cut, dt_quad), _per_time_N_infinity(src, t_cut, dt_quad)
+    if not isinstance(src, SeparableSource):
+        assert got == rows
+        return
+    assert got == _factored_N_infinity(src, t_cut, dt_quad)
+    assert got[1] == rows[1] and abs(got[0] - rows[0]) <= 1e-14 * abs(rows[0])
 
 
 @pytest.mark.parametrize("kind,t_cut", [
     ("cosine_decay", 100.0), ("cosine_exp", 100.0), ("tabulated", 5.0), ("callable", 5.0),
 ])
 def test_N_infinity_equals_per_time_loop(kind, t_cut):
-    src = SOURCES[kind][0](Grid(201))
-    assert compute_N_infinity(src, t_cut=t_cut) == _per_time_N_infinity(src, t_cut)
+    check_N_infinity(SOURCES[kind][0](Grid(201)), t_cut)
+
+
+def test_decay_tail_is_closed_before_the_kink():
+    # g = min(1, 1/t) falls monotonically to 0, so the tail past any t_cut is
+    # ||primitive of cos(pi x)||_2 g(t_cut), before the kink as after it
+    src = CosineDecaySource(Grid(201))
+    early, truncated = compute_N_infinity(src, t_cut=0.5)
+    assert not truncated
+    assert abs(early - compute_N_infinity(src, t_cut=100.0)[0]) < 1e-4
 
 
 def test_nan_sample_raises():
