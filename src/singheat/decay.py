@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import HypothesisError, SolverError
 from .constants import TheoremConstants
-from .grid import h1, l2, pow2, write_csv, write_json
+from .grid import h1, write_csv, write_json
 from .solver import SimulationRecord
-from .source import SeparableSource, SourceTerm, mean_zero, over_time
+from .source import SourceTerm, forcing_gap_sq
 
 ENVELOPE_TOL = 0.05
 DEFAULT_FLOOR = 1e-9
@@ -105,17 +105,6 @@ def homogeneous_bound(record: SimulationRecord, rate: float) -> np.ndarray:
     return record.h1_error_inverse[0] * np.exp(-rate * record.times)
 
 
-def _forcing_gap_sq(record: SimulationRecord, src: SourceTerm) -> np.ndarray:
-    """||f(t) - f_inf||_2^2 at each recorded time."""
-    f_inf, dx = src.f_limit().values, src.grid.dx
-    if isinstance(src, SeparableSource):    # |g(t)| times ||mean_zero(phi)||_2
-        norm = l2(mean_zero(src.phi, dx), dx)
-        return pow2(over_time(lambda block: norm * np.abs(src.g(block)), record.times, 1))
-    gap = over_time(lambda block: l2(src.samples(block) - f_inf, dx),
-                    record.times, src.grid.n)
-    return pow2(gap)
-
-
 def check_inhomogeneous_envelope(record: SimulationRecord,
                                  consts: TheoremConstants,
                                  src: SourceTerm,
@@ -155,7 +144,7 @@ def _forced_envelope(record, consts, src, observed, coeff, floor):
     if not consts.inhom_ok:
         raise HypothesisError("inhomogeneous theorem hypotheses do not hold")
     times = record.times
-    gap_sq = _forcing_gap_sq(record, src)
+    gap_sq = forcing_gap_sq(src, times)
     weighted = _exp_weighted_cumulative(times, gap_sq, consts.B)
     bound = np.exp(-consts.B * times) * observed[0] + coeff * weighted
     return _envelope_report(times, observed, bound, consts.B, floor)

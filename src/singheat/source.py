@@ -9,10 +9,9 @@ constants entering the convergence theorems.
 Each family writes f and f_t once, for a time or for a 1-D array of times
 (one row of nodal samples per time); f_t can be written into a given array.
 The time-axis norms (N_infinity and the envelopes' forcing gap) of a separable
-source, f = g(t) cos(pi x), are one profile norm times |g'(t)| or |g(t)|.  Any
-other source's run on blocks of such rows, with the operations of the one-time
-code, so they keep its bits; N_infinity reuses one set of block buffers for
-all of its times.
+source, f = g(t) cos(pi x), are a profile norm times |g'(t)| or |g(t)|; any
+other's run on blocks of rows with the one-time code's operations and bits,
+N_infinity reusing one set of block buffers for all of its times.
 """
 
 from __future__ import annotations
@@ -162,13 +161,14 @@ class CosineStaticSource(HomogeneousSource):
 class SeparableSource(SourceTerm):
     """f(x, t) = g(t) phi(x), phi = cos(pi x), with g falling monotonically to 0.
 
-    Each family gives g(t) and g'(t) (one-sided off kinks) as `g` and `dgdt`,
-    at a time or at a 1-D array of times.
+    Each family gives g(t) and g'(t) (one-sided off kinks) as `g` and `dgdt`, at
+    a time or at a 1-D array of times; `phi_norm` is ||primitive of phi||_2.
     """
 
     def __init__(self, grid: Grid):
         super().__init__(grid)
         self.phi = np.cos(np.pi * grid.nodes)
+        self.phi_norm = _primitive_norms(self.phi, grid.dx)
 
     def _raw(self, t) -> np.ndarray:
         return self.g(t)[..., None] * self.phi
@@ -180,14 +180,15 @@ class SeparableSource(SourceTerm):
         return np.multiply(self.dgdt(t)[..., None], self.phi, out)
 
     def tail_norm_integral(self, t_cut: float):
-        return _primitive_norms(self.phi, self.grid.dx) * self.g(t_cut)
+        return self.phi_norm * self.g(t_cut)
 
 
 class CosineDecaySource(SeparableSource):
     """f(x, t) = min(1, 1/t) cos(pi x), decaying to zero.
 
-    f is only piecewise smooth at t = 1; the time derivative is taken
-    piecewise: 0 for t < 1, and -cos(pi x) / t^2 as divided, not g'(t) cos(pi x).
+    f is only piecewise smooth at t = 1; f_t is 0 for t < 1 and -cos(pi x) / t^2
+    past it.  `dfdt` keeps that quotient's bits, not g'(t) cos(pi x)'s, for its
+    callers and the row tests; N_infinity reads `dgdt` instead.
     """
 
     kind = "cosine_decay"
@@ -392,9 +393,9 @@ def compute_N_infinity(
     Composite trapezoid on [0, t_cut] with steps of at most dt_quad, split
     exactly at the source's kinks; a closed-form tail is added when the family
     provides one, otherwise the result is flagged as tail-truncated.  A
-    separable source's integrand is |g'(t)| times one profile norm; any
-    other's runs on blocks of f_t rows that reuse one set of buffers per call.
-    t_cut and dt_quad must be finite and positive (ValueError).
+    separable source's integrand is |g'(t)| `phi_norm`; any other's runs on
+    blocks of f_t rows reusing one set of buffers per call.  t_cut and dt_quad
+    must be finite and positive (ValueError).
 
     Returns (value, tail_truncated).
     """
@@ -402,8 +403,7 @@ def compute_N_infinity(
     if not src.time_dependent:
         return 0.0, False
     if isinstance(src, SeparableSource):
-        norm = _primitive_norms(src.phi, src.grid.dx)
-        norms, width = (lambda block: norm * np.abs(src.dgdt(block))), 1
+        norms, width = (lambda block: src.phi_norm * np.abs(src.dgdt(block))), 1
     else:
         norms, width = _dfdt_primitive_norms(src), src.grid.n
     total = 0.0
@@ -420,6 +420,17 @@ def compute_N_infinity(
         total += np.trapezoid(vals, ts)
     tail = src.tail_norm_integral(t_cut)
     return (total, True) if tail is None else (total + tail, False)
+
+
+def forcing_gap_sq(src: SourceTerm, times) -> np.ndarray:
+    """||f(t) - f_inf||_2^2 at each of the times; a separable source's, whose
+    limit is zero, is (|g(t)| ||mean_zero(phi)||_2)^2, any other's on row blocks.
+    """
+    f_inf, dx = src.f_limit().values, src.grid.dx
+    if isinstance(src, SeparableSource):
+        norm = l2(mean_zero(src.phi, dx), dx)
+        return pow2(over_time(lambda block: norm * np.abs(src.g(block)), times, 1))
+    return pow2(over_time(lambda block: l2(src.samples(block) - f_inf, dx), times, src.grid.n))
 
 
 def spec_number(word) -> float:

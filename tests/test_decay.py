@@ -7,7 +7,6 @@ import pytest
 from singheat.constants import TheoremConstants
 from singheat.decay import (
     DecayReport,
-    _forcing_gap_sq,
     check_direct_convergence,
     check_gradient_energy_envelope,
     check_homogeneous_envelope,
@@ -22,6 +21,7 @@ from singheat.source import (
     CallableSource,
     SeparableSource,
     TabulatedSource,
+    forcing_gap_sq,
     make_source,
     mean_zero,
 )
@@ -173,7 +173,7 @@ class TestForcingGap:
         return np.array([(abs(g(t)) * norm) ** 2 for t in record.times])
 
     def check(self, record, src):
-        got, rows = _forcing_gap_sq(record, src), self.per_time(record, src)
+        got, rows = forcing_gap_sq(src, record.times), self.per_time(record, src)
         if not isinstance(src, SeparableSource):
             assert np.array_equal(got, rows)
             return

@@ -464,10 +464,16 @@ def test_tabulated_range_checked_in_rows():
         src.samples(np.array([1.5, 0.5]))
 
 
+def _two_stamp_source(g):
+    """cos(pi x) at t = 0 falling linearly to 0 at t = 100: N-infinity on row blocks."""
+    cos = _cos(g)
+    return TabulatedSource([0.0, 100.0], [Field(g, cos), Field(g, 0.0 * cos)])
+
+
 def test_N_infinity_memory_is_bounded():
     # row blocks keep the working set small at n = 2001; the whole
     # (times x nodes) array would be about 160 MB
-    src = CosineExpSource(Grid(2001), 0.7)
+    src = _two_stamp_source(Grid(2001))
     tracemalloc.start()
     try:
         compute_N_infinity(src)
@@ -477,14 +483,18 @@ def test_N_infinity_memory_is_bounded():
     assert peak < 2 * 2**20
 
 
-#: a warm second N-infinity call in a fresh interpreter that loads no scipy,
-#: whose import raises glibc's dynamic mmap and trim thresholds and would hide
-#: the churn; prints that call's minor page faults
+#: a warm second N-infinity call on the row blocks of a two-stamp tabulated
+#: source, in a fresh interpreter that loads no scipy, whose import raises
+#: glibc's dynamic mmap and trim thresholds and would hide the churn; prints
+#: that call's minor page faults
 WARM_N_INFINITY = """
 import resource
-from singheat.grid import Grid
-from singheat.source import compute_N_infinity, make_source
-src = make_source(Grid(2001), "cosine_exp 1")
+import numpy as np
+from singheat.grid import Field, Grid
+from singheat.source import TabulatedSource, compute_N_infinity
+g = Grid(2001)
+cos = np.cos(np.pi * g.nodes)
+src = TabulatedSource([0.0, 100.0], [Field(g, cos), Field(g, 0.0 * cos)])
 compute_N_infinity(src)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 compute_N_infinity(src)
@@ -494,8 +504,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 def test_N_infinity_blocks_are_not_trimmed_and_faulted_in_again():
     # blocks whose temporaries reach glibc's 128 KiB thresholds are given back
-    # to the system and faulted in again each time: 2**14 samples a block
-    # make about 80,000-100,000 minor faults here, and 2**13 none
+    # to the system and faulted in again each time: buffers of 2**14 samples
+    # made block by block make about 155,000 minor faults here, and made once
+    # per call about 160
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", WARM_N_INFINITY],
