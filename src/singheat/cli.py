@@ -292,6 +292,9 @@ def cmd_ssm_crosscheck(args) -> int:
     h0 = _sheet_profile(grid, cfg["h0"], M)
     v0 = _sheet_velocity(grid, cfg["v0"])
     steps = step_count(t_check, dt, "t_check")   # the march's t_end is t_check
+    if not t_check / cfg["dt_ssm"] <= lagrangian.MAX_SSM_STEPS:
+        raise ConfigError(f"t_check/dt_ssm = {t_check / cfg['dt_ssm']:.6g} sheet steps "
+                          f"are more than {lagrangian.MAX_SSM_STEPS:,}")
     lmap = lagrangian.initial_map(h0, M)
     f0 = lagrangian.source_from_sheet(lmap, v0, nu)
     # the map's u misses unit mass by its quadrature error, 1e-9 on coarse grids

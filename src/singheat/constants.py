@@ -112,7 +112,7 @@ class TheoremConstants:
     def from_problem(cls, u0: Field, src: SourceTerm, nu: float) -> "TheoremConstants":
         """The constants for initial data and a forcing; N_infinity is 0 for static forcing."""
         R0, P0 = compute_R0(u0), compute_P0(src)
-        return cls.from_values(R0, P0, compute_N_infinity(src)[0], nu)
+        return cls.from_values(R0, P0, compute_N_infinity(src), nu)
 
     def homogeneous_bounds(self):
         """Pointwise solution bounds of the homogeneous theorem."""

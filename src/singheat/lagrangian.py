@@ -237,6 +237,12 @@ def pde_time_derivative(u: Field, f: Field, nu: float) -> Field:
     return u.with_values(rhs(u.values, f.values, nu, u.grid.dx))
 
 
+#: most nominal sheet steps t_end/dt that `ssm-crosscheck` asks of
+#: `solve_ssm`: at n = 1601 a step takes about 0.1 ms, so a million is about
+#: a minute and a half
+MAX_SSM_STEPS = 10**6
+
+
 def solve_ssm(initial: SheetState, dt: float, t_end: float) -> SheetState:
     """Validation-grade staggered-grid march of the sheet system to t_end.
 

@@ -276,7 +276,7 @@ def tridiag_solve(lower, diag, upper, b):
 #: forcing reads.  A block costs the numpy calls of one state, whatever its
 #: rows, so at n = 201 a diagnostics row costs 8-10 us in blocks of 20
 #: against 34-38 us alone; at n = 1601, blocks of 2 gain nothing.
-_BLOCK_VALUES = 2**12
+_MARCH_BLOCK_SAMPLES = 2**12
 
 
 class Workspace:
@@ -308,7 +308,7 @@ class Workspace:
         self.gtsv = _gtsv_arguments(self.packed)
         self.b = self.gtsv[3]
         self.terms = _flux_buffers(n)
-        rows = max(1, _BLOCK_VALUES // n)
+        rows = max(1, _MARCH_BLOCK_SAMPLES // n)
         self.states = np.empty((rows, n))
         self.memory = (np.empty(6 * rows * n), np.empty(6 * rows * n))
         self.diagnostic = _diagnostic_buffers(*self.memory, rows, n)

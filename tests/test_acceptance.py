@@ -136,8 +136,8 @@ def test_criterion_06_inhomogeneous_constants(criterion):
     # t > 1; the primitive of cos(pi x) is sin(pi x)/pi, with L2 norm
     # 1/(pi sqrt(2)), and int_1^inf t^-2 dt = 1, so N_inf = 1/(pi sqrt(2)).
     n_target = 1 / (math.pi * math.sqrt(2))
-    n_inf, truncated = compute_N_infinity(CosineDecaySource(Grid(4001)))
-    n_ok = (not truncated) and abs(n_inf - n_target) <= 1e-4
+    n_inf = compute_N_infinity(CosineDecaySource(Grid(4001)))
+    n_ok = abs(n_inf - n_target) <= 1e-4
 
     # rate B at nu = 10: reduced closed form vs the generic constants path
     b_closed = math.pi**2 * (10 - 3 / math.sqrt(2) - 2) ** 2 / 20

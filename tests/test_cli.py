@@ -484,6 +484,9 @@ LATE_CONFIG_ERRORS = {
     "simulate-dt-tiny": (["simulate"], "source = zero\nnu = 1\nn = 21\ndt = 1e-300\n"
                                        "t_end = 0.01\n"),
     "simulate-t-end-huge": (["simulate"], "source = zero\nnu = 1\nn = 21\nt_end = 1e300\n"),
+    # more sheet steps than the sheet solver is allowed, which it would take forever over
+    "ssm-crosscheck-dt-ssm-tiny": (["ssm-crosscheck", "--n", "21"], "dt_ssm = 1e-300\n"),
+    "ssm-crosscheck-dt-ssm-small": (["ssm-crosscheck", "--n", "21", "--dt", "1e-7"], None),
     # data the theorem constants refuse, found before the output is begun
     "constants-u0-zero": (["constants"], "source = cosine_static 0.5\nnu = 1\nn = 21\n"
                                          "u0 = constant 0\n"),
@@ -519,6 +522,8 @@ LATE_CONFIG_MESSAGES = {
     "ssm-crosscheck-M-inf": "M must be finite and positive, got inf",
     "simulate-dt-tiny": "t_end/dt = 1e+298 steps are more than a record can hold",
     "simulate-t-end-huge": "t_end/dt = 1e+303 steps are more than a record can hold",
+    "ssm-crosscheck-dt-ssm-tiny": "t_check/dt_ssm = 1e+300 sheet steps are more than 1,000,000",
+    "ssm-crosscheck-dt-ssm-small": "t_check/dt_ssm = 1e+07 sheet steps are more than 1,000,000",
     "constants-u0-zero": "u0 must be positive nodewise",
     "constants-source-rate-nan": "source spec 'cosine_exp nan': nan is not a finite number",
     "steady-source-rate-inf": "source spec 'cosine_exp inf': inf is not a finite number",

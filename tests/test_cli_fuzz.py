@@ -7,11 +7,15 @@ and spec names with each of those numbers as argument.  `example` takes no
 config, so its keys that have a flag are set by the flag.  A key added to the
 table later is drawn too.  Every run must exit 0, 2, 3 or 4, print no
 traceback and raise no numpy `RuntimeWarning`, leave no `--out` when it
-exits 4, and exit 4 on any non-finite number.  The runs are derandomized and keep no example database.
+exits 4, and exit 4 on any non-finite number.  The draws come from a pinned
+`@seed`, which takes precedence over `derandomize`, and keep no example
+database, so they stay the same when the test's body is edited; derandomized
+alone, a test draws from a digest of its source text, and any edit moves
+its draws.
 
 Beside the drawn runs, a fixed table sets every numeric key of each command
-to each of nan, ±inf, 0, -1 and 1e300, so those runs are made whatever the
-draws, with the same assertions.
+to each of nan, ±inf, 0, -1, 1e-300 and 1e300, so those runs are made
+whatever the draws, with the same assertions.
 """
 
 import contextlib
@@ -20,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from singheat.cli import CONFIG_KEYS, TIME_FLAGS, main
@@ -46,13 +50,6 @@ NUMERIC = st.sampled_from(NUMBERS + WORDS + SPECS)
 SPEC = st.one_of(st.sampled_from(WORDS + SPECS + NUMBERS),
                  st.builds("{} {}".format, st.sampled_from(SPECS), st.sampled_from(NUMBERS)))
 
-#: (command, key, value) runs left out, each for a fault named in CHANGES.md
-LEFT_OUT = {
-    # FOUND: the sheet solver takes t_check/dt_ssm steps, about 1e298, and never ends
-    ("ssm-crosscheck", "dt_ssm", "1e-300"),
-}
-
-
 def _keys(command):
     """The keys of a command a run may change."""
     return sorted(EXAMPLE_FLAGS if command == "example" else CONFIG_KEYS[command])
@@ -75,15 +72,14 @@ def runs(draw):
 TABLE = [(command, key, value)
          for command in sorted(CONFIG_KEYS) for key in _keys(command)
          if not _is_spec(command, key)
-         for value in ("nan", "inf", "-inf", "0", "-1", "1e300")
-         if (command, key, value) not in LEFT_OUT]
+         for value in ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@seed(20180)
 @given(runs())
 def test_one_changed_key_exits_with_a_verdict_or_a_config_error(run):
-    assume(run not in LEFT_OUT)
     _check(*run)
 
 

@@ -1,14 +1,13 @@
-"""Property tests on drawn data: N_infinity keeps the bits of its per-time
-references, and the march keeps the theorems' invariants.
+"""Property tests on drawn data: N_infinity agrees with its per-time
+reference, and the march keeps the theorems' invariants.
 
 For N_infinity, hypothesis draws a forcing family (`cosine_decay`;
-`cosine_exp` with rates up to 50, whose f_t underflows to zero rows at late
-times; tabulated; a callable with its own time derivative; the static
-cosine), a grid of at most 201 nodes, t_cut, dt_quad, and a block of one to
-four rows, so that one-row blocks and partial last blocks occur.  The two
-cosine families keep the factored reference's bits (|g'(t)| times the
-profile's norm) and the row reference's value within 1e-14; the others keep
-the row reference's bits.  For the
+`cosine_exp` with rates up to 50, whose f_t underflows to zero at late
+times; tabulated; a callable; the static cosine), a grid of at most 201
+nodes, and the time where the reference's quadrature stops.  Every family
+but the callable agrees with scipy's quad of ||primitive of f_t||_2 over
+time within quad's error; the two cosine families also keep the bits of the
+profile's norm times |g(0)|, and the callable is refused.  For the
 march, it draws admissible data (u0 = inverse_sine eps, a `cosine_static`
 amplitude or a `cosine_exp` rate, nu inside its theorem's box), a grid of at
 most 201 nodes, and up to 20 steps at mesh ratios dt/dx² up to 4000.  The
@@ -17,11 +16,9 @@ same examples.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singheat import source
 from singheat.constants import TheoremConstants
 from singheat.grid import Field, Grid, trapezoid
 from singheat.solver import SimulationConfig, simulate
@@ -59,32 +56,13 @@ def sources(draw):
         times = np.cumsum([0.0, *gaps])
         return TabulatedSource(times, [Field(g, _modes(g, draw(coefs))) for _ in times])
     rate, profile = draw(st.floats(0.1, 5.0), label="rate"), _modes(g, draw(coefs))
-    return CallableSource(g, lambda x, t: np.exp(-rate * t) * profile,
-                          dfdt_fn=lambda x, t: -rate * np.exp(-rate * t) * profile)
+    return CallableSource(g, lambda x, t: np.exp(-rate * t) * profile)
 
 
 @PROPERTY
-@given(src=sources(), data=st.data())
-def test_N_infinity_blocks_equal_the_per_time_loop(src, data):
-    n = src.grid.n
-    t_cut = data.draw(st.floats(0.05, 20.0), label="t_cut")
-    dt_quad = data.draw(st.floats(0.05, 2.0), label="dt_quad")
-    block_values = data.draw(st.integers(n, 4 * n), label="block values")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(source, "_BLOCK_VALUES", block_values)
-        check_N_infinity(src, t_cut, dt_quad)
-
-
-@PROPERTY
-@given(src=sources(), times=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6))
-def test_dfdt_writes_its_bits_into_out(src, times):
-    ts = np.array(times)
-    # NaN wherever dfdt fails to write
-    rows, row = np.full((len(ts), src.grid.n), np.nan), np.full(src.grid.n, np.nan)
-    assert src.dfdt(ts, out=rows) is rows
-    assert rows.tobytes() == src.dfdt(ts).tobytes()
-    assert src.dfdt(ts[0], row) is row
-    assert row.tobytes() == src.dfdt(ts[0]).tobytes()
+@given(src=sources(), t_split=st.floats(0.05, 20.0))
+def test_N_infinity_equals_the_per_time_loop(src, t_split):
+    check_N_infinity(src, t_split)
 
 
 @st.composite

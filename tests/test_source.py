@@ -1,13 +1,9 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, quad
 
 from singheat.errors import ConfigError
 from singheat.grid import Field, Grid, l2, trapezoid_integral
@@ -21,6 +17,7 @@ from singheat.source import (
     TabulatedSource,
     compute_N_infinity,
     compute_P0,
+    forcing_gap_sq,
     load_tabulated_csv,
     make_source,
     mean_zero,
@@ -104,25 +101,34 @@ class TestEvaluate:
         assert trapezoid_integral(src.evaluate(0.0)) == pytest.approx(0.0, abs=1e-13)
 
 
+def _central_difference(src, t, h=1e-4):
+    """(f(t + h) - f(t - h)) / 2h: f_t, which N_infinity integrates, from the samples."""
+    return (src.at(t + h) - src.at(t - h)) / (2 * h)
+
+
 class TestDfdt:
+    # the package no longer writes f_t; these check the time derivative its
+    # closed forms assume, from the samples alone
+
     def test_decay_piecewise(self, grid):
         src = CosineDecaySource(grid)
-        assert np.all(src.dfdt(0.5) == 0.0)
-        expect = -np.cos(np.pi * grid.nodes) / 4.0
-        assert np.max(np.abs(src.dfdt(2.0) - expect)) < 1e-14
+        assert np.all(_central_difference(src, 0.5) == 0.0)
+        expect = -mean_zero(np.cos(np.pi * grid.nodes), grid.dx) / 4.0
+        assert np.max(np.abs(_central_difference(src, 2.0) - expect)) < 1e-8
 
     def test_exp(self, grid):
         src = CosineExpSource(grid, 3.0)
-        expect = -3.0 * np.exp(-3.0) * np.cos(np.pi * grid.nodes)
-        assert np.max(np.abs(src.dfdt(1.0) - expect)) < 1e-14
+        expect = -3.0 * np.exp(-3.0) * mean_zero(np.cos(np.pi * grid.nodes), grid.dx)
+        assert np.max(np.abs(_central_difference(src, 1.0) - expect)) < 1e-8
 
     def test_static_is_zero(self, grid):
-        assert np.all(CosineStaticSource(grid, 1.0).dfdt(1.0) == 0.0)
+        assert np.all(_central_difference(CosineStaticSource(grid, 1.0), 1.0) == 0.0)
 
     def test_callable_without_derivative_raises(self, grid):
+        # a callable's f_t has no closed-form total variation
         src = CallableSource(grid, lambda x, t: np.sin(np.pi * x) * t)
-        with pytest.raises(ConfigError):
-            src.dfdt(0.5)
+        with pytest.raises(ConfigError, match="callable"):
+            compute_N_infinity(src)
 
 
 class TestP:
@@ -138,41 +144,25 @@ class TestP:
 
 class TestNInfinity:
     def test_static_source_zero(self, grid):
-        val, truncated = compute_N_infinity(CosineStaticSource(grid, 2.0))
-        assert val == 0.0
-        assert not truncated
+        assert compute_N_infinity(CosineStaticSource(grid, 2.0)) == 0.0
 
     def test_decay_closed_form(self, grid):
-        # integral of ||sin(pi x)/pi||_2 / t^2 over (1, inf) = ||.||_2
-        val, truncated = compute_N_infinity(CosineDecaySource(grid))
-        assert not truncated
-        assert val == pytest.approx(COS_PRIMITIVE_NORM, rel=1e-4)
+        # integral of ||sin(pi x)/pi||_2 / t^2 over (1, inf) = ||.||_2, up to
+        # the grid's primitive, whose error is O(dx^2)
+        val = compute_N_infinity(CosineDecaySource(grid))
+        assert val == pytest.approx(COS_PRIMITIVE_NORM, rel=grid.dx**2)
 
     def test_exp_closed_form(self, grid):
         rate = 1.7
-        val, truncated = compute_N_infinity(CosineExpSource(grid, rate))
-        assert not truncated
-        assert val == pytest.approx(COS_PRIMITIVE_NORM, rel=1e-4)
-
-    def test_tail_flag_for_callable(self, grid):
-        src = CallableSource(
-            grid,
-            lambda x, t: np.exp(-t) * np.cos(np.pi * x),
-            dfdt_fn=lambda x, t: -np.exp(-t) * np.cos(np.pi * x),
-        )
-        val, truncated = compute_N_infinity(src, t_cut=30.0)
-        assert truncated
-        assert val == pytest.approx(COS_PRIMITIVE_NORM, rel=1e-4)
+        val = compute_N_infinity(CosineExpSource(grid, rate))
+        assert val == pytest.approx(COS_PRIMITIVE_NORM, rel=grid.dx**2)
 
     def test_brute_force_quadrature_oracle(self, grid):
-        # independent rectangle-rule check against the production quadrature
+        # an independent trapezoid rule in time, closed past t = 400
         src = CosineDecaySource(grid)
         ts = np.linspace(1.0, 400.0, 80000)
         brute = np.trapezoid(COS_PRIMITIVE_NORM / ts**2, ts) + COS_PRIMITIVE_NORM / 400.0
-        val, _ = compute_N_infinity(src)
-        # both quadratures are second order; agreement limited by the
-        # production step dt_quad = 1e-2 near t = 1
-        assert val == pytest.approx(brute, rel=1e-4)
+        assert compute_N_infinity(src) == pytest.approx(brute, rel=1e-4)
 
 
 class TestTabulated:
@@ -207,19 +197,16 @@ class TestTabulated:
         # f decays linearly to zero at t = 2 and stays there
         g = Grid(51)
         cos = 0.5 * np.cos(np.pi * g.nodes)
-        src = TabulatedSource([0.0, 1.0, 2.0],
-                              [Field(g, (1 - t / 2) * cos) for t in (0.0, 1.0, 2.0)])
-        assert np.array_equal(src.dfdt(1.5), src._table[2] - src._table[1])
-        assert np.array_equal(src.dfdt(2.0), src._table[2] - src._table[1])
-        assert np.all(src.dfdt(2.0 + 1e-9) == 0.0)
-        assert np.all(src.dfdt(np.array([2.5, 50.0])) == 0.0)
-        assert src.tail_norm_integral(2.0) == 0.0
-        assert src.tail_norm_integral(100.0) == 0.0
-        assert src.tail_norm_integral(1.5) is None
+        fields = [Field(g, (1 - t / 2) * cos) for t in (0.0, 1.0, 2.0)]
+        src = TabulatedSource([0.0, 1.0, 2.0], fields)
+        for t in (2.0 + 1e-9, 2.5, 50.0):
+            assert np.array_equal(src.at(t), src.at(2.0))
+        # a held stamp adds nothing to N_infinity
+        held = TabulatedSource([0.0, 1.0, 2.0, 9.0], [*fields, fields[-1]])
+        assert compute_N_infinity(held) == compute_N_infinity(src)
         # f_t = -cos(pi x) / 4 on (0, 2): N_inf = 2 * ||sin(pi x) / pi||_2 / 4
-        val, truncated = compute_N_infinity(src)
-        assert not truncated
-        assert val == pytest.approx(COS_PRIMITIVE_NORM / 2, rel=1e-3)
+        assert compute_N_infinity(src) == pytest.approx(COS_PRIMITIVE_NORM / 2,
+                                                        rel=g.dx**2)
 
     def test_csv_roundtrip(self, tmp_path):
         g = Grid(21)
@@ -269,8 +256,7 @@ def _tabulated(g):
 
 def _callable(g):
     return CallableSource(g, lambda x, t: np.exp(-t) * np.cos(np.pi * x),
-                          f_limit_fn=lambda x: 0.0 * x,
-                          dfdt_fn=lambda x, t: -np.exp(-t) * np.cos(np.pi * x))
+                          f_limit_fn=lambda x: 0.0 * x)
 
 
 # t = 0, t < 1, t = 1, t > 1, and a t where x * x and pow(x, 2) differ
@@ -289,7 +275,7 @@ def test_rows_equal_one_time_calls(kind):
     make, times = SOURCES[kind]
     g = Grid(41)
     src = make(g)
-    for method in (src._raw, src.dfdt, src.samples):
+    for method in (src._raw, src.samples):
         rows = method(times)
         assert rows.shape == (len(times), g.n)
         for t, row in zip(times, rows):
@@ -342,44 +328,14 @@ def test_evaluate_memo_keeps_fresh_bits(kind):
 
 
 def test_cosine_rows_keep_the_scalar_formulas():
-    # the formulas as scalar code wrote them, with numpy's and Python's pow
+    # the formulas as scalar code wrote them
     g = Grid(41)
     cos = _cos(g)
-    decay = CosineDecaySource(g).dfdt(DECAY_TIMES)
-    for t, row in zip(DECAY_TIMES, decay):
-        assert np.array_equal(row, np.zeros(g.n) if t <= 1.0 else -cos / t**2)
     raw = CosineDecaySource(g)._raw(DECAY_TIMES)
     for t, row in zip(DECAY_TIMES, raw):
         assert np.array_equal(row, min(1.0, 1.0 / t if t > 0 else 1.0) * cos)
-    src = CosineExpSource(g, 0.7)
-    for t, row in zip(DECAY_TIMES, src.dfdt(DECAY_TIMES)):
-        assert np.array_equal(row, -0.7 * np.exp(-0.7 * t) * cos)
-
-
-def _per_time_quadrature(rate, src, t_cut, dt_quad):
-    """compute_N_infinity's segments and trapezoid, with rate(t) one time at a time."""
-    cuts = sorted({0.0, t_cut, *(b for b in src.breakpoints if 0.0 < b < t_cut)})
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        ts = np.linspace(a, b, max(2, int(np.ceil((b - a) / dt_quad)) + 1))
-        ts_eval = ts.copy()
-        ts_eval[0] += 1e-9 * (b - a)
-        ts_eval[-1] -= 1e-9 * (b - a)
-        total += np.trapezoid(np.array([rate(t) for t in ts_eval]), ts)
-    return total
-
-
-def _per_time_N_infinity(src, t_cut, dt_quad=1e-2):
-    """compute_N_infinity on f_t's rows one time at a time, on numpy's and scipy's quadratures."""
-    dx = src.grid.dx
-
-    def rate(t):
-        y = cumulative_trapezoid(src.dfdt(t), dx=dx, initial=0.0)
-        return math.sqrt(np.trapezoid(y * y, dx=dx))
-
-    total = _per_time_quadrature(rate, src, t_cut, dt_quad)
-    tail = src.tail_norm_integral(t_cut)
-    return (total, True) if tail is None else (total + tail, False)
+    for t, row in zip(DECAY_TIMES, CosineExpSource(g, 0.7)._raw(DECAY_TIMES)):
+        assert np.array_equal(row, np.exp(-0.7 * t) * cos)
 
 
 def _amplitude(src):
@@ -390,56 +346,91 @@ def _amplitude(src):
     return lambda t: np.exp(-src.rate * t), lambda t: src.rate * np.exp(-src.rate * t)
 
 
-def _factored_N_infinity(src, t_cut, dt_quad=1e-2):
-    """compute_N_infinity of a separable source one time at a time:
-    |g'(t)| ||primitive of cos(pi x)||_2, and the tail g(t_cut) times that norm."""
-    dx = src.grid.dx
-    y = cumulative_trapezoid(_cos(src.grid), dx=dx, initial=0.0)
-    norm = math.sqrt(np.trapezoid(y * y, dx=dx))
-    g, abs_dgdt = _amplitude(src)
-    total = _per_time_quadrature(lambda t: abs_dgdt(t) * norm, src, t_cut, dt_quad)
-    return total + norm * g(t_cut), False
+def _profile_norm(g):
+    """||primitive of cos(pi x)||_2 on the grid, by scipy's and numpy's trapezoids."""
+    y = cumulative_trapezoid(_cos(g), dx=g.dx, initial=0.0)
+    return math.sqrt(np.trapezoid(y * y, dx=g.dx))
 
 
-def check_N_infinity(src, t_cut, dt_quad=1e-2):
-    """compute_N_infinity against its per-time references.
+def _per_time_N_infinity(src, t_split):
+    """N_infinity by scipy's quad over time, one time at a time, and quad's error bound.
 
-    A separable source gives the factored reference's bits, within 1e-14 of the
-    row reference; any other gives the row reference's bits.
+    A separable source's integrand is |g'(t)| times the profile norm, taken on
+    (0, t_split), with the tail past t_split closed as g(t_split) times that
+    norm.  A tabulated one's is ||primitive of the slope between the stamps
+    around t||_2, and zero past the last stamp, taken up to t_split beyond it.
     """
-    got, rows = compute_N_infinity(src, t_cut, dt_quad), _per_time_N_infinity(src, t_cut, dt_quad)
-    if not isinstance(src, SeparableSource):
-        assert got == rows
+    if isinstance(src, SeparableSource):
+        g, abs_dgdt = _amplitude(src)
+        norm = _profile_norm(src.grid)
+        kinks = [1.0] if isinstance(src, CosineDecaySource) and t_split > 1.0 else None
+        total, err = quad(abs_dgdt, 0.0, t_split, points=kinks)
+        return norm * (total + g(t_split)), norm * err
+    dx, stamps = src.grid.dx, src.times
+    profiles = [src.evaluate(t).values for t in stamps]
+    slopes = [(b - a) / (tb - ta)
+              for a, b, ta, tb in zip(profiles, profiles[1:], stamps, stamps[1:])]
+
+    def rate(t):
+        k = np.searchsorted(stamps, t, side="right") - 1
+        if k >= len(slopes):    # f is held past the last stamp
+            return 0.0
+        y = cumulative_trapezoid(slopes[k], dx=dx, initial=0.0)
+        return math.sqrt(np.trapezoid(y * y, dx=dx))
+
+    return quad(rate, 0.0, stamps[-1] + t_split, points=stamps[1:], limit=100)
+
+
+def check_N_infinity(src, t_split):
+    """compute_N_infinity against its per-time reference, within the reference's error.
+
+    A separable source also gives the bits of the profile norm times |g(0)|,
+    both built here, and 1/(pi sqrt 2) within the grid's O(dx^2).  A callable
+    source, with no closed form, is refused.
+    """
+    if isinstance(src, CallableSource):
+        with pytest.raises(ConfigError, match="callable"):
+            compute_N_infinity(src)
         return
-    assert got == _factored_N_infinity(src, t_cut, dt_quad)
-    assert got[1] == rows[1] and abs(got[0] - rows[0]) <= 1e-14 * abs(rows[0])
+    got = compute_N_infinity(src)
+    if not src.time_dependent:
+        assert got == 0.0
+        return
+    want, err = _per_time_N_infinity(src, t_split)
+    # quad's error bound, and room for the rounding of the two sums
+    assert abs(got - want) <= err + 1e-13 * want
+    if isinstance(src, SeparableSource):
+        assert got == _profile_norm(src.grid) * abs(_amplitude(src)[0](0.0))
+        assert abs(got - COS_PRIMITIVE_NORM) <= src.grid.dx**2 * COS_PRIMITIVE_NORM
 
 
-@pytest.mark.parametrize("kind,t_cut", [
+@pytest.mark.parametrize("kind,t_split", [
     ("cosine_decay", 100.0), ("cosine_exp", 100.0), ("tabulated", 5.0), ("callable", 5.0),
 ])
-def test_N_infinity_equals_per_time_loop(kind, t_cut):
-    check_N_infinity(SOURCES[kind][0](Grid(201)), t_cut)
+def test_N_infinity_equals_per_time_loop(kind, t_split):
+    check_N_infinity(SOURCES[kind][0](Grid(201)), t_split)
 
 
 def test_decay_tail_is_closed_before_the_kink():
-    # g = min(1, 1/t) falls monotonically to 0, so the tail past any t_cut is
-    # ||primitive of cos(pi x)||_2 g(t_cut), before the kink as after it
+    # g = min(1, 1/t) falls monotonically to 0, so the reference's tail past
+    # any split is ||primitive of cos(pi x)||_2 g(split), before the kink as
+    # at it and after it
     src = CosineDecaySource(Grid(201))
-    early, truncated = compute_N_infinity(src, t_cut=0.5)
-    assert not truncated
-    assert abs(early - compute_N_infinity(src, t_cut=100.0)[0]) < 1e-4
+    for t_split in (0.5, 1.0, 3.0):
+        check_N_infinity(src, t_split)
 
 
 def test_nan_sample_raises():
+    # the forcing gap's row blocks (399 times at n = 41) refuse a non-finite
+    # sample, here in the last, partial block
     g = Grid(41)
-
-    def dfdt(x, t):
-        return np.full_like(x, np.nan) if abs(t - 0.5) < 1e-12 else -np.cos(np.pi * x)
-
-    src = CallableSource(g, lambda x, t: np.cos(np.pi * x) * (1 - t), dfdt_fn=dfdt)
+    times = np.linspace(0.0, 1.0, 1001)
+    src = CallableSource(
+        g, lambda x, t: np.cos(np.pi * x) * (np.nan if t == times[-1] else 1.0 - t),
+        f_limit_fn=lambda x: 0.0 * x)
+    assert np.isfinite(forcing_gap_sq(src, times[:-1])).all()
     with pytest.raises(ValueError, match="non-finite"):
-        compute_N_infinity(src, t_cut=1.0, dt_quad=0.1)
+        forcing_gap_sq(src, times)
 
 
 @pytest.mark.parametrize("arg,value", [
@@ -447,8 +438,9 @@ def test_nan_sample_raises():
     ("t_cut", math.inf), ("t_cut", 0.0), ("t_cut", -1.0), ("t_cut", math.nan),
 ])
 def test_N_infinity_refuses_bad_quadrature_arguments(arg, value):
-    # each once gave a wrong value (a 2-point trapezoid) or a bare numeric error
-    with pytest.raises(ValueError, match=f"{arg} must be finite and positive"):
+    # N_infinity is exact, with no quadrature in time: an argument that once
+    # set its cut-off or step is refused, whatever its value
+    with pytest.raises(TypeError, match=arg):
         compute_N_infinity(CosineExpSource(Grid(41), 1.0), **{arg: value})
 
 
@@ -465,52 +457,22 @@ def test_tabulated_range_checked_in_rows():
 
 
 def _two_stamp_source(g):
-    """cos(pi x) at t = 0 falling linearly to 0 at t = 100: N-infinity on row blocks."""
+    """cos(pi x) at t = 0 falling linearly to 0 at t = 100."""
     cos = _cos(g)
     return TabulatedSource([0.0, 100.0], [Field(g, cos), Field(g, 0.0 * cos)])
 
 
 def test_N_infinity_memory_is_bounded():
-    # row blocks keep the working set small at n = 2001; the whole
-    # (times x nodes) array would be about 160 MB
+    # N_infinity reads the table's stamps alone; the forcing gap on the same
+    # table, the one row-block path, keeps its working set small over 10,001
+    # times at n = 2001, where the whole (times x nodes) array is about 160 MB
     src = _two_stamp_source(Grid(2001))
+    times = np.linspace(0.0, 100.0, 10001)
     tracemalloc.start()
     try:
         compute_N_infinity(src)
+        forcing_gap_sq(src, times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
-
-
-#: a warm second N-infinity call on the row blocks of a two-stamp tabulated
-#: source, in a fresh interpreter that loads no scipy, whose import raises
-#: glibc's dynamic mmap and trim thresholds and would hide the churn; prints
-#: that call's minor page faults
-WARM_N_INFINITY = """
-import resource
-import numpy as np
-from singheat.grid import Field, Grid
-from singheat.source import TabulatedSource, compute_N_infinity
-g = Grid(2001)
-cos = np.cos(np.pi * g.nodes)
-src = TabulatedSource([0.0, 100.0], [Field(g, cos), Field(g, 0.0 * cos)])
-compute_N_infinity(src)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-compute_N_infinity(src)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-def test_N_infinity_blocks_are_not_trimmed_and_faulted_in_again():
-    # blocks whose temporaries reach glibc's 128 KiB thresholds are given back
-    # to the system and faulted in again each time: buffers of 2**14 samples
-    # made block by block make about 155,000 minor faults here, and made once
-    # per call about 160
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", WARM_N_INFINITY],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert int(done.stdout) < 5000
