@@ -1,4 +1,4 @@
-"""Time `simulate` calls of fixed marches, the forcing's norms and the sheet solver in fresh interpreters.
+"""Time `simulate` calls of fixed marches, the forcing gap and the sheet solver in fresh interpreters.
 
 perfbench prices each step of a march at the least time seen for its Newton
 count, so work that lands in one step out of many (a block of diagnostics,
@@ -6,16 +6,15 @@ the fill past a fixed point) is priced away.  This script times the march
 itself: each measurement is a fresh interpreter, pinned to one CPU with
 OPENBLAS_NUM_THREADS=1, that builds the case's config and steady state,
 runs `simulate` --repeat times and reports the least wall time.  The
-`ninf-*` cases time `compute_N_infinity` the same way, on a source built once
-per interpreter, the `gap-*` case `forcing_gap_sq` over 10,001 times up to
-t = 100, and the `ssm-*` cases time `solve_ssm` on sheet data built once per
-interpreter.
+`gap-*` case times `forcing_gap_sq` the same way, over 10,001 times up to
+t = 100 on a tabulated source built once per interpreter, and the `ssm-*`
+cases time `solve_ssm` on sheet data built once per interpreter.
 Per case it prints the median and quartiles of those least times over
 --rounds interpreters:
 
     python3 scripts/march_timing.py
     python3 scripts/march_timing.py --against ../parent --rounds 10
-    python3 scripts/march_timing.py --cases ninf-decay-2001,ninf-exp-2001,gap-tab-2001
+    python3 scripts/march_timing.py --cases gap-tab-2001
     python3 scripts/march_timing.py --cases ssm-1601
 
 With --against, the checkout at that path (its `src` directory) is timed
@@ -69,36 +68,29 @@ assert record.failure is None, record.failure
 print(best)
 """
 
-#: name -> (n, source spec, norm) of a case timing a norm of the forcing:
-#: "N_infinity" (closed form for every family) or "gap", the forcing gap over
-#: 10,001 times up to t = 100.  "tabulated" is two stamps with f falling
-#: linearly from cos(pi x) at t = 0 to 0 at t = 100; its gap runs on row blocks
-NORM_CASES = {
-    "ninf-decay-201": (201, "cosine_decay", "N_infinity"),
-    "ninf-exp-201": (201, "cosine_exp 1.3", "N_infinity"),
-    "ninf-decay-2001": (2001, "cosine_decay", "N_infinity"),
-    "ninf-exp-2001": (2001, "cosine_exp 1.3", "N_infinity"),
-    "gap-tab-2001": (2001, "tabulated", "gap"),
+#: name -> (n,) of a case timing the forcing gap over 10,001 times up to
+#: t = 100 of two stamps, f falling linearly from cos(pi x) at t = 0 to 0 at
+#: t = 100, which runs on row blocks.  N_infinity is a closed form for every
+#: family the CLI builds, 0.2 ms at most, and has no case
+GAP_CASES = {
+    "gap-tab-2001": (2001,),
 }
 
-#: run in the child: argv is n, source, norm, repeat; prints the least seconds
-NORM_CHILD = """
+#: run in the child: argv is n, repeat; prints the least seconds
+GAP_CHILD = """
 import sys, time
 import numpy as np
 from singheat.grid import Field, Grid
-from singheat.source import TabulatedSource, compute_N_infinity, forcing_gap_sq, make_source
-n, spec, norm, repeat = sys.argv[1:]
+from singheat.source import TabulatedSource, forcing_gap_sq
+n, repeat = sys.argv[1:]
 g = Grid(int(n))
-if spec == "tabulated":
-    cos = np.cos(np.pi * g.nodes)
-    src = TabulatedSource([0.0, 100.0], [Field(g, cos), Field(g, 0.0 * cos)])
-else:
-    src = make_source(g, spec)
+cos = np.cos(np.pi * g.nodes)
+src = TabulatedSource([0.0, 100.0], [Field(g, cos), Field(g, 0.0 * cos)])
 times = np.linspace(0.0, 100.0, 10001)
 best = float("inf")
 for _ in range(int(repeat)):
     t0 = time.perf_counter()
-    compute_N_infinity(src) if norm == "N_infinity" else forcing_gap_sq(src, times)
+    forcing_gap_sq(src, times)
     best = min(best, time.perf_counter() - t0)
 print(best)
 """
@@ -129,7 +121,7 @@ print(best)
 """
 
 #: each table of cases with the child that runs them
-KINDS = ((CASES, CHILD), (NORM_CASES, NORM_CHILD), (SSM_CASES, SSM_CHILD))
+KINDS = ((CASES, CHILD), (GAP_CASES, GAP_CHILD), (SSM_CASES, SSM_CHILD))
 
 
 def least_seconds(src: Path, case: str, repeat: int, cpu: int) -> float:

@@ -2,7 +2,8 @@
 
 Everything downstream (profiles, norms, energies) lives on node-centered
 fields over this grid, so the quadrature and differencing conventions here
-fix the discrete conservation structure of the whole package.
+fix the discrete conservation structure of the whole package, the flux form
+of nu (u^-2 u_x)_x included: the one discretization of the operator.
 """
 
 from __future__ import annotations
@@ -149,6 +150,48 @@ _pow = np.frompyfunc(pow, 2, 1)
 def h1(y: np.ndarray, dx: float) -> float:
     yx = gradient(y, dx)
     return math.sqrt(trapezoid(y * y, dx) + trapezoid(yx * yx, dx))
+
+
+def flux_buffers(n: int) -> tuple:
+    """Buffers for flux_divergence at n nodes: the divergence, then the
+    half-node means, their squares, the differences of u and the fluxes;
+    then the views of them it writes: the divergence but its ends, and the
+    fluxes but the first and but the last."""
+    out, flux = np.empty(n), np.empty(n - 1)
+    return (out, *(np.empty(n - 1) for _ in range(3)), flux, out[1:-1], flux[1:], flux[:-1])
+
+
+def flux_divergence(u: np.ndarray, nu, dx, buffers: tuple | None = None):
+    """nu (u^-2 u_x)_x in flux form, with the half-node means, their squares
+    and the differences of u.
+
+    The fluxes (u_{i+1} - u_i) / (dx mid²) vanish at both ends and the end
+    nodes have half-width control volumes, so the divergence has zero
+    trapezoid mass.  They are written into buffers, flux_buffers(len(u)), or
+    fresh arrays if None.  nu and dx are floats or consts.
+    """
+    out, mid, mid2, d, flux, inner, right, left = buffers or flux_buffers(len(u))
+    lo, hi = u[:-1], u[1:]
+    np.add(lo, hi, mid)
+    mid *= HALF
+    np.square(mid, mid2)
+    np.subtract(hi, lo, d)
+    np.multiply(mid2, dx, flux)
+    np.divide(d, flux, flux)    # d / (dx mid²)
+    np.subtract(right, left, inner)
+    inner *= nu
+    inner /= dx
+    nu, half = float(nu), 0.5 * float(dx)
+    out[0] = nu * flux[0] / half
+    out[-1] = -nu * flux[-1] / half
+    return out, mid, mid2, d
+
+
+def rhs(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> np.ndarray:
+    """nu (u^-2 u_x)_x + f, the right-hand side of the equation, in flux form."""
+    out = flux_divergence(u, nu, dx)[0]
+    out += f
+    return out
 
 
 def trapezoid_integral(g: Field) -> float:

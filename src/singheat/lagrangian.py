@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .grid import Field, Grid, gradient, primitive, trapezoid, write_csv
-from .solver import rhs, tridiag_solve
+from .solver import tridiag_solve
 from .source import mean_zero
 from .steady import SteadyState
 
@@ -230,11 +230,6 @@ def limit_sheet(steady: SteadyState, M: float) -> SheetView:
     if not abs(y_end - 1.0) <= 1e-10:
         raise ValueError(f"limit map endpoint y(1)={y_end!r}: u_inf must have unit mass")
     return view
-
-
-def pde_time_derivative(u: Field, f: Field, nu: float) -> Field:
-    """u_t from the spatial operator, on the solver's flux stencil."""
-    return u.with_values(rhs(u.values, f.values, nu, u.grid.dx))
 
 
 #: most nominal sheet steps t_end/dt that `ssm-crosscheck` asks of

@@ -1,12 +1,10 @@
 """Implicit conservative time integration of u_t = nu (u^-2 u_x)_x + f.
 
-The unknown is u in flux form on the node-centered grid: half-node fluxes
-a_{i+1/2} (u_{i+1} - u_i)/dx with a = (mean of neighbors)^-2, zero flux at
-both ends, and half-width control volumes at the boundary nodes.  Flux
-telescoping then conserves the trapezoid mass exactly (up to the Newton
-tolerance), which is the structural constraint of the problem.  Each step is
-implicit Euler solved by damped Newton on the tridiagonal system; the forcing
-is sampled at t + dt.
+The spatial operator is grid.flux_divergence, whose fluxes telescope, so the
+trapezoid mass is conserved exactly (up to the Newton tolerance), which is
+the structural constraint of the problem.  Each step is implicit Euler
+solved by damped Newton on the tridiagonal system; the forcing is sampled at
+t + dt.
 
 Per-step diagnostics track the energy of the q = sqrt(nu)/u formulation, the
 relative energy, and the H1 distance of 1/u to the steady state.
@@ -22,7 +20,8 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import NewtonStallError, QuenchError, SolverError, require_positive
-from .grid import HALF, ONE, Field, Grid, const, gradient, trapezoid, write_csv
+from .grid import (HALF, ONE, Field, Grid, const, flux_buffers, flux_divergence, gradient,
+                   trapezoid, write_csv)
 from .source import SourceTerm
 from .steady import SteadyState, steady_profile
 
@@ -43,9 +42,13 @@ class SimulationConfig:
     def __post_init__(self):
         require_positive(nu=self.nu, dt=self.dt, t_end=self.t_end, newton_tol=self.newton_tol,
                          positivity_floor=self.positivity_floor)
-        step_count(self.t_end, self.dt)
+        steps = step_count(self.t_end, self.dt)
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be at least 1, got {self.snapshot_stride}")
+        rows, snapshots = steps + 1, steps // self.snapshot_stride + 2
+        if (rows * len(DIAGNOSTIC_COLUMNS) + snapshots * self.grid.n) * 8 > MAX_RECORD_BYTES:
+            raise ValueError(f"t_end/dt = {self.t_end / self.dt:.10g} steps are more than a "
+                             f"record can hold ({MAX_RECORD_BYTES:,} bytes)")
         if self.u0.grid.n != self.grid.n:
             raise ValueError(
                 f"u0 has {self.u0.grid.n} nodes, the grid has n = {self.grid.n}"
@@ -57,16 +60,17 @@ class SimulationConfig:
             raise ValueError(f"u0 must have unit mass, got {mass!r}")
 
 
+#: most bytes a march's record may take: its diagnostics rows and its snapshots
+MAX_RECORD_BYTES = 2**30
+
+
 def step_count(t_end: float, dt: float, name: str = "t_end") -> int:
-    """t_end/dt, which must be a whole number, at least one, and small enough
-    that numpy can shape the march's record; errors call t_end `name`."""
+    """t_end/dt, which must be a whole number, at least one; errors call t_end `name`."""
     steps = t_end / dt
     if not (math.isfinite(steps) and round(steps) >= 1
             and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ValueError(f"{name} must be a whole number of steps dt, at least one; "
                          f"got {name}/dt = {steps:.10g}")
-    if (round(steps) + 1) * len(DIAGNOSTIC_COLUMNS) * 8 > np.iinfo(np.intp).max:
-        raise ValueError(f"{name}/dt = {steps:.10g} steps are more than a record can hold")
     return round(steps)
 
 
@@ -111,46 +115,6 @@ class SimulationRecord:
                   [getattr(self, "times" if c == "t" else c) for c in DIAGNOSTIC_COLUMNS])
 
 
-def _flux_buffers(n: int) -> tuple:
-    """Buffers for _flux_divergence at n nodes: the divergence, then the
-    half-node means, their squares, the differences of u and the fluxes;
-    then the views of them it writes: the divergence but its ends, and the
-    fluxes but the first and but the last."""
-    out, flux = np.empty(n), np.empty(n - 1)
-    return (out, *(np.empty(n - 1) for _ in range(3)), flux, out[1:-1], flux[1:], flux[:-1])
-
-
-def _flux_divergence(u: np.ndarray, nu, dx, buffers: tuple | None = None):
-    """nu times the flux divergence of u, with the half-node means, their squares
-    and the differences of u.
-
-    They are written into buffers, _flux_buffers(len(u)), or fresh arrays if
-    None.  nu and dx are floats or consts.
-    """
-    out, mid, mid2, d, flux, inner, right, left = buffers or _flux_buffers(len(u))
-    lo, hi = u[:-1], u[1:]
-    np.add(lo, hi, mid)
-    mid *= HALF
-    np.square(mid, mid2)
-    np.subtract(hi, lo, d)
-    np.multiply(mid2, dx, flux)
-    np.divide(d, flux, flux)    # d / (dx mid²)
-    np.subtract(right, left, inner)
-    inner *= nu
-    inner /= dx
-    nu, half = float(nu), 0.5 * float(dx)
-    out[0] = nu * flux[0] / half
-    out[-1] = -nu * flux[-1] / half
-    return out, mid, mid2, d
-
-
-def rhs(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> np.ndarray:
-    """nu * flux divergence + f on half-width boundary control volumes."""
-    out = _flux_divergence(u, nu, dx)[0]
-    out += f
-    return out
-
-
 _CUBE = const(3.0)
 
 
@@ -169,7 +133,7 @@ def _jacobian_bands(mid, mid2, d, nu, dx, scratch: tuple):
     buffer of scratch, _band_scratch(n - 1, packed, nu, dt, memory).
 
     They fill packed[:3n - 2] in _solve_packed's order and are returned as
-    views of it.  mid, mid2 and d are those _flux_divergence returns at the
+    views of it.  mid, mid2 and d are those flux_divergence returns at the
     linearization point.  Row i is divided by its control-volume width: dx,
     or dx/2 at the ends.  nu and dx are floats or consts.
     """
@@ -285,7 +249,7 @@ class Workspace:
 
     packed is the (lower, diag, upper, b) buffer gtsv solves in place, with
     its call arguments and finiteness mask bound once.  terms, res and
-    scratch take each iterate's _flux_divergence terms, its residual and the
+    scratch take each iterate's flux_divergence terms, its residual and the
     temporaries of both, and bands the Jacobian's temporaries.  states holds
     a block of accepted states, K = max(1, 2**12 // n) rows, whose
     diagnostics `simulate` records in one call; memory holds the rows,
@@ -307,17 +271,13 @@ class Workspace:
         self.packed = np.empty(4 * n - 2)
         self.gtsv = _gtsv_arguments(self.packed)
         self.b = self.gtsv[3]
-        self.terms = _flux_buffers(n)
+        self.terms = flux_buffers(n)
         rows = max(1, _MARCH_BLOCK_SAMPLES // n)
         self.states = np.empty((rows, n))
         self.memory = (np.empty(6 * rows * n), np.empty(6 * rows * n))
         self.diagnostic = _diagnostic_buffers(*self.memory, rows, n)
-        # neither a step nor a diagnostics call runs inside the other, so the
-        # step's residual and Jacobian temporaries take the memory of the
-        # integrands, which are spent between calls
-        self.res, self.scratch, bands, _ = np.split(self.memory[1][:6 * n],
-                                                    (n, 2 * n, 2 * n + 4 * m))
-        self.bands = _band_scratch(m, self.packed, cfg.nu, cfg.dt, bands)
+        self.res, self.scratch = np.empty(n), np.empty(n)
+        self.bands = _band_scratch(m, self.packed, cfg.nu, cfg.dt, np.empty(4 * m))
         self.round_off = 3.0 * math.ulp(1.0) * cfg.dt * cfg.nu / (dx * dx)
         self.u = self.flux = None
 
@@ -350,7 +310,7 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
         return float(np.maximum.reduce(np.absolute(res, scratch)))
 
     v = un
-    flux = work.flux if un is work.u else _flux_divergence(un, nu, dx, work.terms)
+    flux = work.flux if un is work.u else flux_divergence(un, nu, dx, work.terms)
     # one set of buffers serves the iterate and its trials: the iterate's
     # terms and residual are last read to build its system, before any trial
     # rewrites them, so until the step returns they belong to no array
@@ -383,7 +343,7 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
             # a NaN entry makes the minimum NaN, which fails the test
             if np.minimum.reduce(trial) > floor:
                 positive = True
-                trial_flux = _flux_divergence(trial, nu, dx, work.terms)
+                trial_flux = flux_divergence(trial, nu, dx, work.terms)
                 trial_norm = residual(trial, trial_flux)
                 if trial_norm < res_norm or res_norm <= tol:
                     break

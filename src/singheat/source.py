@@ -37,6 +37,8 @@ class SourceTerm(ABC):
     """Time-dependent forcing with declared initial and limit profiles."""
 
     kind: str = "abstract"
+    #: whether f changes with t
+    time_dependent = True
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -48,36 +50,25 @@ class SourceTerm(ABC):
         (n,) for a time t, (len(t), n) for a 1-D array of times.
         """
 
-    @property
-    def time_dependent(self) -> bool:
-        return True
-
     def evaluate(self, t: float) -> Field:
         """f(., t) as a Field."""
         return Field(self.grid, self.at(t))
 
     def at(self, t) -> np.ndarray:
-        """f(., t) as read-only nodal samples, shaped as `_raw`, for the march; no Field is built.
+        """f(., t) as read-only mean-zero projected nodal samples, shaped as `_raw`.
 
-        t is a time or a 1-D array of times, each row with the bits of its
-        time alone.  A non-finite sample raises the ValueError a Field of them
-        would.
+        The one read of a forcing.  t is a time or a 1-D array of times, each
+        row with the bits of its time alone.  A negative time raises
+        ValueError, as does a non-finite sample, as a Field of them would.
         """
-        values = self.samples(t)
+        first = t.min() if isinstance(t, np.ndarray) else t
+        if first < 0:
+            raise ValueError(f"source evaluated at negative time t={first}")
+        values = mean_zero(self._raw(t), self.grid.dx)
         if np.count_nonzero(np.isfinite(values)) < values.size:
             raise ValueError("field contains non-finite values")
         values.setflags(write=False)
         return values
-
-    def samples(self, t) -> np.ndarray:
-        """Mean-zero projected nodal samples, a fresh array shaped as `_raw`; not validated."""
-        first = t.min() if isinstance(t, np.ndarray) else t
-        if first < 0:
-            raise ValueError(f"source evaluated at negative time t={first}")
-        return mean_zero(self._raw(t), self.grid.dx)
-
-    def f_initial(self) -> Field:
-        return self.evaluate(0.0)
 
     def f_limit(self) -> Field:
         """Strong L2 limit of f(., t) as t -> infinity."""
@@ -88,31 +79,27 @@ class HomogeneousSource(SourceTerm):
     """Time-independent forcing f(x, t) = f0(x)."""
 
     kind = "homogeneous"
+    time_dependent = False
 
     def __init__(self, f0: Field):
         super().__init__(f0.grid)
-        self._f0 = mean_zero(f0.values, f0.grid.dx)
-        # _f0 projected once more, as SourceTerm.samples does; not _f0 itself,
-        # whose last bits can differ
-        self._f = Field(f0.grid, self.samples(0.0))
-
-    @property
-    def time_dependent(self) -> bool:
-        return False
+        # projected twice, as every static artifact was made; once can differ
+        # in the last bits
+        dx = f0.grid.dx
+        self._f = Field(f0.grid, mean_zero(mean_zero(f0.values, dx), dx))
 
     def at(self, t) -> np.ndarray:
-        # a negative t goes to SourceTerm.at, which rejects it
-        if not isinstance(t, np.ndarray):
-            return self._f.values if t >= 0 else super().at(t)
-        if t.min() < 0:
-            return super().at(t)
-        # the profile as every row, a read-only view as broadcast_to makes,
-        # in a quarter of its call's time
-        f = self._f.values
-        return np.ndarray((len(t), len(f)), buffer=f, strides=(0, f.strides[0]))
+        # a negative t goes to SourceTerm.at, which refuses it
+        first = t.min() if isinstance(t, np.ndarray) else t
+        return super().at(t) if first < 0 else self._raw(t)
 
     def _raw(self, t) -> np.ndarray:
-        return np.broadcast_to(self._f0, np.shape(t) + (self.grid.n,))
+        """The stored profile as read-only rows; for an array of times a zero-stride
+        view, as broadcast_to makes, in a quarter of its call's time."""
+        f = self._f.values
+        if not isinstance(t, np.ndarray):
+            return f
+        return np.ndarray((len(t), len(f)), buffer=f, strides=(0, f.strides[0]))
 
     def f_limit(self) -> Field:
         return self._f
@@ -250,7 +237,7 @@ class TabulatedSource(SourceTerm):
 
 def compute_P0(src: SourceTerm) -> float:
     """L2 norm of the primitive of the initial forcing profile."""
-    return _primitive_norms(src.f_initial().values, src.grid.dx)
+    return _primitive_norms(src.at(0.0), src.grid.dx)
 
 
 def _primitive_norms(rows: np.ndarray, dx: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoRootError, SingularSteadyStateError
-from .grid import Field, gradient, l2, primitive, trapezoid, write_field_csv, write_json
+from .grid import Field, l2, primitive, rhs, trapezoid, write_field_csv, write_json
 from .source import SourceTerm
 
 _CNU_TOL = 1e-12
@@ -27,6 +27,7 @@ class SteadyState:
     """Limit profile with its normalization constant and diagnostics.
 
     F2 is the forcing's double primitive, as an array on u_infinity's grid.
+    residual_l2 is ||grid.rhs at u_infinity||_2, the march's residual: O(dx²).
     """
 
     u_infinity: Field
@@ -115,16 +116,10 @@ def solve_cnu(F2: np.ndarray, nu: float, dx: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def pde_residual(u: np.ndarray, f: np.ndarray, nu: float, dx: float) -> float:
-    """L2 norm of the discrete nu*(u^-2 u_x)_x + f (diagnostic only)."""
-    flux = gradient(u, dx) / u**2
-    return l2(gradient(flux, dx) * nu + f, dx)
-
-
 def steady_profile(src: SourceTerm, nu: float, which: str = "limit") -> SteadyState:
     """Steady state for the source's initial or limit profile."""
     if which == "initial":
-        f = src.f_initial()
+        f = src.evaluate(0.0)
     elif which == "limit":
         f = src.f_limit()
     else:
@@ -141,6 +136,6 @@ def steady_profile(src: SourceTerm, nu: float, which: str = "limit") -> SteadySt
         C_nu=c,
         nu=nu,
         F2=F2,
-        residual_l2=pde_residual(u_inf.values, f.values, nu, dx),
+        residual_l2=l2(rhs(u_inf.values, f.values, nu, dx), dx),
         mass_defect=abs(trapezoid(u_inf.values, dx) - 1.0),
     )

@@ -14,7 +14,7 @@ from numpy.linalg import LinAlgError
 
 import singheat
 from singheat import lagrangian, solver
-from singheat.source import SourceTerm
+from singheat.source import CosineExpSource
 from singheat.cli import CONFIG_KEYS, main
 from singheat.grid import Grid
 from singheat.lagrangian import initial_map
@@ -334,12 +334,12 @@ def test_value_error_inside_a_march_is_no_config_error(tmp_path, monkeypatch, ca
     # a forcing sample that turns non-finite mid-march is a fault of the
     # run, found after the inputs were built and the output begun
     def nonfinite_after_five_steps(self, t):
-        values = samples(self, t)
+        values = raw(self, t)
         values[np.asarray(t) > 0.0055] = np.nan     # the rows of those times, or all
         return values
 
-    samples = SourceTerm.samples
-    monkeypatch.setattr(SourceTerm, "samples", nonfinite_after_five_steps)
+    raw = CosineExpSource._raw
+    monkeypatch.setattr(CosineExpSource, "_raw", nonfinite_after_five_steps)
     cfg = write_config(tmp_path, "source = cosine_exp 1\nnu = 10\nn = 21\nt_end = 0.01\n")
     out = tmp_path / "out"
     assert run(["simulate", "--config", cfg, "--out", str(out)]) == 5
@@ -495,6 +495,11 @@ LATE_CONFIG_ERRORS = {
     # a viscosity whose square overflows in the theorem constants
     "constants-nu-1e155": (["constants"], "source = cosine_decay\nnu = 1e155\nn = 21\n"),
     "constants-nu-1e300": (["constants"], "source = cosine_decay\nnu = 1e300\nn = 21\n"),
+    # records past 2**30 bytes: 72 GB of diagnostics rows, and 1.08 GB of
+    # snapshots a step apart
+    "simulate-record-rows": (["simulate"], "source = zero\nnu = 1\nn = 21\ndt = 1e-9\n"),
+    "simulate-record-snapshots": (["simulate"], "source = zero\nnu = 1\nn = 6401\nt_end = 21\n"
+                                                "snapshot_stride = 1\n"),
     # non-finite spec numbers, refused before numpy's arithmetic warns on them
     "simulate-u0-inf": (["simulate"], "source = zero\nnu = 1\nn = 21\nu0 = inverse_sine inf\n"),
     "transform-h0-inf": (["transform"], "nu = 1\nn = 21\nh0 = cosine_bump inf\n"),
@@ -522,6 +527,8 @@ LATE_CONFIG_MESSAGES = {
     "ssm-crosscheck-M-inf": "M must be finite and positive, got inf",
     "simulate-dt-tiny": "t_end/dt = 1e+298 steps are more than a record can hold",
     "simulate-t-end-huge": "t_end/dt = 1e+303 steps are more than a record can hold",
+    "simulate-record-rows": "t_end/dt = 1000000000 steps are more than a record can hold",
+    "simulate-record-snapshots": "t_end/dt = 21000 steps are more than a record can hold",
     "ssm-crosscheck-dt-ssm-tiny": "t_check/dt_ssm = 1e+300 sheet steps are more than 1,000,000",
     "ssm-crosscheck-dt-ssm-small": "t_check/dt_ssm = 1e+07 sheet steps are more than 1,000,000",
     "constants-u0-zero": "u0 must be positive nodewise",

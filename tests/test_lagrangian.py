@@ -10,14 +10,13 @@ from scipy.interpolate import CubicSpline
 
 from singheat import lagrangian
 from singheat.errors import ConfigError, SolverError
-from singheat.grid import Field, Grid, derivative, trapezoid, trapezoid_integral
+from singheat.grid import Field, Grid, derivative, rhs, trapezoid, trapezoid_integral
 from singheat.lagrangian import (
     LagrangianMap,
     SheetState,
     crosscheck_heights,
     initial_map,
     limit_sheet,
-    pde_time_derivative,
     sheet_from_u,
     solve_ssm,
     source_from_sheet,
@@ -230,7 +229,7 @@ class TestSheetFromU:
         g = Grid(401)
         src = CosineStaticSource(g, np.pi / 2)
         u0 = Field(g, np.ones(g.n))
-        ut = pde_time_derivative(u0, src.f_initial(), 1.0)
+        ut = u0.with_values(rhs(u0.values, src.at(0.0), 1.0, g.dx))
         view = sheet_from_u(u0, ut, 1.0)
         expect = 0.5 * np.sin(np.pi * g.nodes)
         assert np.max(np.abs(view.v_on_map.values - expect)) < 1e-4

@@ -13,13 +13,12 @@ from scipy.linalg import solve_banded
 
 from singheat import solver
 from singheat.errors import NewtonStallError, QuenchError, SolverError
-from singheat.grid import Field, Grid, derivative, h1, l2, trapezoid_integral
+from singheat.grid import Field, Grid, derivative, h1, l2, rhs, trapezoid_integral
 from singheat.solver import (
     DIAGNOSTIC_COLUMNS,
     SimulationConfig,
     SimulationRecord,
     diagnostics,
-    rhs,
     simulate,
     step,
     tridiag_solve,
@@ -89,6 +88,20 @@ class TestConfigValidation:
     def test_rejects_a_setting_that_is_not_finite_and_positive(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be finite and positive, got {value!r}"):
             flat_config(11, **{key: value})
+
+    @pytest.mark.parametrize("n,stride,steps", [
+        (13, 10**8, 14_913_077),    # two snapshots; the rows reach 2**30 bytes
+        (6401, 1, 20_936),          # a snapshot a step; 51 KB each at n = 6401
+    ])
+    def test_record_of_at_most_2_to_the_30_bytes(self, n, stride, steps):
+        # (steps + 1) 9 + (steps // stride + 2) n values of 8 bytes; only the
+        # config is built, so no record is allocated
+        g = Grid(n)
+        u0 = Field(g, np.ones(n))
+        assert flat_config(n, u0=u0, dt=1.0, t_end=float(steps), snapshot_stride=stride)
+        with pytest.raises(ValueError, match=f"t_end/dt = {steps + 1} steps are more than a "
+                                             "record can hold"):
+            flat_config(n, u0=u0, dt=1.0, t_end=float(steps + 1), snapshot_stride=stride)
 
     def test_rejects_u0_on_another_grid(self):
         with pytest.raises(ValueError, match="u0 has 21 nodes"):
@@ -299,7 +312,7 @@ def dense(lower, diag, upper):
 def _bands(u, nu, dx, dt, packed):
     """solver._jacobian_bands at u, written into packed, and the flux terms of u."""
     m = len(u) - 1
-    _, mid, mid2, d = solver._flux_divergence(u, nu, dx)
+    _, mid, mid2, d = solver.flux_divergence(u, nu, dx)
     scratch = solver._band_scratch(m, packed, nu, dt, np.empty(4 * m))
     return solver._jacobian_bands(mid, mid2, d, nu, dx, scratch), (mid, mid2, d)
 
@@ -519,13 +532,13 @@ def test_march_reuses_flux_terms_and_builds_no_forcing_fields(monkeypatch, field
                       snapshot_stride=10)
     ss = steady_profile(cfg.source, cfg.nu)
     calls = []
-    flux_divergence = solver._flux_divergence
+    flux_divergence = solver.flux_divergence
 
     def counted(*args):
         calls.append(None)
         return flux_divergence(*args)
 
-    monkeypatch.setattr(solver, "_flux_divergence", counted)
+    monkeypatch.setattr(solver, "flux_divergence", counted)
     fields_built.clear()
     rec = simulate(cfg, ss)
     assert rec.failure is None and len(rec.times) == 51
@@ -650,7 +663,7 @@ def _reference_step(un, t, work, f, damped=None):
     The forcing f it is given must be its own sample at t + dt, bit for bit."""
     cfg = work.cfg
     dx, dt, nu = cfg.grid.dx, cfg.dt, cfg.nu
-    own = cfg.source.samples(t + dt)
+    own = cfg.source.at(t + dt)
     assert f.tobytes() == own.tobytes()
     f = own
 
@@ -702,7 +715,7 @@ def _reference_row(uv, t, cfg, steady):
     sqrt_nu = math.sqrt(cfg.nu)
     q = sqrt_nu / uv
     qx = np.gradient(q, dx, edge_order=2)
-    f = cfg.source.samples(t)
+    f = cfg.source.at(t)
     u_inf = steady.u_infinity.values
     wx = np.gradient(q - np.sqrt(steady.nu) / u_inf, dx, edge_order=2)
     y = 1.0 / uv - 1.0 / u_inf
@@ -772,6 +785,10 @@ def test_march_keeps_the_reference_bits(monkeypatch, n, source, eps, nu, dt, ste
     assert new.failure is ref.failure is None
     assert len(ref.times) == steps + 1 and ref.newton_iters.sum() > steps
     assert bool(damped) == damps
+    if damps:
+        # a damped update moves the mass by (1 - lambda) times the iterate's
+        # defect; the iterations after it must bring it back to round-off
+        assert np.abs(new.mass - new.mass[0]).max() <= 2 * np.finfo(float).eps
     for column in DIAGNOSTIC_COLUMNS:
         name = "times" if column == "t" else column
         assert np.array_equal(getattr(new, name), getattr(ref, name)), column
@@ -935,14 +952,14 @@ def test_step_and_record_times_are_read_apart(monkeypatch):
     cfg, ss = _forced_march(21, 3 * K + 7, source=fast)
     apart = [k for k in range(3 * K + 7) if k * cfg.dt + cfg.dt != (k + 1) * cfg.dt]
     assert len(apart) > 10 and {k // K for k in apart} >= {0, 1, 2}   # in every full block
-    assert not any(np.array_equal(cfg.source.samples(k * cfg.dt + cfg.dt),
-                                  cfg.source.samples((k + 1) * cfg.dt)) for k in apart)
+    assert not any(np.array_equal(cfg.source.at(k * cfg.dt + cfg.dt),
+                                  cfg.source.at((k + 1) * cfg.dt)) for k in apart)
     reference = _reference_simulate(cfg, ss)
     wrong = []
     real = solver.step
 
     def checked(u, t, work, f):
-        if f.tobytes() != cfg.source.samples(t + cfg.dt).tobytes():
+        if f.tobytes() != cfg.source.at(t + cfg.dt).tobytes():
             wrong.append(t)
         return real(u, t, work, f)
 

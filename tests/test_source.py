@@ -57,7 +57,7 @@ class TestEvaluate:
         src = CosineStaticSource(grid, 1.5)
         assert not src.time_dependent
         assert np.array_equal(src.evaluate(0.0).values, src.evaluate(7.0).values)
-        assert np.max(np.abs(src.f_limit().values - src.f_initial().values)) < 1e-14
+        assert np.max(np.abs(src.f_limit().values - src.evaluate(0.0).values)) < 1e-14
 
     def test_decay_profile(self, grid):
         src = CosineDecaySource(grid)
@@ -87,8 +87,8 @@ class TestEvaluate:
         # the profile is sampled once; every later read is that array
         assert src.at(3.0) is src.at(0.0) is src.f_limit().values
         assert np.array_equal(src.evaluate(3.0).values, first.values)
-        # the stored field is the profile projected twice, as SourceTerm.samples
-        # projects the once-projected profile
+        # the stored field is the profile projected twice, as every static
+        # artifact was made
         profile = Field(grid, 1.5 * np.cos(np.pi * grid.nodes))
         assert np.array_equal(
             first.values, mean_zero(mean_zero(profile.values, grid.dx), grid.dx)
@@ -185,7 +185,7 @@ class TestTabulated:
         src = TabulatedSource([0.0, 2.0], [f0, f1])
         last = src.evaluate(2.0).values
         assert np.array_equal(src.evaluate(2.5).values, last)
-        assert np.array_equal(src.samples(np.array([1.0, 7.0]))[1], last)
+        assert np.array_equal(src.at(np.array([1.0, 7.0]))[1], last)
         assert np.array_equal(src.evaluate(100.0).values, src.f_limit().values)
 
     def test_nonincreasing_times_rejected(self, grid):
@@ -275,19 +275,19 @@ def test_rows_equal_one_time_calls(kind):
     make, times = SOURCES[kind]
     g = Grid(41)
     src = make(g)
-    for method in (src._raw, src.samples):
+    for method in (src._raw, src.at):
         rows = method(times)
         assert rows.shape == (len(times), g.n)
         for t, row in zip(times, rows):
             assert np.array_equal(row, method(t))
             assert np.array_equal(row, method(float(t)))
-    for t, row in zip(times, src.samples(times)):
+    for t, row in zip(times, src.at(times)):
         assert np.array_equal(row, src.evaluate(t).values)
     # the march's reads: read-only rows, each with its own time's bits
     block = src.at(times)
     assert block.shape == (len(times), g.n) and not block.flags.writeable
     for t, row in zip(times.tolist(), block):
-        assert row.tobytes() == src.at(t).tobytes() == src.samples(t).tobytes()
+        assert row.tobytes() == src.at(t).tobytes()
         assert not src.at(t).flags.writeable
 
 
@@ -322,7 +322,7 @@ def test_evaluate_memo_keeps_fresh_bits(kind):
     t1, t2 = k * dt + dt, (k + 1) * dt
     first, second, again = src.evaluate(t1), src.evaluate(t2), src.evaluate(t1)
     for t, got in ((t1, first), (t2, second), (t1, again)):
-        assert np.array_equal(got.values, src.samples(t))
+        assert np.array_equal(got.values, src.at(t))
     if kind == "linear_in_t":
         assert not np.array_equal(first.values, second.values)
 
@@ -446,14 +446,14 @@ def test_N_infinity_refuses_bad_quadrature_arguments(arg, value):
 
 def test_negative_time_rejected_in_rows(grid):
     with pytest.raises(ValueError, match="negative time"):
-        CosineExpSource(grid, 1.0).samples(np.array([0.0, -0.5]))
+        CosineExpSource(grid, 1.0).at(np.array([0.0, -0.5]))
 
 
 def test_tabulated_range_checked_in_rows():
     g = Grid(41)
     src = TabulatedSource([1.0, 2.0], [Field(g, _cos(g)), Field(g, 2 * _cos(g))])
     with pytest.raises(ConfigError, match="t=0.5 before"):
-        src.samples(np.array([1.5, 0.5]))
+        src.at(np.array([1.5, 0.5]))
 
 
 def _two_stamp_source(g):

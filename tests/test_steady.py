@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from singheat.errors import NoRootError
-from singheat.grid import Grid, derivative, trapezoid_integral
+from singheat.grid import Grid, derivative, l2, rhs, trapezoid_integral
 from singheat.source import CosineDecaySource, CosineStaticSource, make_source
 from singheat.steady import (
     double_primitive,
-    pde_residual,
     solve_cnu,
     steady_profile,
 )
@@ -109,6 +108,11 @@ class TestSteadyProfile:
         recon = ss.nu / (ss.F2 + ss.C_nu)
         assert np.max(np.abs(ss.u_infinity.values - recon)) < 1e-15
 
+    def test_residual_is_second_order(self):
+        # ex-2-4's data: the residual at n = 201 over that at 401 reads 4.00
+        ratio = kicked_cosine(Grid(201)).residual_l2 / kicked_cosine(Grid(401)).residual_l2
+        assert 3.5 <= ratio <= 4.5
+
     def test_q_infinity(self):
         g = Grid(501)
         ss = kicked_cosine(g, nu=2.0)
@@ -168,6 +172,7 @@ def test_pde_residual_flags_wrong_profile():
     src = CosineStaticSource(g, np.pi / 2)
     ss = steady_profile(src, 1.0, which="initial")
     wrong = ss.u_infinity.with_values(1.0 + 0.3 * np.cos(np.pi * g.nodes))
-    f = src.f_initial()
-    assert (pde_residual(wrong.values, f.values, 1.0, g.dx)
-            > 100 * pde_residual(ss.u_infinity.values, f.values, 1.0, g.dx))
+    f = src.evaluate(0.0).values
+    # residual_l2 is the march's own residual at u_inf
+    assert ss.residual_l2 == l2(rhs(ss.u_infinity.values, f, 1.0, g.dx), g.dx)
+    assert l2(rhs(wrong.values, f, 1.0, g.dx), g.dx) > 100 * ss.residual_l2
