@@ -88,7 +88,7 @@ RUNS = (
     ("simulate-fine",
      f"source = cosine_static {math.pi / 2!r}\nnu = 1\nn = 1601\ndt = 5e-4\nt_end = 0.05\n",
      ["simulate"]),
-    # a static march whose step 3060 of 4000 returns its input, and whose
+    # a static march whose step 1993 of 4000 returns its input, and whose
     # snapshot stride does not divide the step count
     ("simulate-fixed-point",
      "source = cosine_static 0.3\nnu = 1\nn = 51\nt_end = 4\nsnapshot_stride = 700\n",

@@ -299,8 +299,11 @@ def cmd_ssm_crosscheck(args) -> int:
     f0 = lagrangian.source_from_sheet(lmap, v0, nu)
     # the map's u misses unit mass by its quadrature error, 1e-9 on coarse grids
     u0 = _normalized(grid, lmap.u.values, 1.0)
-    sim_cfg = SimulationConfig(nu=nu, grid=grid, u0=u0, source=HomogeneousSource(f0),
-                               dt=dt, t_end=t_check, snapshot_stride=steps)
+    try:
+        sim_cfg = SimulationConfig(nu=nu, grid=grid, u0=u0, source=HomogeneousSource(f0),
+                                   dt=dt, t_end=t_check, snapshot_stride=steps)
+    except ValueError as err:   # its errors name the march's t_end, this command's t_check
+        raise ConfigError(str(err).replace("t_end", "t_check")) from None
     out = _prepare_out(args, "ssm-crosscheck", sim_cfg)
     record = _march(sim_cfg)
     u_final = record.snapshots[-1]

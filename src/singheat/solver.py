@@ -1,10 +1,11 @@
 """Implicit conservative time integration of u_t = nu (u^-2 u_x)_x + f.
 
-The spatial operator is grid.flux_divergence, whose fluxes telescope, so the
-trapezoid mass is conserved exactly (up to the Newton tolerance), which is
-the structural constraint of the problem.  Each step is implicit Euler
-solved by damped Newton on the tridiagonal system; the forcing is sampled at
-t + dt.
+The spatial operator is grid.flux_divergence, whose fluxes telescope: the
+trapezoid-weighted column sums of d(rhs)/du vanish, so a Newton update dv has
+mass(dv) = mass(un) - mass(v), 0 from the first iterate v = un on, and every
+iterate, damped or not, keeps un's trapezoid mass to rounding.  Each step is
+implicit Euler solved by damped Newton on the tridiagonal system; the
+forcing is sampled at t + dt.
 
 Per-step diagnostics track the energy of the q = sqrt(nu)/u formulation, the
 relative energy, and the H1 distance of 1/u to the steady state.
@@ -285,9 +286,10 @@ class Workspace:
 def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.ndarray, int]:
     """One implicit-Euler step of the nodal values un from t to t + dt.
 
-    Returns the new values, a fresh array, and the Newton iteration count.
-    They are finite: the loop ends only on a finite residual at most tol,
-    the larger of newton_tol and the residual's round-off floor at un.  A
+    Returns the first iterate whose residual is at most tol, the larger of
+    newton_tol and the residual's round-off floor at un, and the Newton
+    count.  It is finite, as a NaN residual never ends the loop: un itself,
+    with 0 iterations, if un meets tol, and a fresh array otherwise.  A
     line search that runs out of halvings raises QuenchError if every trial
     fell to the positivity floor, and NewtonStallError otherwise.  work is
     the march's Workspace, whose config the step takes; f is the forcing at
@@ -321,16 +323,9 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
     q = np.divide(un[1:], flux[2], scratch[1:])
     tol = max(cfg.newton_tol, work.round_off * float(np.maximum.reduce(q)))
     iters = 0
-    polish = False
-    while True:
-        if res_norm <= tol:
-            if polish:
-                break
-            polish = True  # one extra iteration sharpens the mass balance
-        elif iters >= cfg.newton_max_iter:
-            raise SolverError(
-                f"Newton stalled at t={t_new:.6g} with residual {res_norm:.3g}"
-            )
+    while not res_norm <= tol:     # a NaN residual goes on, to fail below
+        if iters >= cfg.newton_max_iter:
+            raise SolverError(f"Newton stalled at t={t_new:.6g} with residual {res_norm:.3g}")
         _jacobian_bands(*flux[1:], nu, dx, work.bands)
         np.negative(work.res, work.b)
         try:
@@ -345,7 +340,7 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
                 positive = True
                 trial_flux = flux_divergence(trial, nu, dx, work.terms)
                 trial_norm = residual(trial, trial_flux)
-                if trial_norm < res_norm or res_norm <= tol:
+                if trial_norm < res_norm:
                     break
             lam *= 0.5
         else:

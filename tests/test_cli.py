@@ -325,7 +325,8 @@ def test_failed_newton_solve_exits_as_solver_failure(tmp_path, monkeypatch, caps
         raise LinAlgError("singular matrix")
 
     monkeypatch.setattr(solver, "_solve_packed", singular)
-    cfg = write_config(tmp_path, "source = zero\nnu = 1\nn = 21\nt_end = 0.01\n")
+    # flat u0 under a forcing: the first residual lies above tol, so the step solves
+    cfg = write_config(tmp_path, "source = cosine_static 0.5\nnu = 1\nn = 21\nt_end = 0.01\n")
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "solver failure: Newton solve failed at t=0.001" in capsys.readouterr().err
 
@@ -487,6 +488,8 @@ LATE_CONFIG_ERRORS = {
     # more sheet steps than the sheet solver is allowed, which it would take forever over
     "ssm-crosscheck-dt-ssm-tiny": (["ssm-crosscheck", "--n", "21"], "dt_ssm = 1e-300\n"),
     "ssm-crosscheck-dt-ssm-small": (["ssm-crosscheck", "--n", "21", "--dt", "1e-7"], None),
+    # a cross-check march whose record passes 2**30 bytes, as simulate-record-rows
+    "ssm-crosscheck-record": (["ssm-crosscheck", "--n", "21"], "dt = 1e-9\n"),
     # data the theorem constants refuse, found before the output is begun
     "constants-u0-zero": (["constants"], "source = cosine_static 0.5\nnu = 1\nn = 21\n"
                                          "u0 = constant 0\n"),
@@ -531,6 +534,7 @@ LATE_CONFIG_MESSAGES = {
     "simulate-record-snapshots": "t_end/dt = 21000 steps are more than a record can hold",
     "ssm-crosscheck-dt-ssm-tiny": "t_check/dt_ssm = 1e+300 sheet steps are more than 1,000,000",
     "ssm-crosscheck-dt-ssm-small": "t_check/dt_ssm = 1e+07 sheet steps are more than 1,000,000",
+    "ssm-crosscheck-record": "t_check/dt = 1000000000 steps are more than a record can hold",
     "constants-u0-zero": "u0 must be positive nodewise",
     "constants-source-rate-nan": "source spec 'cosine_exp nan': nan is not a finite number",
     "steady-source-rate-inf": "source spec 'cosine_exp inf': inf is not a finite number",

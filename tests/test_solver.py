@@ -227,7 +227,8 @@ class TestFailureHandling:
             raise err
 
         monkeypatch.setattr(solver, "_solve_packed", fail)
-        rec = simulate(flat_config(21, t_end=0.01))
+        # a non-flat u0, whose first residual lies above tol, so the step solves
+        rec = simulate(flat_config(21, u0=_inverse_sine(Grid(21), 0.1), t_end=0.01))
         assert rec.failure.startswith("Newton solve failed at t=0.001")
         assert rec.failure_time == 0.0
         assert len(rec.times) == 1
@@ -258,7 +259,7 @@ class TestFailureHandling:
         assert solver.Workspace(cfg).round_off > cfg.newton_tol
         rec = simulate(cfg)
         assert rec.failure is None
-        assert rec.newton_iters[1:].tolist() == [3] * 10
+        assert rec.newton_iters[1:].tolist() == [2] * 10
 
 
 def test_diagnostics_flat_state():
@@ -337,6 +338,25 @@ class TestNewtonLinearAlgebra:
                 fd[:, j] = (rhs(up, f, nu, dx) - rhs(um, f, nu, dx)) / (2 * h)
             np.testing.assert_allclose(jac, fd, rtol=1e-6,
                                        atol=1e-6 * np.abs(fd).max())
+
+    @pytest.mark.parametrize("n", [3, 41, 401])
+    def test_jacobian_column_sums_are_the_trapezoid_weights(self, n):
+        # the fluxes telescope, so the trapezoid-weighted column sums of
+        # d(rhs)/du vanish and those of I - dt d(rhs)/du are the weights: a
+        # Newton update dv then has mass(dv) = mass(un) - mass(v), 0 from the
+        # first iterate on, and every iterate, damped or not, keeps the mass
+        rng = np.random.default_rng(n)
+        dx = Grid(n).dx
+        w = np.full(n, dx)
+        w[0] = w[-1] = 0.5 * dx
+        for _ in range(20):
+            u = rng.uniform(0.2, 5.0, n)
+            nu, dt = rng.uniform(0.5, 20.0), 10.0 ** rng.uniform(-5, -1)
+            bands, _ = _bands(u, nu, dx, dt, np.empty(3 * n - 2))
+            matrix = w[:, None] * dense(*bands)
+            # rounding: a few ulps of each column's largest weighted entry
+            scale = np.abs(matrix).max(axis=0)
+            assert np.all(np.abs(matrix.sum(axis=0) - w) <= 8 * np.finfo(float).eps * scale)
 
     def test_tridiag_solve_matches_dense_solve(self):
         rng = np.random.default_rng(7)
@@ -419,7 +439,7 @@ class TestNewtonLinearAlgebra:
 
         bands = solver._jacobian_bands
         monkeypatch.setattr(solver, "_jacobian_bands", broken_bands)
-        cfg = flat_config(21, t_end=0.01)
+        cfg = flat_config(21, u0=_inverse_sine(Grid(21), 0.1), t_end=0.01)
         with pytest.raises(SolverError, match="Newton solve failed at t=0.001"):
             _step(cfg.u0.values, 0.0, cfg)
         rec = simulate(cfg)
@@ -675,13 +695,8 @@ def _reference_step(un, t, work, f, damped=None):
     v = un
     res, res_norm, mid, d = residual(v)
     iters = 0
-    polish = False
-    while True:
-        if res_norm <= cfg.newton_tol:
-            if polish:
-                break
-            polish = True
-        elif iters >= cfg.newton_max_iter:
+    while not res_norm <= cfg.newton_tol:
+        if iters >= cfg.newton_max_iter:
             raise SolverError("Newton stalled")
         lower, diag, upper = _reference_jacobian_bands(mid, d, nu, dx, dt)
         dv = solve_banded((1, 1), np.array([np.r_[0.0, upper[:-1]], diag,
@@ -691,7 +706,7 @@ def _reference_step(un, t, work, f, damped=None):
             trial = v + lam * dv
             if (trial > cfg.positivity_floor).all():
                 trial_res, trial_norm, trial_mid, trial_d = residual(trial)
-                if trial_norm < res_norm or res_norm <= cfg.newton_tol:
+                if trial_norm < res_norm:
                     break
             lam *= 0.5
         else:
@@ -786,8 +801,8 @@ def test_march_keeps_the_reference_bits(monkeypatch, n, source, eps, nu, dt, ste
     assert len(ref.times) == steps + 1 and ref.newton_iters.sum() > steps
     assert bool(damped) == damps
     if damps:
-        # a damped update moves the mass by (1 - lambda) times the iterate's
-        # defect; the iterations after it must bring it back to round-off
+        # a damped update keeps the mass too: the update's own mass is
+        # mass(un) - mass(v), which is 0 from the first iterate on
         assert np.abs(new.mass - new.mass[0]).max() <= 2 * np.finfo(float).eps
     for column in DIAGNOSTIC_COLUMNS:
         name = "times" if column == "t" else column
@@ -795,6 +810,45 @@ def test_march_keeps_the_reference_bits(monkeypatch, n, source, eps, nu, dt, ste
     assert new.snapshot_times == ref.snapshot_times
     assert all(np.array_equal(a.values, b.values)
                for a, b in zip(new.snapshots, ref.snapshots, strict=True))
+
+
+@pytest.mark.parametrize("scale", [2.5, 4.0])
+def test_march_of_damped_updates_keeps_the_mass(monkeypatch, scale):
+    # each solve returns scale times the Newton update, so the line search
+    # damps every one: at 2.5 the accepted update is always 1.25 times
+    # Newton's, at 4 it is twice or once Newton's.  The mass of every update
+    # is still 0, so each row keeps the first row's mass to rounding, in the
+    # damped march as in the plain one
+    g = Grid(101)
+    cfg = SimulationConfig(nu=1.0, grid=g, u0=_inverse_sine(g, 0.9), dt=0.1, t_end=1.0,
+                           source=make_source(g, "cosine_static 0.3"))
+    plain = simulate(cfg)
+    solve = solver._solve_packed
+    monkeypatch.setattr(solver, "_solve_packed",
+                        lambda packed, bound=None: scale * solve(packed, bound))
+    rec = simulate(cfg)
+    assert plain.failure is rec.failure is None and len(rec.times) == 11
+    assert rec.newton_iters.sum() > plain.newton_iters.sum()
+    for march in (plain, rec):
+        assert np.abs(march.mass - march.mass[0]).max() <= 2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("source", ["zero", "cosine_static 0.3"])
+def test_a_step_from_a_fixed_point_returns_its_input(source):
+    # a step whose input already meets tol takes no Newton iteration and
+    # returns that very array, so a static march from the step's fixed point
+    # records 0 iterations and stops stepping after its first step
+    g = Grid(51)
+    cfg = flat_config(51, source=make_source(g, source), t_end=2.0)
+    rec = simulate(cfg)
+    assert rec.fixed_point_time is not None
+    start = rec.snapshots[-1]
+    cfg = flat_config(51, u0=start, source=cfg.source, t_end=0.01)
+    u, iters = _step(start.values, 0.0, cfg)
+    assert u is start.values and iters == 0
+    rec = simulate(cfg)
+    assert rec.fixed_point_time == cfg.dt
+    assert rec.newton_iters.tolist() == [0] * 11
 
 
 def _reference_simulate(cfg, steady):
@@ -831,8 +885,8 @@ def _assert_same_march(rec, reference):
 
 
 @pytest.mark.parametrize("source,t_end,stride,fixed_step", [
-    ("cosine_static 0.3", 3.5, 300, 3060),    # 300 does not divide 3500
-    ("cosine_static 0.3", 3.06, 300, 3060),   # the fixed point is the last step
+    ("cosine_static 0.3", 3.5, 300, 1993),    # 300 does not divide 3500
+    ("cosine_static 0.3", 1.993, 300, 1993),  # the fixed point is the last step
     ("zero", 0.1, 100, 1),
 ], ids=["past-the-fixed-point", "fixed-point-last", "flat-unforced"])
 def test_fixed_point_exit_keeps_the_reference_bits(source, t_end, stride, fixed_step):
