@@ -1,4 +1,4 @@
-"""Time `simulate` calls of fixed marches, the forcing gap and the sheet solver in fresh interpreters.
+"""Time fixed marches, the forcing gap, the sheet solver and output in fresh interpreters.
 
 perfbench prices each step of a march at the least time seen for its Newton
 count, so work that lands in one step out of many (a block of diagnostics,
@@ -7,8 +7,13 @@ itself: each measurement is a fresh interpreter, pinned to one CPU with
 OPENBLAS_NUM_THREADS=1, that builds the case's config and steady state,
 runs `simulate` --repeat times and reports the least wall time.  The
 `gap-*` case times `forcing_gap_sq` the same way, over 10,001 times up to
-t = 100 on a tabulated source built once per interpreter, and the `ssm-*`
-cases time `solve_ssm` on sheet data built once per interpreter.
+t = 100 on a tabulated source built once per interpreter, the `ssm-*`
+cases time `solve_ssm` on sheet data built once per interpreter, and the
+`out-*` cases time a worked example's output: the example marches once per
+interpreter, then the CLI's `_run_and_report` writes diagnostics.csv, the
+snapshot files, envelope.csv and its two JSON files to a fresh temporary
+directory each repeat, with the march, the theorem constants and the
+envelope check replaced by their results, computed once.
 Per case it prints the median and quartiles of those least times over
 --rounds interpreters:
 
@@ -16,6 +21,7 @@ Per case it prints the median and quartiles of those least times over
     python3 scripts/march_timing.py --against ../parent --rounds 10
     python3 scripts/march_timing.py --cases gap-tab-2001
     python3 scripts/march_timing.py --cases ssm-1601
+    python3 scripts/march_timing.py --cases out-ex-2-4
 
 With --against, the checkout at that path (its `src` directory) is timed
 too, in pairs: each round runs both sides, the side that goes first
@@ -120,8 +126,41 @@ for _ in range(int(repeat)):
 print(best)
 """
 
+#: name -> (example,) of an output case; ex-2-4 fills 5,840 of its 8,001
+#: diagnostics rows past its fixed point and writes 81 snapshot files
+OUT_CASES = {
+    "out-ex-2-4": ("ex-2-4",),
+}
+
+#: run in the child: argv is example, repeat; prints the least seconds
+OUT_CHILD = """
+import contextlib, io, sys, tempfile, time
+from pathlib import Path
+from singheat import cli
+name, repeat = sys.argv[1:]
+args = cli.build_parser().parse_args(["example", name])
+sim_cfg = cli._build_sim_config(cli._settings(args, cli.EXAMPLES[name]))
+assert not sim_cfg.source.time_dependent
+record = cli._march(sim_cfg)
+consts = cli.TheoremConstants.from_problem(sim_cfg.u0, sim_cfg.source, sim_cfg.nu)
+report = cli.check_homogeneous_envelope(record, consts)
+cli._march = lambda cfg: record
+cli.TheoremConstants = type("Computed", (), {"from_problem": lambda *args: consts})
+cli.check_homogeneous_envelope = lambda *args: report
+best = float("inf")
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    for i in range(int(repeat)):
+        out = Path(tmp) / str(i)
+        out.mkdir()
+        t0 = time.perf_counter()
+        cli._run_and_report(sim_cfg, out)
+        best = min(best, time.perf_counter() - t0)
+print(best)
+"""
+
 #: each table of cases with the child that runs them
-KINDS = ((CASES, CHILD), (GAP_CASES, GAP_CHILD), (SSM_CASES, SSM_CHILD))
+KINDS = ((CASES, CHILD), (GAP_CASES, GAP_CHILD), (SSM_CASES, SSM_CHILD),
+         (OUT_CASES, OUT_CHILD))
 
 
 def least_seconds(src: Path, case: str, repeat: int, cpu: int) -> float:

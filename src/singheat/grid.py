@@ -12,6 +12,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -214,29 +215,59 @@ def antiderivative(g: Field) -> Field:
 
 
 #: rows write_csv formats and writes at a time
-CSV_BLOCK_ROWS = 1024
+CSV_BLOCK_ROWS = 256
+
+
+class Texts(tuple):
+    """A column's %.17g texts, made once by csv_texts to be written in many files."""
+
+
+def _texts(values: np.ndarray) -> list:
+    """The %.17g text of each float64 in values, formatted once per run of equal bits.
+
+    Bits, not floats, make a run: -0.0 is not 0.0 and NaNs are equal only to
+    their own bits.  A repeat is the text of the row above, the same str.
+    """
+    bits = values.view(np.int64)
+    changed = np.empty(len(values), bool)
+    changed[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=changed[1:])
+    run = changed.cumsum()      # each row's run, counted from 1
+    if run[-1] == len(values):
+        return list(map(float.__format__, values.tolist(), repeat(".17g")))
+    texts = [None, *map(float.__format__, values[changed].tolist(), repeat(".17g"))]
+    return np.array(texts, dtype=object)[run].tolist()
+
+
+def csv_texts(values) -> Texts:
+    """values' %.17g texts, a column write_csv takes as it is."""
+    values = np.asarray(values, dtype=float)
+    return Texts(_texts(values) if len(values) else ())
 
 
 def write_csv(path, header, columns) -> None:
     """Header line, then one row per sample with every value as %.17g.
 
-    17 significant digits round-trip a float64 exactly.  Columns may be arrays
-    or sequences, all of one length (ValueError otherwise).  The rows go out
-    in blocks of CSV_BLOCK_ROWS: a block's values are turned into Python
-    floats, which format to the same text as numpy scalars, and faster, so
-    the writer holds one block of them at a time, whatever the row count.
+    17 significant digits round-trip a float64 exactly.  Columns may be
+    arrays, sequences of numbers or csv_texts, all of one length (ValueError
+    otherwise).  The rows go out in blocks of CSV_BLOCK_ROWS, so the writer
+    holds one block of text at a time, whatever the row count.  In a block a
+    value is formatted only where its bits differ from the row above.
     """
-    columns = [np.asarray(col) for col in columns]
+    columns = [col if isinstance(col, Texts) else np.asarray(col, dtype=float)
+               for col in columns]
     lengths = sorted({len(col) for col in columns})
     if len(lengths) > 1:
         raise ValueError(f"CSV columns must have one length, got lengths {lengths}")
     rows = lengths[0] if lengths else 0
-    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, rows, CSV_BLOCK_ROWS):
-            block = [col[start:start + CSV_BLOCK_ROWS].tolist() for col in columns]
-            fh.writelines(row.format(*values) for values in zip(*block))
+            stop = start + CSV_BLOCK_ROWS
+            texts = [col[start:stop] if isinstance(col, Texts) else _texts(col[start:stop])
+                     for col in columns]
+            fh.write("\n".join(map(",".join, zip(*texts))))
+            fh.write("\n")
 
 
 def _strict(value):
@@ -261,8 +292,9 @@ def write_json(path, data) -> None:
         fh.write("\n")
 
 
-def write_field_csv(path, g: Field, header=("x", "value")) -> None:
-    write_csv(path, header, (g.grid.nodes, g.values))
+def write_field_csv(path, g: Field, header=("x", "value"), nodes: Texts | None = None) -> None:
+    """g's (node, value) rows; nodes, if given, is csv_texts(g.grid.nodes)."""
+    write_csv(path, header, (g.grid.nodes if nodes is None else nodes, g.values))
 
 
 def read_csv_rows(path, columns) -> np.ndarray:

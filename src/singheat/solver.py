@@ -439,10 +439,10 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
     partial record is returned with the failure annotated rather than lost.
 
     Under a time-independent source a step is a function of u alone, so once
-    a step returns its input bit for bit, every later step would return it
-    again with the same Newton count, and every later row would repeat the
-    current one but for t.  The march then fills those rows and snapshots
-    without stepping and stops.
+    a step returns its input array itself (0 iterations), every later step
+    would return it again, and every later row would repeat the current one
+    but for t.  The march then fills those rows and snapshots without
+    stepping and stops.
     """
     if steady is None:
         steady = steady_profile(cfg.source, cfg.nu)
@@ -478,8 +478,9 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
             break
         states[j] = u
         data[k + 1, -1] = iters
-        # equal bytes are equal bits, which is all the step reads of u
-        fixed = static and u.tobytes() == previous.tobytes()
+        # a step gives its input's bits back only as that array itself: an
+        # iterate with those bits has their residual, which the line search refuses
+        fixed = static and u is previous
         if fixed or j == block - 1 or k + 1 == n_steps:
             record(k - j, j + 1)
         t_new = (k + 1) * cfg.dt

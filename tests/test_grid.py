@@ -9,7 +9,9 @@ from singheat.grid import (
     CSV_BLOCK_ROWS,
     Field,
     Grid,
+    Texts,
     antiderivative,
+    csv_texts,
     derivative,
     gradient,
     h1,
@@ -185,6 +187,107 @@ def test_csv_writer_memory_is_one_block(tmp_path):
         tracemalloc.stop()
     assert peak < 2 * 2**20
     assert len((tmp_path / "long.csv").read_bytes().splitlines()) == rows + 1
+
+
+def _reference_csv(header, columns) -> bytes:
+    """The CSV text of one "{:.17g}" format a value, row by row."""
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    return ("".join([",".join(header) + "\n"]
+                    + [",".join("{:.17g}".format(v) for v in row) + "\n" for row in rows])
+            .encode())
+
+
+def _write(tmp_path, columns, name="runs.csv") -> bytes:
+    path = tmp_path / name
+    write_csv(path, [f"c{i}" for i in range(len(columns))], columns)
+    return path.read_bytes()
+
+
+def _from_bits(*bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(float)
+
+
+def test_csv_writer_tells_zeros_apart_by_their_bits(tmp_path):
+    # -0.0 == 0.0 as floats, so a run of equal floats would write one text for both
+    x = np.array([-0.0, 0.0, 0.0, -0.0, -0.0, 1.0, -0.0])
+    written = _write(tmp_path, (x, x[::-1].copy()))
+    assert written == _reference_csv(("c0", "c1"), (x, x[::-1]))
+    assert written.splitlines()[1:] == [b"-0,-0", b"0,1", b"0,-0", b"-0,-0", b"-0,0",
+                                        b"1,0", b"-0,-0"]
+
+
+def test_csv_writer_runs_of_nans_infinities_and_subnormals(tmp_path):
+    nans = _from_bits(0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                      0x7FF0000000000001)
+    assert np.isnan(nans).all() and len({v.tobytes() for v in nans}) == 4
+    x = np.concatenate([nans[[0, 0, 1, 1, 2, 3, 3]], [math.inf, math.inf, -math.inf, -math.inf],
+                        [5e-324, 5e-324, -5e-324, 2.225073858507201e-308, 2.225073858507201e-308,
+                         math.nan]])
+    written = _write(tmp_path, (x, np.arange(len(x), dtype=float)))
+    assert written == _reference_csv(("c0", "c1"), (x, np.arange(len(x))))
+    assert [row.split(b",")[0] for row in written.splitlines()[1:]] == (
+        [b"nan"] * 7 + [b"inf"] * 2 + [b"-inf"] * 2
+        + [b"4.9406564584124654e-324"] * 2 + [b"-4.9406564584124654e-324"]
+        + [b"2.2250738585072009e-308"] * 2 + [b"nan"])
+
+
+def test_csv_runs_cross_blocks(tmp_path):
+    # a run from 3 rows before a block's end to 5 rows into the next, a
+    # column of one run, and a column of runs as long as a block
+    rows = 3 * CSV_BLOCK_ROWS + 7
+    crossing = np.arange(rows, dtype=float)
+    crossing[CSV_BLOCK_ROWS - 3:CSV_BLOCK_ROWS + 5] = 0.1
+    one_run = np.full(rows, -0.0)
+    blocks = np.arange(rows) // CSV_BLOCK_ROWS / 3.0
+    columns = (crossing, one_run, blocks)
+    written = _write(tmp_path, columns)
+    assert written == _reference_csv(("c0", "c1", "c2"), columns)
+    assert written.count(b",-0,") == rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_csv_drawn_runs_give_the_reference_bytes(tmp_path, seed):
+    # columns of runs drawn from a pool that holds both zeros, NaNs of two
+    # payloads, infinities and subnormals, beside distinct and integer columns
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 3 * CSV_BLOCK_ROWS))
+    pool = np.concatenate([_from_bits(0x7FF8000000000000, 0xFFF8000000000001),
+                           [0.0, -0.0, math.inf, -math.inf, 5e-324, -1e-310, 1 / 3, -2.5, 1e300],
+                           rng.standard_normal(6)])
+
+    def runs():
+        lengths = rng.integers(1, [2, 5, 40, 2 * CSV_BLOCK_ROWS][rng.integers(4)], rows)
+        values = rng.choice(pool, len(lengths))
+        return np.repeat(values, lengths)[:rows]
+
+    columns = [runs() for _ in range(5)]
+    columns += [rng.standard_normal(rows), rng.integers(-5, 5, rows).tolist()]
+    assert _write(tmp_path, columns) == _reference_csv([f"c{i}" for i in range(7)], columns)
+
+
+def test_csv_texts_column_gives_the_bytes_of_its_values(tmp_path):
+    g = make(3 * CSV_BLOCK_ROWS + 1, np.cos)
+    nodes = csv_texts(g.grid.nodes)
+    assert isinstance(nodes, Texts) and len(nodes) == g.grid.n
+    write_field_csv(tmp_path / "values.csv", g)
+    write_field_csv(tmp_path / "texts.csv", g, nodes=nodes)
+    assert (tmp_path / "texts.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+    with pytest.raises(ValueError, match="one length"):
+        write_csv(tmp_path / "ragged.csv", ("x", "u"), (nodes, g.values[1:]))
+    assert csv_texts([]) == ()
+
+
+def test_csv_writer_memory_of_repeats_is_one_block(tmp_path):
+    # 200,000 rows in runs of 1,000 equal values, one text per run
+    rows = 200_000
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "runs.csv", ("x",), (np.repeat(np.linspace(0.0, 1.0, 200), 1000),))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert len((tmp_path / "runs.csv").read_bytes().splitlines()) == rows + 1
 
 
 def test_csv_writer_refuses_columns_of_unequal_length(tmp_path):

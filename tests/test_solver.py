@@ -983,12 +983,13 @@ def test_solver_failure_in_a_block_records_the_rows_before_it(monkeypatch, faili
 
 @pytest.mark.parametrize("row", ["mid-block", "last-row"])
 def test_fixed_point_in_a_block_keeps_the_one_row_bits(monkeypatch, row):
-    # from step k on the step returns a copy of its input, so a static march
-    # records the block up to k and fills the rest
+    # from step k on the step returns its input with 0 iterations, as a real
+    # step does at its fixed point, so a static march records the block up to
+    # k and fills the rest
     K = _block_rows(201)
     k = K + 5 if row == "mid-block" else 2 * K - 1
     cfg, ss = _forced_march(201, 3 * K + 7, source="cosine_static 0.5")
-    _step_that(monkeypatch, k, lambda u: (u.copy(), 1))
+    _step_that(monkeypatch, k, lambda u: (u, 0))
     rec = simulate(cfg, ss)
     assert rec.failure is None and rec.fixed_point_time == (k + 1) * cfg.dt
     _assert_same_march(rec, _reference_simulate(cfg, ss))
