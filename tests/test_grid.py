@@ -190,8 +190,8 @@ def test_csv_writer_memory_is_one_block(tmp_path):
 
 
 def _reference_csv(header, columns) -> bytes:
-    """The CSV text of one "{:.17g}" format a value, row by row."""
-    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    """The CSV bytes of one "{:.17g}" format per value, row by row."""
+    rows = zip(*(col.tolist() if isinstance(col, np.ndarray) else list(col) for col in columns))
     return ("".join([",".join(header) + "\n"]
                     + [",".join("{:.17g}".format(v) for v in row) + "\n" for row in rows])
             .encode())
