@@ -162,10 +162,12 @@ def test_csv_writer_gives_arrays_and_lists_the_same_bytes(tmp_path):
         b"1.0000000000000001e+300,-1.0000000000000001e+300", b"nan,nan", b"-inf,inf"]
 
 
-@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
-                                  3 * CSV_BLOCK_ROWS + 7])
+@pytest.mark.parametrize("rows", sorted({0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                         3 * CSV_BLOCK_ROWS + 7, 1023, 1024, 1025, 3079}))
 def test_csv_blocks_give_the_bytes_of_one_pass(tmp_path, rows):
-    # the rows written block by block are the rows formatted in one pass
+    # the rows written block by block are the rows formatted in one pass;
+    # 1023..1025 and 3079 sit at the edges of 1024-row spans, a whole
+    # number of blocks
     rng = np.random.default_rng(rows)
     columns = (rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
                np.arange(rows, dtype=float), rng.uniform(size=rows))
