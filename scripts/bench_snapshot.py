@@ -1,17 +1,17 @@
 """Write a BENCH_*.json snapshot: perfbench's metrics, the direct timings and tier-1's wall time.
 
-    python3 scripts/bench_snapshot.py BENCH_0.json
-    python3 scripts/bench_snapshot.py BENCH_1.json --seeds 3001-3010 --seconds 25
+    python3 scripts/bench_snapshot.py BENCH_1.json
 
 Run it from the root of a checkout, on a quiet host; it takes about 20
-minutes at the defaults.  For each workload of perfbench it runs
+minutes.  For each workload of perfbench it runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0
 
-over the seeds, one after another, and reads each run's
+over the seeds 3001-3010, one after another, and reads each run's
 `.perfbench/W-seedS-trace0/report.json`; then one `--trace 1` run per
-workload on the first seed.  It then runs `scripts/march_timing.py` at its
-default cases and times tier-1 once.  The snapshot holds:
+workload on seed 3001.  It then times each case of `scripts/march_timing.py`
+at that script's default rounds and repeats, and times tier-1 once.  The
+snapshot holds:
 
 - the commit measured, and whether `src/`, `scripts/` or `perfbench/` had
   uncommitted changes;
@@ -22,8 +22,9 @@ default cases and times tier-1 once.  The snapshot holds:
 - per case of `scripts/march_timing.py`, the median and quartiles in ms;
 - tier-1's wall time and its summary line.
 
-Each later claim of a speed-up commits the next BENCH_*.json and cites the
-one before it.  Uses only the standard library.
+The seeds and the run length are fixed, so that every snapshot compares
+with the one before it.  Each later claim of a speed-up commits the next
+BENCH_*.json and cites the one before it.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -31,25 +32,29 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import march_timing
+
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("static-march", "decaying-forcing", "fine-grid")
+#: the seeds of the untraced runs; the traced run takes the first
+SEEDS = range(3001, 3011)
+#: seconds per perfbench run, BENCHMARK.json's run_seconds
+SECONDS = 25
 
 
 def run(argv: list, env: dict | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
 
 
-def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def perfbench(workload: str, seed: int, trace: int) -> dict:
     """One perfbench run's report.json."""
     done = run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--seconds", str(seconds), "--trace", str(trace)])
+                "--seconds", str(SECONDS), "--trace", str(trace)])
     if done.returncode:
         raise RuntimeError(f"perfbench {workload} seed {seed} exited {done.returncode}:\n"
                            f"{done.stderr}")
@@ -58,8 +63,7 @@ def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 
 def spread(samples: list) -> dict:
-    q1, median, q3 = (statistics.quantiles(samples, n=4, method="inclusive")
-                      if len(samples) > 1 else samples * 3)
+    q1, median, q3 = march_timing.quartiles(samples)
     return {"median": median, "q1": q1, "q3": q3}
 
 
@@ -77,16 +81,12 @@ def end_to_end(reports: list) -> dict:
 
 
 def direct_timings() -> dict:
-    """scripts/march_timing.py at its default cases: ms per case."""
-    done = run([sys.executable, "scripts/march_timing.py"])
-    if done.returncode:
-        raise RuntimeError(f"march_timing exited {done.returncode}:\n{done.stderr}")
-    cases = {}
-    for line in done.stdout.splitlines()[1:]:
-        case, median, q1, q3 = re.fullmatch(
-            r"(\S+)\s+(\S+) \[(\S+), (\S+)\]", line.strip()).groups()
-        cases[case] = {"median": float(median), "q1": float(q1), "q3": float(q3)}
-    return cases
+    """Each case of scripts/march_timing.py, timed as that script times it: ms."""
+    cpu = max(os.sched_getaffinity(0))
+    return {case: spread([1e3 * march_timing.least_seconds(ROOT / "src", case,
+                                                           march_timing.REPEAT, cpu)
+                          for _ in range(march_timing.ROUNDS)])
+            for case in march_timing.EVERY}
 
 
 def tier1() -> dict:
@@ -99,17 +99,9 @@ def tier1() -> dict:
     return {"wall_s": wall, "exit": done.returncode, "summary": done.stdout.splitlines()[-1]}
 
 
-def seed_range(text: str) -> list:
-    first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="the snapshot to write, e.g. BENCH_0.json")
-    parser.add_argument("--seeds", type=seed_range, default=seed_range("3001-3010"),
-                        help="seeds of the untraced runs, FIRST-LAST (default 3001-3010)")
-    parser.add_argument("--seconds", type=float, default=25.0, help="seconds per perfbench run")
     args = parser.parse_args(argv)
 
     commit = run(["git", "rev-parse", "HEAD"]).stdout.strip()
@@ -117,19 +109,19 @@ def main(argv=None) -> int:
     workloads, per_layer, environment = {}, {}, None
     for workload in WORKLOADS:
         reports = []
-        for seed in args.seeds:
-            reports.append(perfbench(workload, seed, args.seconds, 0))
+        for seed in SEEDS:
+            reports.append(perfbench(workload, seed, 0))
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{k} {v['value']:.4g}" for k, v in reports[-1]["metrics"].items()), flush=True)
         environment = environment or reports[0]["environment"]
         workloads[workload] = end_to_end(reports)
-        traced = perfbench(workload, args.seeds[0], args.seconds, 1)
+        traced = perfbench(workload, SEEDS[0], 1)
         per_layer[workload] = {name: m["value"] for name, m in traced["metrics"].items()}
     snapshot = {
         "commit": commit,
         "uncommitted_changes": dirty,
-        "command": f"perfbench/run.py --seconds {args.seconds:g} --trace 0, seeds "
-                   f"{args.seeds[0]}-{args.seeds[-1]}; --trace 1 on seed {args.seeds[0]}",
+        "command": f"perfbench/run.py --seconds {SECONDS} --trace 0, seeds "
+                   f"{SEEDS[0]}-{SEEDS[-1]}; --trace 1 on seed {SEEDS[0]}",
         "environment": environment,
         "end_to_end": workloads,
         "per_layer": per_layer,

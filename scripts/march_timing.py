@@ -161,6 +161,10 @@ print(best)
 #: each table of cases with the child that runs them
 KINDS = ((CASES, CHILD), (GAP_CASES, GAP_CHILD), (SSM_CASES, SSM_CHILD),
          (OUT_CASES, OUT_CHILD))
+#: every case, in the order they run
+EVERY = [case for table, _ in KINDS for case in table]
+#: the default interpreters per case and side, and runs per interpreter
+ROUNDS, REPEAT = 5, 7
 
 
 def least_seconds(src: Path, case: str, repeat: int, cpu: int) -> float:
@@ -174,26 +178,32 @@ def least_seconds(src: Path, case: str, repeat: int, cpu: int) -> float:
     return float(done.stdout)
 
 
+def quartiles(samples: list) -> tuple:
+    """(q1, median, q3) of samples; one sample is all three."""
+    if len(samples) == 1:
+        return tuple(samples * 3)
+    return tuple(statistics.quantiles(samples, n=4, method="inclusive"))
+
+
 def summary(ms: list) -> str:
-    q1, median, q3 = (statistics.quantiles(ms, n=4, method="inclusive") if len(ms) > 1
-                      else ms * 3)
+    q1, median, q3 = quartiles(ms)
     return f"{median:8.1f} [{q1:.1f}, {q3:.1f}]"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=5, help="interpreters per case and side")
-    parser.add_argument("--repeat", type=int, default=7, help="runs per interpreter")
-    every = [case for table, _ in KINDS for case in table]
-    parser.add_argument("--cases", default=",".join(every),
-                        help=f"comma-separated subset of {', '.join(every)}")
+    parser.add_argument("--rounds", type=int, default=ROUNDS,
+                        help="interpreters per case and side")
+    parser.add_argument("--repeat", type=int, default=REPEAT, help="runs per interpreter")
+    parser.add_argument("--cases", default=",".join(EVERY),
+                        help=f"comma-separated subset of {', '.join(EVERY)}")
     parser.add_argument("--against", type=Path, default=None,
                         help="another checkout to time in alternating pairs")
     parser.add_argument("--cpu", type=int, default=max(os.sched_getaffinity(0)),
                         help="the CPU every interpreter is pinned to")
     args = parser.parse_args(argv)
     cases = args.cases.split(",")
-    unknown = set(cases) - set(every)
+    unknown = set(cases) - set(EVERY)
     if unknown or args.rounds < 1 or args.repeat < 1:
         parser.error(f"unknown cases {sorted(unknown)}" if unknown
                      else "--rounds and --repeat must be at least 1")

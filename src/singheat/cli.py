@@ -28,7 +28,7 @@ from .decay import (
     check_gradient_energy_envelope, check_homogeneous_envelope, envelope_csv, homogeneous_bound,
 )
 from .errors import ConfigError, HypothesisError, SingheatError, SolverError, require_positive
-from .grid import Field, Grid, csv_texts, read_field_csv, trapezoid, write_field_csv, write_json
+from .grid import Field, Grid, read_field_csv, trapezoid, write_field_csv, write_json
 from .solver import SimulationConfig, SimulationRecord, simulate, step_count
 from .source import HomogeneousSource, compute_P0, make_source, parse_spec, spec_number
 from .steady import steady_profile
@@ -204,24 +204,18 @@ def _march(sim_cfg: SimulationConfig) -> SimulationRecord:
     return record
 
 
-def _write_snapshots(record: SimulationRecord, out: Path) -> None:
-    """One u_t*.csv file per snapshot, the grid's nodes formatted once for all."""
-    nodes = csv_texts(record.config.grid.nodes)
+def _run_and_report(sim_cfg: SimulationConfig, out: Path) -> int:
+    """March, then check the theorem the source picks."""
+    record = _march(sim_cfg)
+    record.diagnostics_csv(out / "diagnostics.csv")
     last = written = None
     for t, snap in zip(record.snapshot_times, record.snapshots):
         path = out / f"u_t{t:010.4f}.csv"
         if snap is last:    # the fill past a fixed point repeats one Field: copy its bytes
             shutil.copyfile(written, path)
         else:
-            write_field_csv(path, snap, header=("x", "u"), nodes=nodes)
+            write_field_csv(path, snap, header=("x", "u"))
         last, written = snap, path
-
-
-def _run_and_report(sim_cfg: SimulationConfig, out: Path) -> int:
-    """March, then check the theorem the source picks."""
-    record = _march(sim_cfg)
-    record.diagnostics_csv(out / "diagnostics.csv")
-    _write_snapshots(record, out)
     consts = TheoremConstants.from_problem(sim_cfg.u0, sim_cfg.source, sim_cfg.nu)
     consts.to_json(out / "constants.json")
 

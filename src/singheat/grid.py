@@ -218,10 +218,6 @@ def antiderivative(g: Field) -> Field:
 CSV_BLOCK_ROWS = 256
 
 
-class Texts(tuple):
-    """A column's %.17g texts, made once by csv_texts to be written in many files."""
-
-
 def _texts(values: np.ndarray) -> list:
     """The %.17g text of each float64 in values, formatted once per run of equal bits.
 
@@ -239,23 +235,16 @@ def _texts(values: np.ndarray) -> list:
     return np.array(texts, dtype=object)[run].tolist()
 
 
-def csv_texts(values) -> Texts:
-    """values' %.17g texts, a column write_csv takes as it is."""
-    values = np.asarray(values, dtype=float)
-    return Texts(_texts(values) if len(values) else ())
-
-
 def write_csv(path, header, columns) -> None:
     """Header line, then one row per sample with every value as %.17g.
 
     17 significant digits round-trip a float64 exactly.  Columns may be
-    arrays, sequences of numbers or csv_texts, all of one length (ValueError
+    arrays or sequences of numbers, all of one length (ValueError
     otherwise).  The rows go out in blocks of CSV_BLOCK_ROWS, so the writer
     holds one block of text at a time, whatever the row count.  In a block a
     value is formatted only where its bits differ from the row above.
     """
-    columns = [col if isinstance(col, Texts) else np.asarray(col, dtype=float)
-               for col in columns]
+    columns = [np.asarray(col, dtype=float) for col in columns]
     lengths = sorted({len(col) for col in columns})
     if len(lengths) > 1:
         raise ValueError(f"CSV columns must have one length, got lengths {lengths}")
@@ -264,8 +253,7 @@ def write_csv(path, header, columns) -> None:
         fh.write(",".join(header) + "\n")
         for start in range(0, rows, CSV_BLOCK_ROWS):
             stop = start + CSV_BLOCK_ROWS
-            texts = [col[start:stop] if isinstance(col, Texts) else _texts(col[start:stop])
-                     for col in columns]
+            texts = [_texts(col[start:stop]) for col in columns]
             fh.write("\n".join(map(",".join, zip(*texts))))
             fh.write("\n")
 
@@ -292,9 +280,8 @@ def write_json(path, data) -> None:
         fh.write("\n")
 
 
-def write_field_csv(path, g: Field, header=("x", "value"), nodes: Texts | None = None) -> None:
-    """g's (node, value) rows; nodes, if given, is csv_texts(g.grid.nodes)."""
-    write_csv(path, header, (g.grid.nodes if nodes is None else nodes, g.values))
+def write_field_csv(path, g: Field, header=("x", "value")) -> None:
+    write_csv(path, header, (g.grid.nodes, g.values))
 
 
 def read_csv_rows(path, columns) -> np.ndarray:

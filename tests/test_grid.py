@@ -9,9 +9,7 @@ from singheat.grid import (
     CSV_BLOCK_ROWS,
     Field,
     Grid,
-    Texts,
     antiderivative,
-    csv_texts,
     derivative,
     gradient,
     h1,
@@ -265,18 +263,6 @@ def test_csv_drawn_runs_give_the_reference_bytes(tmp_path, seed):
     columns = [runs() for _ in range(5)]
     columns += [rng.standard_normal(rows), rng.integers(-5, 5, rows).tolist()]
     assert _write(tmp_path, columns) == _reference_csv([f"c{i}" for i in range(7)], columns)
-
-
-def test_csv_texts_column_gives_the_bytes_of_its_values(tmp_path):
-    g = make(3 * CSV_BLOCK_ROWS + 1, np.cos)
-    nodes = csv_texts(g.grid.nodes)
-    assert isinstance(nodes, Texts) and len(nodes) == g.grid.n
-    write_field_csv(tmp_path / "values.csv", g)
-    write_field_csv(tmp_path / "texts.csv", g, nodes=nodes)
-    assert (tmp_path / "texts.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
-    with pytest.raises(ValueError, match="one length"):
-        write_csv(tmp_path / "ragged.csv", ("x", "u"), (nodes, g.values[1:]))
-    assert csv_texts([]) == ()
 
 
 def test_csv_writer_memory_of_repeats_is_one_block(tmp_path):
