@@ -291,7 +291,6 @@ def cmd_ssm_crosscheck(args) -> int:
     grid = Grid(cfg["n"])
     h0 = _sheet_profile(grid, cfg["h0"], M)
     v0 = _sheet_velocity(grid, cfg["v0"])
-    steps = step_count(t_check, dt, "t_check")   # the march's t_end is t_check
     if not t_check / cfg["dt_ssm"] <= lagrangian.MAX_SSM_STEPS:
         raise ConfigError(f"t_check/dt_ssm = {t_check / cfg['dt_ssm']:.6g} sheet steps "
                           f"are more than {lagrangian.MAX_SSM_STEPS:,}")
@@ -301,7 +300,8 @@ def cmd_ssm_crosscheck(args) -> int:
     u0 = _normalized(grid, lmap.u.values, 1.0)
     try:
         sim_cfg = SimulationConfig(nu=nu, grid=grid, u0=u0, source=HomogeneousSource(f0),
-                                   dt=dt, t_end=t_check, snapshot_stride=steps)
+                                   dt=dt, t_end=t_check,
+                                   snapshot_stride=step_count(t_check, dt))
     except ValueError as err:   # its errors name the march's t_end, this command's t_check
         raise ConfigError(str(err).replace("t_end", "t_check")) from None
     out = _prepare_out(args, "ssm-crosscheck", sim_cfg)

@@ -5,7 +5,7 @@ trapezoid-weighted column sums of d(rhs)/du vanish, so a Newton update dv has
 mass(dv) = mass(un) - mass(v), 0 from the first iterate v = un on, and every
 iterate, damped or not, keeps un's trapezoid mass to rounding.  Each step is
 implicit Euler solved by damped Newton on the tridiagonal system; the
-forcing is sampled at t + dt.
+forcing is sampled at the step's end time.
 
 Per-step diagnostics track the energy of the q = sqrt(nu)/u formulation, the
 relative energy, and the H1 distance of 1/u to the steady state.
@@ -65,13 +65,13 @@ class SimulationConfig:
 MAX_RECORD_BYTES = 2**30
 
 
-def step_count(t_end: float, dt: float, name: str = "t_end") -> int:
-    """t_end/dt, which must be a whole number, at least one; errors call t_end `name`."""
+def step_count(t_end: float, dt: float) -> int:
+    """t_end/dt, which must be a whole number, at least one."""
     steps = t_end / dt
     if not (math.isfinite(steps) and round(steps) >= 1
             and abs(steps - round(steps)) <= 1e-9 * steps):
-        raise ValueError(f"{name} must be a whole number of steps dt, at least one; "
-                         f"got {name}/dt = {steps:.10g}")
+        raise ValueError(f"t_end must be a whole number of steps dt, at least one; "
+                         f"got t_end/dt = {steps:.10g}")
     return round(steps)
 
 
@@ -293,7 +293,7 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
     line search that runs out of halvings raises QuenchError if every trial
     fell to the positivity floor, and NewtonStallError otherwise.  work is
     the march's Workspace, whose config the step takes; f is the forcing at
-    t + dt, as `work.cfg.source.at(t + dt)` gives it.  The step writes its
+    the step's end time, the row `simulate` reads for it.  The step writes its
     flux terms, residuals and bands into work and allocates only the trial
     iterates.  When un is the very array the last step with this workspace
     returned, unchanged since, the step takes its flux terms from the
@@ -376,14 +376,14 @@ def _diagnostic_buffers(spent: np.ndarray, integrands: np.ndarray, k: int, n: in
             integrands[2:5], *integrands)
 
 
-def diagnostics(block: np.ndarray, t: np.ndarray, steady: SteadyState, work: Workspace):
-    """Energy/norm diagnostics: DIAGNOSTIC_COLUMNS but the last, a (k, 8) array.
+def diagnostics(block: np.ndarray, f: np.ndarray, steady: SteadyState, work: Workspace):
+    """Energy/norm diagnostics: DIAGNOSTIC_COLUMNS but the first and last, a (k, 7) array.
 
-    block is a (k, n) block of states at the 1-D array t of their k times,
-    at most the workspace's K states; a row per state.  A block takes one
-    gradient and one trapezoid over all its rows and one forcing read for
-    its times, and each row has the bits it has alone.  They are computed in
-    the buffers of work, the march's Workspace, whose config they take.
+    block is a (k, n) block of states and f the (k, n) rows of the forcing at
+    their times, at most the workspace's K states; a row per state.  A block
+    takes one gradient and one trapezoid over all its rows, and each row has
+    the bits it has alone.  They are computed in the buffers of work, the
+    march's Workspace, whose config they take.
     """
     cfg = work.cfg
     n, k = cfg.grid.n, len(block)
@@ -399,7 +399,6 @@ def diagnostics(block: np.ndarray, t: np.ndarray, steady: SteadyState, work: Wor
     np.subtract(q, q_inf, w)
     np.divide(ONE, block, y)
     y -= inverse_u_inf
-    f = cfg.source.at(t)
     gradient(rows, cfg.grid.dx, grads, work.two_dx)
     np.multiply(grads, grads, squares)
     np.multiply(qx2, HALF, density)
@@ -409,14 +408,13 @@ def diagnostics(block: np.ndarray, t: np.ndarray, steady: SteadyState, work: Wor
     np.copyto(u_rows, block)
     np.multiply(y, y, y2)
     sums = trapezoid(integrands, work.dx, panels)
-    out = np.empty((len(DIAGNOSTIC_COLUMNS) - 1, k))
-    out[0] = t
-    out[1:6] = sums[:5]
-    out[3] *= HALF                          # wx² to the relative energy
-    out[4] += sums[5]                       # yx² + y², the squared H1 error of 1/u
-    np.sqrt(out[4:6], out[4:6])
-    np.minimum.reduce(block, 1, None, out[6])
-    np.maximum.reduce(block, 1, None, out[7])
+    out = np.empty((len(DIAGNOSTIC_COLUMNS) - 2, k))
+    out[:5] = sums[:5]
+    out[2] *= HALF                          # wx² to the relative energy
+    out[3] += sums[5]                       # yx² + y², the squared H1 error of 1/u
+    np.sqrt(out[3:5], out[3:5])
+    np.minimum.reduce(block, 1, None, out[5])
+    np.maximum.reduce(block, 1, None, out[6])
     return out.T
 
 
@@ -428,15 +426,16 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
     diagnostics fill one (steps + 1) x 9 array, a row per recorded time; its
     columns, each contiguous, become the record's series.
 
-    The march goes in blocks of the workspace's K steps (K = max(1, 2**12 //
-    n)).  It reads the forcing once per block, as read-only rows through
-    `SourceTerm.at`: one row per step time k*dt + dt, handed to `step`.  It
-    copies each accepted state into the workspace's block and records the
-    block's rows in one `diagnostics` call, at the record times (k + 1)*dt,
-    when the block is full, at the end, before the fixed-point fill below,
-    and on a solver failure.  Every row has the bits it would have alone.
-    On a solver failure the array is cut at the last completed step and the
-    partial record is returned with the failure annotated rather than lost.
+    One schedule is made up front: the record's times k*dt, written once
+    into its t column, and a mask of the snapshot steps, every
+    snapshot_stride-th and the last.  The march goes in blocks of the
+    workspace's K steps (K = max(1, 2**12 // n)).  Each block reads the
+    forcing once, at its record times, as read-only rows through
+    `SourceTerm.at`; the step to time t takes the row of t, and after the
+    block's steps one `diagnostics` call records its states with the same
+    rows.  Every row has the bits it would have alone.  On a solver failure
+    the record is cut at the last completed step and the partial record is
+    returned with the failure annotated rather than lost.
 
     Under a time-independent source a step is a function of u alone, so once
     a step returns its input array itself (0 iterations), every later step
@@ -448,55 +447,48 @@ def simulate(cfg: SimulationConfig, steady: SteadyState | None = None) -> Simula
         steady = steady_profile(cfg.source, cfg.nu)
     n_steps = step_count(cfg.t_end, cfg.dt)
     data = np.empty((n_steps + 1, len(DIAGNOSTIC_COLUMNS)), order="F")
+    times = data[:, 0]
+    times[:] = np.arange(n_steps + 1) * cfg.dt
+    snapshot = np.zeros(n_steps + 1, dtype=bool)
+    snapshot[::cfg.snapshot_stride] = snapshot[-1] = True
     u = cfg.u0.values
     work = Workspace(cfg)
-    data[:1, :-1] = diagnostics(u[None], np.zeros(1), steady, work)
+    data[:1, 1:-1] = diagnostics(u[None], cfg.source.at(times[:1]), steady, work)
     data[0, -1] = 0
-    states, block = work.states, len(work.states)
-
-    def record(first: int, rows: int) -> None:
-        """Record the states of steps first to first + rows - 1, at their times (k + 1)*dt."""
-        times = np.arange(first + 1, first + rows + 1) * cfg.dt
-        data[first + 1:first + rows + 1, :-1] = diagnostics(states[:rows], times, steady, work)
-
-    snapshot_times, snapshots = [0.0], [cfg.u0]
+    snapshots, states = [cfg.u0], work.states
     failure = failure_time = fixed_point_time = None
     static = not cfg.source.time_dependent
-    done = n_steps
-    for k in range(n_steps):
-        j = k % block
-        if j == 0:
-            forcing = cfg.source.at(np.arange(k, min(k + block, n_steps)) * cfg.dt + cfg.dt)
-        t = k * cfg.dt
-        previous = u
-        try:
-            u, iters = step(u, t, work, forcing[j])
-        except SolverError as err:
-            failure, failure_time, done = str(err), t, k
-            if j:
-                record(k - j, j)
+    end = n_steps   # the last row of the record
+    for first in range(0, n_steps, len(states)):
+        forcing = cfg.source.at(times[first + 1:first + 1 + len(states)])
+        rows = 0
+        for f in forcing:
+            k = first + rows
+            previous = u
+            try:
+                u, data[k + 1, -1] = step(u, times[k], work, f)
+            except SolverError as err:
+                failure, failure_time, end = str(err), float(times[k]), k
+                break
+            states[rows] = u
+            rows += 1
+            if snapshot[k + 1]:
+                snapshots.append(Field(cfg.grid, u))
+            # a step gives its input's bits back only as that array itself: an
+            # iterate with those bits has their residual, which the line search refuses
+            if static and u is previous:
+                fixed_point_time = float(times[k + 1])
+                break
+        if rows:
+            data[first + 1:first + 1 + rows, 1:-1] = diagnostics(
+                states[:rows], forcing[:rows], steady, work)
+        if fixed_point_time is not None:
+            data[k + 2:, 1:] = data[k + 1, 1:]
+            later = np.count_nonzero(snapshot[k + 2:])
+            if later:
+                snapshots += [Field(cfg.grid, u)] * later   # one Field for them all
+        if failure is not None or fixed_point_time is not None:
             break
-        states[j] = u
-        data[k + 1, -1] = iters
-        # a step gives its input's bits back only as that array itself: an
-        # iterate with those bits has their residual, which the line search refuses
-        fixed = static and u is previous
-        if fixed or j == block - 1 or k + 1 == n_steps:
-            record(k - j, j + 1)
-        t_new = (k + 1) * cfg.dt
-        if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == n_steps:
-            snapshot_times.append(t_new)
-            snapshots.append(Field(cfg.grid, u))
-        if fixed:
-            fixed_point_time = t_new
-            later = np.arange(k + 2, n_steps + 1)
-            data[k + 2:] = data[k + 1]
-            data[k + 2:, 0] = later * cfg.dt    # row i at i * dt, as t_new is
-            later = later[(later % cfg.snapshot_stride == 0) | (later == n_steps)]
-            if len(later):
-                snapshot_times += (later * cfg.dt).tolist()
-                snapshots += [Field(cfg.grid, u)] * len(later)   # one Field for them all
-            break
-    return SimulationRecord(cfg, steady, snapshot_times, snapshots,
-                            *data[:done + 1].T, failure=failure,
+    return SimulationRecord(cfg, steady, times[:end + 1][snapshot[:end + 1]].tolist(),
+                            snapshots, *data[:end + 1].T, failure=failure,
                             failure_time=failure_time, fixed_point_time=fixed_point_time)

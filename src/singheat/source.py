@@ -335,12 +335,14 @@ def make_source(grid: Grid, spec: str) -> SourceTerm:
 
 
 def load_tabulated_csv(grid: Grid, path) -> SourceTerm:
-    """Load a tabulated source from CSV rows (t, x, f).
+    """Load a tabulated source from CSV rows (t, x, f), whose first time stamp is t = 0.
 
-    A table of one time stamp at t = 0 is constant in time: a HomogeneousSource.
+    A table of one time stamp is constant in time: a HomogeneousSource.
     """
     data = read_csv_rows(path, ("t", "x", "f"))
     times = np.unique(data[:, 0])
+    if times[0] > 1e-12:   # f would be undefined from t = 0 to the first stamp
+        raise ConfigError(f"t=0.0 before the tabulated range [{times[0]}, {times[-1]}]")
     fields = []
     for t in times:
         rows = data[np.isclose(data[:, 0], t)]
@@ -350,8 +352,4 @@ def load_tabulated_csv(grid: Grid, path) -> SourceTerm:
                 f"{path}: {len(rows)} samples at t={t}, expected {grid.n}"
             )
         fields.append(Field(grid, rows[order, 2]))
-    if len(fields) > 1:
-        return TabulatedSource(times, fields)
-    if times[0] > 1e-12:   # refused as TabulatedSource refuses t = 0
-        raise ConfigError(f"t=0.0 before the tabulated range [{times[0]}, {times[0]}]")
-    return HomogeneousSource(fields[0])
+    return TabulatedSource(times, fields) if len(fields) > 1 else HomogeneousSource(fields[0])

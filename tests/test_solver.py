@@ -23,7 +23,8 @@ from singheat.solver import (
     step,
     tridiag_solve,
 )
-from singheat.source import CallableSource, CosineStaticSource, TabulatedSource, make_source
+from singheat.source import (CallableSource, CosineStaticSource, SourceTerm, TabulatedSource,
+                             make_source)
 from singheat.steady import steady_profile
 
 
@@ -41,15 +42,15 @@ def flat_config(n=101, **kw):
     return SimulationConfig(**defaults)
 
 
-def _step(u, t, cfg):
-    """solver.step from t, in a fresh workspace, with the forcing at t + dt."""
-    return solver.step(u, t, solver.Workspace(cfg), cfg.source.at(t + cfg.dt))
+def _step(u, k, cfg):
+    """solver.step k, from k dt, in a fresh workspace, with the forcing at (k + 1) dt."""
+    return solver.step(u, k * cfg.dt, solver.Workspace(cfg), cfg.source.at((k + 1) * cfg.dt))
 
 
-def _row(u, t, cfg, ss, work=None):
-    """solver.diagnostics of the state u at t as the block of one, a tuple of
-    floats; in work, or a fresh workspace if None."""
-    block = solver.diagnostics(u[None], np.array([t]), ss, work or solver.Workspace(cfg))
+def _row(u, f, cfg, ss, work=None):
+    """solver.diagnostics of the state u under the forcing row f as the block of
+    one, a tuple of floats; in work, or a fresh workspace if None."""
+    block = solver.diagnostics(u[None], f[None], ss, work or solver.Workspace(cfg))
     return tuple(block[0].tolist())
 
 
@@ -111,7 +112,7 @@ class TestConfigValidation:
 class TestFixedPoint:
     def test_flat_profile_is_exact(self):
         cfg = flat_config()
-        u, iters = _step(cfg.u0.values, 0.0, cfg)
+        u, iters = _step(cfg.u0.values, 0, cfg)
         assert np.array_equal(u, cfg.u0.values)
 
     def test_steady_profile_nearly_fixed(self):
@@ -119,7 +120,7 @@ class TestFixedPoint:
         src = CosineStaticSource(g, math.pi / 2)
         ss = steady_profile(src, 1.0, which="initial")
         cfg = flat_config(401, u0=ss.u_infinity, source=src)
-        u, _ = _step(ss.u_infinity.values, 0.0, cfg)
+        u, _ = _step(ss.u_infinity.values, 0, cfg)
         drift = np.max(np.abs(u - ss.u_infinity.values))
         # one step moves the discrete profile by at most dt * residual-scale
         assert drift <= cfg.dt * (10 * ss.residual_l2 + 1e-8) + 10 * cfg.newton_tol
@@ -246,7 +247,7 @@ class TestFailureHandling:
         g = Grid(51)
         cfg = flat_config(51, u0=_inverse_sine(g, 0.1), source=make_source(g, "cosine_static 0.5"))
         with pytest.raises(error):
-            _step(cfg.u0.values, 0.0, cfg)
+            _step(cfg.u0.values, 0, cfg)
 
     @pytest.mark.parametrize("n", [1601, 6401])
     def test_fine_grid_steps_stop_at_the_round_off_floor(self, n):
@@ -265,7 +266,7 @@ class TestFailureHandling:
 def test_diagnostics_flat_state():
     cfg = flat_config()
     ss = steady_profile(cfg.source, cfg.nu, which="initial")
-    d = dict(zip(DIAGNOSTIC_COLUMNS, _row(cfg.u0.values, 0.0, cfg, ss)))
+    d = dict(zip(DIAGNOSTIC_COLUMNS[1:], _row(cfg.u0.values, cfg.source.at(0.0), cfg, ss)))
     assert d["energy"] == pytest.approx(0.0, abs=1e-14)
     assert d["relative_energy"] == pytest.approx(0.0, abs=1e-14)
     assert d["mass"] == pytest.approx(1.0, abs=1e-14)
@@ -285,10 +286,11 @@ def test_record_series_are_the_rows_of_each_step(tmp_path, monkeypatch):
     g = Grid(21)
     cfg = flat_config(21, source=make_source(g, "cosine_static 0.5"), t_end=0.01)
     ss = steady_profile(cfg.source, cfg.nu, which="initial")
-    u, rows = cfg.u0.values, [(*_row(cfg.u0.values, 0.0, cfg, ss), 0)]
+    u, rows = cfg.u0.values, [(0.0, *_row(cfg.u0.values, cfg.source.at(0.0), cfg, ss), 0)]
     for k in range(3):
-        u, iters = _step(u, k * cfg.dt, cfg)
-        rows.append((*_row(u, (k + 1) * cfg.dt, cfg, ss), iters))
+        u, iters = _step(u, k, cfg)
+        t = (k + 1) * cfg.dt
+        rows.append((t, *_row(u, cfg.source.at(t), cfg, ss), iters))
 
     def step_until_fourth(u, t, work, f):
         if t > 2.5 * cfg.dt:
@@ -441,7 +443,7 @@ class TestNewtonLinearAlgebra:
         monkeypatch.setattr(solver, "_jacobian_bands", broken_bands)
         cfg = flat_config(21, u0=_inverse_sine(Grid(21), 0.1), t_end=0.01)
         with pytest.raises(SolverError, match="Newton solve failed at t=0.001"):
-            _step(cfg.u0.values, 0.0, cfg)
+            _step(cfg.u0.values, 0, cfg)
         rec = simulate(cfg)
         assert rec.failure.startswith("Newton solve failed at t=0.001")
         assert len(rec.times) == 1
@@ -463,7 +465,6 @@ def test_diagnostics_match_field_reference_exactly(spec):
         f = src.evaluate(t)
         wx = derivative(q.with_values(q.values - ss.q_infinity().values))
         expected = (
-            t,
             trapezoid_integral(u),
             trapezoid_integral(qx.with_values(
                 qx.values * qx.values * 0.5 + f.values * q.values * (1.0 / sqrt_nu))),
@@ -473,7 +474,7 @@ def test_diagnostics_match_field_reference_exactly(spec):
             float(np.min(u.values)),
             float(np.max(u.values)),
         )
-        assert _row(u.values, t, cfg, ss) == expected
+        assert _row(u.values, src.at(t), cfg, ss) == expected
 
 
 def _inverse_sine(g, eps):
@@ -575,10 +576,10 @@ def test_arrays_a_step_returns_are_never_written_again():
     work = solver.Workspace(cfg)
     u, kept = cfg.u0.values, []
     for k in range(5):
-        u, _ = step(u, k * cfg.dt, work, cfg.source.at(k * cfg.dt + cfg.dt))
+        f = cfg.source.at((k + 1) * cfg.dt)
+        u, _ = step(u, k * cfg.dt, work, f)
         kept.append((u, u.copy()))
-        row = _row(u, (k + 1) * cfg.dt, cfg, ss, work)
-        assert row == _row(u, (k + 1) * cfg.dt, cfg, ss)
+        assert _row(u, f, cfg, ss, work) == _row(u, f, cfg, ss)
     assert all(np.array_equal(a, b) for a, b in kept)
     assert len({id(a) for a, _ in kept}) == 5
 
@@ -589,16 +590,17 @@ def test_diagnostics_of_a_block_are_its_states_alone():
     cfg = flat_config(201, nu=2.0, source=make_source(g, "cosine_exp 1.5"))
     ss = steady_profile(cfg.source, cfg.nu)
     rng = np.random.default_rng(5)
-    states, times = 1.0 + 0.1 * rng.standard_normal((21, 201)), rng.uniform(0.0, 2.0, 21)
+    states = 1.0 + 0.1 * rng.standard_normal((21, 201))
+    forcing = cfg.source.at(rng.uniform(0.0, 2.0, 21))
     work = solver.Workspace(cfg)
     for k in (1, 7, 20):
-        block = diagnostics(states[:k], times[:k], ss, work)
-        assert block.shape == (k, len(DIAGNOSTIC_COLUMNS) - 1)
-        for row, u, t in zip(block, states, times.tolist()):
-            assert tuple(row.tolist()) == _row(u, t, cfg, ss)
+        block = diagnostics(states[:k], forcing[:k], ss, work)
+        assert block.shape == (k, len(DIAGNOSTIC_COLUMNS) - 2)
+        for row, u, f in zip(block, states, forcing):
+            assert tuple(row.tolist()) == _row(u, f, cfg, ss)
     for k in (0, 21):
         with pytest.raises(ValueError, match="block of"):
-            diagnostics(states[:k], times[:k], ss, work)
+            diagnostics(states[:k], forcing[:k], ss, work)
 
 
 #: a warm march at n = 6401 in a fresh interpreter that loads no scipy, whose
@@ -642,8 +644,8 @@ def test_march_memory_is_not_trimmed_and_faulted_in_again():
 # --- a reference march for the bits -----------------------------------------
 # The residual and Jacobian bands built with a control-volume width array and
 # padded bands, the solve through scipy's solve_banded (the same LAPACK gtsv),
-# the forcing sampled afresh at every call, and the diagnostics as one numpy
-# gradient and trapezoid per quantity.  The solver's step and diagnostics must
+# the step's forcing sampled afresh at its end time, and the diagnostics as one
+# numpy gradient and trapezoid per quantity.  The solver's step and diagnostics must
 # reproduce its records bit for bit.
 
 def _reference_rhs_terms(u, f, nu, dx):
@@ -678,12 +680,13 @@ def _reference_jacobian_bands(mid, d, nu, dx, dt):
 
 
 def _reference_step(un, t, work, f, damped=None):
-    """The reference step; it takes only the config of the workspace, and adds
-    t to the list damped, if given, for each update it damps (lambda < 1).
-    The forcing f it is given must be its own sample at t + dt, bit for bit."""
+    """The reference step k, from t = k dt; it takes only the config of the
+    workspace, and adds t to the list damped, if given, for each update it
+    damps (lambda < 1).  The forcing f it is given must be its own sample at
+    (k + 1) dt, bit for bit."""
     cfg = work.cfg
     dx, dt, nu = cfg.grid.dx, cfg.dt, cfg.nu
-    own = cfg.source.at(t + dt)
+    own = cfg.source.at((round(t / dt) + 1) * dt)
     assert f.tobytes() == own.tobytes()
     f = own
 
@@ -718,25 +721,23 @@ def _reference_step(un, t, work, f, damped=None):
     return v, iters
 
 
-def _reference_diagnostics(block, t, steady, work):
-    """The reference diagnostics of a block of states, row by row; it takes
-    only the config of the workspace."""
-    return np.array([_reference_row(u, s, work.cfg, steady)
-                     for u, s in zip(block, t.tolist(), strict=True)])
+def _reference_diagnostics(block, f, steady, work):
+    """The reference diagnostics of a block of states under their forcing rows,
+    row by row; it takes only the config of the workspace."""
+    return np.array([_reference_row(u, g, work.cfg, steady)
+                     for u, g in zip(block, f, strict=True)])
 
 
-def _reference_row(uv, t, cfg, steady):
+def _reference_row(uv, f, cfg, steady):
     dx = cfg.grid.dx
     sqrt_nu = math.sqrt(cfg.nu)
     q = sqrt_nu / uv
     qx = np.gradient(q, dx, edge_order=2)
-    f = cfg.source.at(t)
     u_inf = steady.u_infinity.values
     wx = np.gradient(q - np.sqrt(steady.nu) / u_inf, dx, edge_order=2)
     y = 1.0 / uv - 1.0 / u_inf
     yx = np.gradient(y, dx, edge_order=2)
     return (
-        t,
         float(np.trapezoid(uv, dx=dx)),
         float(np.trapezoid(qx * qx * 0.5 + f * q * (1.0 / sqrt_nu), dx=dx)),
         0.5 * float(np.trapezoid(wx * wx, dx=dx)),
@@ -844,7 +845,7 @@ def test_a_step_from_a_fixed_point_returns_its_input(source):
     assert rec.fixed_point_time is not None
     start = rec.snapshots[-1]
     cfg = flat_config(51, u0=start, source=cfg.source, t_end=0.01)
-    u, iters = _step(start.values, 0.0, cfg)
+    u, iters = _step(start.values, 0, cfg)
     assert u is start.values and iters == 0
     rec = simulate(cfg)
     assert rec.fixed_point_time == cfg.dt
@@ -858,15 +859,15 @@ def _reference_simulate(cfg, steady):
     step before it."""
     n_steps = int(round(cfg.t_end / cfg.dt))
     u = cfg.u0.values
-    rows = [(*_row(u, 0.0, cfg, steady), 0)]
+    rows = [(0.0, *_row(u, cfg.source.at(0.0), cfg, steady), 0)]
     snapshot_times, snapshots = [0.0], [cfg.u0]
     for k in range(n_steps):
         try:
-            u, iters = _step(u, k * cfg.dt, cfg)
+            u, iters = _step(u, k, cfg)
         except SolverError:
             break
         t_new = (k + 1) * cfg.dt
-        rows.append((*_row(u, t_new, cfg, steady), iters))
+        rows.append((t_new, *_row(u, cfg.source.at(t_new), cfg, steady), iters))
         if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == n_steps:
             snapshot_times.append(t_new)
             snapshots.append(Field(cfg.grid, u))
@@ -918,7 +919,7 @@ def test_time_dependent_source_is_stepped_past_a_fixed_point(monkeypatch):
 
 # --- blocks of steps ---------------------------------------------------------
 # simulate records its states in blocks of K = max(1, 2**12 // n), and reads
-# the forcing for a block's K step times and K record times at once.  Every
+# the forcing once for a block's K times, for its steps and its records alike.  Every
 # record must be the one-row loop's, bit for bit, wherever a block ends.
 
 def _block_rows(n):
@@ -995,33 +996,46 @@ def test_fixed_point_in_a_block_keeps_the_one_row_bits(monkeypatch, row):
     _assert_same_march(rec, _reference_simulate(cfg, ss))
 
 
-def test_step_and_record_times_are_read_apart(monkeypatch):
-    # the step from k dt reads f at k dt + dt, and its record at (k + 1) dt.
-    # Where the two floats differ, this f differs by many ulps, enough to
-    # move the state's bits as well as the record's
+def test_each_step_and_its_record_row_read_one_forcing_row(monkeypatch):
+    # the step from k dt and the record of its state both take the forcing
+    # row at (k + 1) dt, and a march reads the forcing once per block and once
+    # for u0.  Where k dt + dt is not (k + 1) dt, this f differs by many ulps
+    # between the two floats, enough to move a state's bits and its record's
     def fast(g):
         return CallableSource(g, lambda x, t: math.sin(1e6 * t) * np.cos(np.pi * x),
                               f_limit_fn=lambda x: 0.0 * x)
 
     K = _block_rows(21)
-    cfg, ss = _forced_march(21, 3 * K + 7, source=fast)
-    apart = [k for k in range(3 * K + 7) if k * cfg.dt + cfg.dt != (k + 1) * cfg.dt]
+    steps = 3 * K + 7
+    cfg, ss = _forced_march(21, steps, source=fast)
+    apart = [k for k in range(steps) if k * cfg.dt + cfg.dt != (k + 1) * cfg.dt]
     assert len(apart) > 10 and {k // K for k in apart} >= {0, 1, 2}   # in every full block
     assert not any(np.array_equal(cfg.source.at(k * cfg.dt + cfg.dt),
                                   cfg.source.at((k + 1) * cfg.dt)) for k in apart)
-    reference = _reference_simulate(cfg, ss)
-    wrong = []
-    real = solver.step
+    stepped, recorded, reads = [], [], []
+    real_step, real_diagnostics, real_at = solver.step, solver.diagnostics, SourceTerm.at
 
-    def checked(u, t, work, f):
-        if f.tobytes() != cfg.source.at(t + cfg.dt).tobytes():
-            wrong.append(t)
-        return real(u, t, work, f)
+    def step(u, t, work, f):
+        stepped.append(f.tobytes())
+        return real_step(u, t, work, f)
 
-    monkeypatch.setattr(solver, "step", checked)
+    def diagnostics(block, f, steady, work):
+        recorded.extend(row.tobytes() for row in f)
+        return real_diagnostics(block, f, steady, work)
+
+    def at(self, t):
+        reads.append(t)
+        return real_at(self, t)
+
+    monkeypatch.setattr(solver, "step", step)
+    monkeypatch.setattr(solver, "diagnostics", diagnostics)
+    monkeypatch.setattr(SourceTerm, "at", at)
     rec = simulate(cfg, ss)
-    assert rec.failure is None and not wrong
-    _assert_same_march(rec, reference)
+    monkeypatch.undo()
+    assert rec.failure is None and len(reads) == -(-steps // K) + 1
+    assert recorded[1:] == stepped
+    assert stepped == [cfg.source.at((k + 1) * cfg.dt).tobytes() for k in range(steps)]
+    _assert_same_march(rec, _reference_simulate(cfg, ss))
 
 
 def test_one_state_blocks_past_4096_nodes():

@@ -311,9 +311,8 @@ def test_at_refuses_what_a_field_would():
 @pytest.mark.parametrize("kind", [*(kind for kind in SOURCES if kind != "cosine_static"),
                                   "linear_in_t"])
 def test_evaluate_memo_keeps_fresh_bits(kind):
-    # a march asks for f at k dt + dt (the step) and at (k + 1) dt (its
-    # record); at this k the two differ, so each must be evaluated on its own,
-    # and asked again, gives the same bits
+    # k dt + dt and (k + 1) dt are two floats at this k, a few ulps apart:
+    # each must be evaluated on its own, and asked again, gives the same bits
     g = Grid(41)
     src = (CallableSource(g, lambda x, t: t * np.cos(np.pi * x)) if kind == "linear_in_t"
            else SOURCES[kind][0](g))
