@@ -268,9 +268,11 @@ def solve_ssm(initial: SheetState, dt: float, t_end: float) -> SheetState:
     while t < t_end - 1e-12:
         vmax = float(np.max(np.abs(v)))
         step_dt = dt if vmax == 0 else min(dt, 0.4 * dx / vmax)
-        step_dt = min(step_dt, t_end - t)
         if step_dt < min_dt:
             raise SolverError(f"CFL floor reached at t={t:.6g}")
+        if t_end - t < min_dt:
+            break       # what rounding in the summed steps left of the span
+        step_dt = min(step_dt, t_end - t)
 
         # conservative upwind transport of h
         inner = v[1:-1]

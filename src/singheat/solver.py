@@ -2,10 +2,12 @@
 
 The spatial operator is grid.flux_divergence, whose fluxes telescope: the
 trapezoid-weighted column sums of d(rhs)/du vanish, so a Newton update dv has
-mass(dv) = mass(un) - mass(v), 0 from the first iterate v = un on, and every
-iterate, damped or not, keeps un's trapezoid mass to rounding.  Each step is
-implicit Euler solved by damped Newton on the tridiagonal system; the
-forcing is sampled at the step's end time.
+mass(dv) = mass(un) - mass(v).  A full update from any start lands on un's
+mass; from v = un every iterate, damped or not, keeps it to rounding, and a
+damped update from the predicted start g = 2 un - un_prev keeps
+(1 - lambda)(mass(un) - mass(un_prev)) of g's excess, which is rounding too.
+Each step is implicit Euler solved by damped Newton on the tridiagonal
+system; the forcing is sampled at the step's end time.
 
 Per-step diagnostics track the energy of the q = sqrt(nu)/u formulation, the
 relative energy, and the H1 distance of 1/u to the steady state.
@@ -246,22 +248,25 @@ _MARCH_BLOCK_SAMPLES = 2**12
 
 class Workspace:
     """What the steps of one march share: its config, every n-sized buffer, and
-    the flux terms they carry.
+    what each step hands to the next.
 
     packed is the (lower, diag, upper, b) buffer gtsv solves in place, with
     its call arguments and finiteness mask bound once.  terms, res and
     scratch take each iterate's flux_divergence terms, its residual and the
-    temporaries of both, and bands the Jacobian's temporaries.  states holds
-    a block of accepted states, K = max(1, 2**12 // n) rows, whose
-    diagnostics `simulate` records in one call; memory holds the rows,
-    gradients and integrands of `diagnostics` for up to K states, and
-    diagnostic the views of them for K states.  u is the last iterate a step
-    accepted and flux its terms, which the next step, starting from that
-    very array, takes in place of computing them again.  The config's
-    scalars that numpy takes as operands are consts: dx, two_dx (2 dx), nu,
-    dt, sqrt_nu and inv_sqrt_nu (1/sqrt_nu).  round_off is 3 eps dt nu/dx²,
-    a float: times max(u/mid²), it is the floor below which a step's
-    residual is round-off.  A workspace serves one call at a time.
+    temporaries of both, and bands the Jacobian's temporaries; spare is a
+    second (terms, res) pair, for a predicted start that may be refused
+    while un's are still needed.  states holds a block of accepted states,
+    K = max(1, 2**12 // n) rows, whose diagnostics `simulate` records in one
+    call; memory holds the rows, gradients and integrands of `diagnostics`
+    for up to K states, and diagnostic the views of them for K states.  u is
+    the last iterate a step accepted, flux its terms, previous that step's
+    input and kappa |r1|/|r0|² of the last full first update a step took from
+    its own input.  They hold for the next step only if it starts from that
+    very array: it takes the terms in place of computing them again, and
+    predicts its start from previous and kappa.  The config's scalars that numpy takes as operands are consts: dx,
+    two_dx (2 dx), nu, dt, sqrt_nu and inv_sqrt_nu (1/sqrt_nu).  round_off is
+    3 eps dt nu/dx², a float: times max(u/mid²), it is the floor below which
+    a step's residual is round-off.  A workspace serves one call at a time.
     """
 
     def __init__(self, cfg: SimulationConfig):
@@ -272,15 +277,16 @@ class Workspace:
         self.packed = np.empty(4 * n - 2)
         self.gtsv = _gtsv_arguments(self.packed)
         self.b = self.gtsv[3]
-        self.terms = flux_buffers(n)
+        self.terms, self.res = flux_buffers(n), np.empty(n)
+        self.spare = (flux_buffers(n), np.empty(n))
         rows = max(1, _MARCH_BLOCK_SAMPLES // n)
         self.states = np.empty((rows, n))
         self.memory = (np.empty(6 * rows * n), np.empty(6 * rows * n))
         self.diagnostic = _diagnostic_buffers(*self.memory, rows, n)
-        self.res, self.scratch = np.empty(n), np.empty(n)
+        self.scratch = np.empty(n)
         self.bands = _band_scratch(m, self.packed, cfg.nu, cfg.dt, np.empty(4 * m))
         self.round_off = 3.0 * math.ulp(1.0) * cfg.dt * cfg.nu / (dx * dx)
-        self.u = self.flux = None
+        self.u = self.flux = self.previous = self.kappa = None
 
 
 def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.ndarray, int]:
@@ -294,34 +300,60 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
     fell to the positivity floor, and NewtonStallError otherwise.  work is
     the march's Workspace, whose config the step takes; f is the forcing at
     the step's end time, the row `simulate` reads for it.  The step writes its
-    flux terms, residuals and bands into work and allocates only the trial
-    iterates.  When un is the very array the last step with this workspace
-    returned, unchanged since, the step takes its flux terms from the
-    workspace instead of computing them again; the result has the same bits
-    either way.
+    flux terms, residuals and bands into work and allocates only its trial
+    iterates, the predicted start g among them.  When un is the very array the
+    last step with this workspace returned, unchanged since, the step takes
+    its flux terms from the workspace instead of computing them again, with
+    the same bits either way.
+
+    Then it also knows un_prev, that step's input, and may start Newton from
+    g = 2 un - un_prev instead of un.  It does when g lies above the
+    positivity floor, g's residual is lower than un's r0, and one iteration
+    from un is predicted to miss tol: kappa r0² > tol, where kappa = |r1|/|r0|²
+    of the last full first update a step took from its own input (the
+    quadratic convergence model).  Otherwise the step is the one from un, bit
+    for bit; a 0 count means that un, or g, met tol.  Newton's updates keep
+    un's mass from any start: the column sums vanish, so a full update lands
+    on mass(un), and a damped one from g keeps (1 - lambda)(mass(un) -
+    mass(un_prev)) of g's excess, which is rounding.
     """
     cfg = work.cfg
     nu, dx, dt, floor, t_new = work.nu, work.dx, work.dt, cfg.positivity_floor, t + cfg.dt
     packed, scratch = work.packed, work.scratch
 
-    def residual(v, flux):
-        """The norm of v's residual, which is written into work.res."""
-        res = np.add(flux[0], f, work.res)  # rhs(v), then dt times it
+    def residual(v, flux, res):
+        """The norm of v's residual, which is written into res."""
+        np.add(flux[0], f, res)     # rhs(v), then dt times it
         res *= dt
         np.subtract(np.subtract(v, un, scratch), res, res)
         return float(np.maximum.reduce(np.absolute(res, scratch)))
 
-    v = un
-    flux = work.flux if un is work.u else flux_divergence(un, nu, dx, work.terms)
+    if un is work.u:
+        flux = work.flux
+    else:
+        flux = flux_divergence(un, nu, dx, work.terms)
+        work.previous = work.kappa = None
+    previous, kappa = work.previous, work.kappa
     # one set of buffers serves the iterate and its trials: the iterate's
     # terms and residual are last read to build its system, before any trial
     # rewrites them, so until the step returns they belong to no array
     work.u = None
-    res_norm = residual(v, flux)
+    v, res_norm = un, residual(un, flux, work.res)
     # the residual's round-off, which Newton cannot get below: 3 eps dt nu/dx²
     # times max(u/mid²), in scratch, which the residual has spent
     q = np.divide(un[1:], flux[2], scratch[1:])
     tol = max(cfg.newton_tol, work.round_off * float(np.maximum.reduce(q)))
+    # a kappa is known only after a step with this workspace, so un_prev is too
+    if kappa is not None and res_norm > tol and kappa * res_norm * res_norm > tol:
+        g = un + un
+        g -= previous
+        if np.minimum.reduce(g) > floor:
+            terms, res = work.spare
+            g_flux = flux_divergence(g, nu, dx, terms)
+            g_norm = residual(g, g_flux, res)
+            if g_norm < res_norm:   # g's buffers become the iterate's, un's the spare
+                (work.terms, work.res), work.spare = work.spare, (work.terms, work.res)
+                v, res_norm, flux = g, g_norm, g_flux
     iters = 0
     while not res_norm <= tol:     # a NaN residual goes on, to fail below
         if iters >= cfg.newton_max_iter:
@@ -339,7 +371,7 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
             if np.minimum.reduce(trial) > floor:
                 positive = True
                 trial_flux = flux_divergence(trial, nu, dx, work.terms)
-                trial_norm = residual(trial, trial_flux)
+                trial_norm = residual(trial, trial_flux, work.res)
                 if trial_norm < res_norm:
                     break
             lam *= 0.5
@@ -353,10 +385,12 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
                 f"Newton damping exhausted at t={t_new:.6g} "
                 f"(solution near the singular set u=0)"
             )
+        if v is un and lam == 1.0:
+            work.kappa = trial_norm / (res_norm * res_norm)
         # every accepted iterate lies above the positivity floor
         v, res_norm, flux = trial, trial_norm, trial_flux
         iters += 1
-    work.u, work.flux = v, flux
+    work.u, work.flux, work.previous = v, flux, un
     return v, iters
 
 

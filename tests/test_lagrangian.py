@@ -365,6 +365,26 @@ class TestSolveSSM:
         assert np.max(np.abs(state.h.values - 2.0)) < 1e-12
         assert np.max(np.abs(state.v.values)) < 1e-12
 
+    def test_a_rounding_sliver_of_the_span_ends_the_march(self):
+        # 488 steps of 100/488 sum to 1.19e-12 short of t = 100: more than the
+        # loop's 1e-12, less than the CFL floor dt * 1e-6, and no velocity cut
+        # a step, so the march ends there instead of raising
+        g = Grid(21)
+        init = SheetState(t=0.0, grid=g, h=Field(g, np.ones(21)), v=Field(g, np.zeros(21)),
+                          M=1.0, nu=1.0)
+        dt = 100 / 488
+        state = solve_ssm(init, dt=dt, t_end=100.0)
+        assert 1e-12 < 100.0 - state.t < dt * 1e-6
+        assert np.array_equal(state.h.values, np.ones(21))
+
+    def test_a_cfl_cut_below_the_floor_raises(self):
+        # 0.4 dx / max|v| = 2e-7 is below the floor dt * 1e-6 = 1e-6
+        g = Grid(21)
+        init = SheetState(t=0.0, grid=g, h=Field(g, np.ones(21)),
+                          v=Field(g, 1e5 * np.sin(np.pi * g.nodes)), M=1.0, nu=1.0)
+        with pytest.raises(SolverError, match="CFL floor reached at t=0"):
+            solve_ssm(init, dt=1.0, t_end=2.0)
+
     def test_mass_conserved(self):
         for t_end in (0.25, 0.5, 1.0):
             state = solve_ssm(ex24_sheet(), dt=1e-3, t_end=t_end)

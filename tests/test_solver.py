@@ -249,18 +249,20 @@ class TestFailureHandling:
         with pytest.raises(error):
             _step(cfg.u0.values, 0, cfg)
 
-    @pytest.mark.parametrize("n", [1601, 6401])
-    def test_fine_grid_steps_stop_at_the_round_off_floor(self, n):
+    @pytest.mark.parametrize("n,iters", [(1601, [2] * 10), (6401, [2] + [1] * 9)],
+                             ids=["1601", "6401"])
+    def test_fine_grid_steps_stop_at_the_round_off_floor(self, n, iters):
         # ex-2-4's data with dt = 1e-3: the residual's round-off, about
         # eps dt nu/dx² max(u/mid²), lies above newton_tol = 1e-12, which
-        # Newton cannot reach, so a step must stop at the floor
+        # Newton cannot reach, so a step must stop at the floor.  At n = 6401
+        # every step after the first starts from 2 un - un_prev and needs one
         g = Grid(n)
         cfg = flat_config(n, source=make_source(g, f"cosine_static {math.pi / 2!r}"),
                           t_end=0.01)
         assert solver.Workspace(cfg).round_off > cfg.newton_tol
         rec = simulate(cfg)
         assert rec.failure is None
-        assert rec.newton_iters[1:].tolist() == [2] * 10
+        assert rec.newton_iters[1:].tolist() == iters
 
 
 def test_diagnostics_flat_state():
@@ -287,9 +289,10 @@ def test_record_series_are_the_rows_of_each_step(tmp_path, monkeypatch):
     cfg = flat_config(21, source=make_source(g, "cosine_static 0.5"), t_end=0.01)
     ss = steady_profile(cfg.source, cfg.nu, which="initial")
     u, rows = cfg.u0.values, [(0.0, *_row(cfg.u0.values, cfg.source.at(0.0), cfg, ss), 0)]
+    work = solver.Workspace(cfg)
     for k in range(3):
-        u, iters = _step(u, k, cfg)
         t = (k + 1) * cfg.dt
+        u, iters = step(u, k * cfg.dt, work, cfg.source.at(t))
         rows.append((t, *_row(u, cfg.source.at(t), cfg, ss), iters))
 
     def step_until_fourth(u, t, work, f):
@@ -544,26 +547,36 @@ def test_march_builds_fields_only_for_snapshots(fields_built, u0, source, built)
 def test_march_reuses_flux_terms_and_builds_no_forcing_fields(monkeypatch, fields_built):
     # each step's first residual takes the flux terms the step before it
     # computed for its last iterate, so a march with no damped update makes
-    # one flux evaluation per Newton iteration, and one for u0; the forcing
-    # is read as arrays, so the Fields built are the snapshots after t = 0
-    # (steps that recompute them make 197 evaluations for these 147 iterations,
-    # and reading a Field per forcing time builds 64)
+    # one flux evaluation per Newton iteration, one for u0 and one for each
+    # predicted start 2 un - un_prev it tries; the forcing is read as
+    # arrays, so the Fields built are the snapshots after t = 0
     g = Grid(51)
     cfg = flat_config(51, nu=10.0, source=make_source(g, "cosine_exp 1.5"), t_end=0.05,
                       snapshot_stride=10)
     ss = steady_profile(cfg.source, cfg.nu)
-    calls = []
-    flux_divergence = solver.flux_divergence
+    inputs, evaluated = [], []      # per step, its input and the arrays it evaluates
+    flux_divergence, real_step = solver.flux_divergence, solver.step
 
-    def counted(*args):
-        calls.append(None)
-        return flux_divergence(*args)
+    def counted(u, *args):
+        evaluated[-1].append(u)
+        return flux_divergence(u, *args)
+
+    def step(u, t, work, f):
+        inputs.append(u)
+        evaluated.append([])
+        return real_step(u, t, work, f)
 
     monkeypatch.setattr(solver, "flux_divergence", counted)
+    monkeypatch.setattr(solver, "step", step)
     fields_built.clear()
     rec = simulate(cfg, ss)
     assert rec.failure is None and len(rec.times) == 51
-    assert len(calls) == rec.newton_iters.sum() + 1
+    assert [any(v is u for v in arrays) for u, arrays in zip(inputs, evaluated)] == (
+        [True] + [False] * 49)
+    predicted = sum(any(np.array_equal(v, 2.0 * u - previous) for v in arrays)
+                    for previous, u, arrays in zip(inputs, inputs[1:], evaluated[1:]))
+    assert predicted > 10
+    assert sum(map(len, evaluated)) == rec.newton_iters.sum() + 1 + predicted
     assert len(fields_built) == len(rec.snapshots) - 1 == 5
 
 
@@ -679,16 +692,24 @@ def _reference_jacobian_bands(mid, d, nu, dx, dt):
     return lower, 1.0 - dt * diag, upper
 
 
-def _reference_step(un, t, work, f, damped=None):
+def _reference_step(un, t, work, f, damped=None, memory=None):
     """The reference step k, from t = k dt; it takes only the config of the
     workspace, and adds t to the list damped, if given, for each update it
     damps (lambda < 1).  The forcing f it is given must be its own sample at
-    (k + 1) dt, bit for bit."""
+    (k + 1) dt, bit for bit.  memory, a dict, carries what the step keeps
+    for the next one: the array it returned ("u"), its input ("previous") and
+    kappa = |r1|/|r0|² of the last full first update from a step's own input.
+    When un is memory's "u", the step starts Newton from g = 2 un - previous if
+    g lies above the positivity floor, g's residual is lower than un's r0 and
+    kappa r0² > tol; without memory, it starts from un."""
     cfg = work.cfg
     dx, dt, nu = cfg.grid.dx, cfg.dt, cfg.nu
     own = cfg.source.at((round(t / dt) + 1) * dt)
     assert f.tobytes() == own.tobytes()
     f = own
+    memory = {} if memory is None else memory
+    if memory.get("u") is not un:
+        memory.update(previous=None, kappa=None)
 
     def residual(v):
         terms, mid, d = _reference_rhs_terms(v, f, nu, dx)
@@ -697,8 +718,17 @@ def _reference_step(un, t, work, f, damped=None):
 
     v = un
     res, res_norm, mid, d = residual(v)
+    round_off = 3.0 * np.finfo(float).eps * dt * nu / (dx * dx)
+    tol = max(cfg.newton_tol, round_off * float((un[1:] / mid**2).max()))
+    kappa = memory["kappa"]
+    if kappa is not None and res_norm > tol and kappa * res_norm * res_norm > tol:
+        g = 2.0 * un - memory["previous"]
+        if (g > cfg.positivity_floor).all():
+            g_res, g_norm, g_mid, g_d = residual(g)
+            if g_norm < res_norm:
+                v, res, res_norm, mid, d = g, g_res, g_norm, g_mid, g_d
     iters = 0
-    while not res_norm <= cfg.newton_tol:
+    while not res_norm <= tol:
         if iters >= cfg.newton_max_iter:
             raise SolverError("Newton stalled")
         lower, diag, upper = _reference_jacobian_bands(mid, d, nu, dx, dt)
@@ -716,8 +746,11 @@ def _reference_step(un, t, work, f, damped=None):
             raise QuenchError("Newton damping exhausted")
         if lam < 1.0 and damped is not None:
             damped.append(t)
+        if iters == 0 and v is un and lam == 1.0:
+            memory["kappa"] = trial_norm / (res_norm * res_norm)
         v, res, res_norm, mid, d = trial, trial_res, trial_norm, trial_mid, trial_d
         iters += 1
+    memory.update(u=v, previous=un)
     return v, iters
 
 
@@ -795,7 +828,8 @@ def test_march_keeps_the_reference_bits(monkeypatch, n, source, eps, nu, dt, ste
     ss = steady_profile(src, cfg.nu)
     new = simulate(cfg, ss)
     damped = []
-    monkeypatch.setattr(solver, "step", functools.partial(_reference_step, damped=damped))
+    monkeypatch.setattr(solver, "step",
+                        functools.partial(_reference_step, damped=damped, memory={}))
     monkeypatch.setattr(solver, "diagnostics", _reference_diagnostics)
     ref = simulate(cfg, ss)
     assert new.failure is ref.failure is None
@@ -852,21 +886,118 @@ def test_a_step_from_a_fixed_point_returns_its_input(source):
     assert rec.newton_iters.tolist() == [0] * 11
 
 
+# --- the predicted start 2 un - un_prev ----------------------------------------
+# A step that knows its input's predecessor may start Newton from
+# g = 2 un - un_prev.  Three steps from inverse_sine 0.1 under cosine_static
+# 0.5 at n = 51 give a workspace whose next step takes g: it needs 2
+# iterations from g against 3 from un.
+
+def _three_steps(**kw):
+    """The workspace after three steps from inverse_sine 0.1, with the three
+    inputs and the last result, and the forcing of the fourth step."""
+    g = Grid(51)
+    cfg = flat_config(51, u0=_inverse_sine(g, 0.1), source=make_source(g, "cosine_static 0.5"),
+                      **kw)
+    work, u = solver.Workspace(cfg), [cfg.u0.values]
+    for k in range(3):
+        u.append(step(u[-1], k * cfg.dt, work, cfg.source.at((k + 1) * cfg.dt))[0])
+    return cfg, work, u, cfg.source.at(4 * cfg.dt)
+
+
+def _from_un(cfg, un, f):
+    """The step from un at 3 dt in a fresh workspace, which knows no past."""
+    return step(un, 3 * cfg.dt, solver.Workspace(cfg), f)
+
+
+def test_a_step_takes_the_predicted_start_when_it_is_better():
+    cfg, work, u, f = _three_steps()
+    v, iters = step(u[3], 3 * cfg.dt, work, f)
+    fresh, fresh_iters = _from_un(cfg, u[3], f)
+    assert (iters, fresh_iters) == (2, 3)
+    # both meet tol; they are different iterates
+    assert not np.array_equal(v, fresh)
+    assert np.abs(v - fresh).max() <= 1e-12
+
+
+@pytest.mark.parametrize("refusal", ["at-the-floor", "below-the-floor", "not-lower",
+                                     "kappa-r0-squared-at-most-tol"])
+def test_a_refused_prediction_gives_the_step_from_un(refusal):
+    # each refusal leaves Newton to start from un, with un's own terms and
+    # residual: the step's bits are those of the step that knows no past
+    cfg, work, u, f = _three_steps(positivity_floor=0.5)
+    un, previous = u[3], u[2].copy()
+    if refusal == "at-the-floor":
+        previous[20] = un[20] + un[20] - 0.5     # exact: g[20] is 0.5, the floor
+        assert (un + un - previous).min() == cfg.positivity_floor
+    elif refusal == "below-the-floor":
+        previous[20] = un[20] + un[20]
+    elif refusal == "not-lower":
+        previous = un                           # g is un, whose residual is r0
+    else:
+        work.kappa = 0.0
+    work.previous = previous
+    v, iters = step(un, 3 * cfg.dt, work, f)
+    fresh, fresh_iters = _from_un(cfg, un, f)
+    assert np.array_equal(v, fresh) and iters == fresh_iters == 3
+
+
+def test_a_step_whose_input_meets_tol_returns_it_though_its_past_is_known():
+    # a static march to the step's fixed point: the step from the fixed point
+    # returns that very array with 0 iterations, though the workspace knows
+    # the state before it, and does so even with kappa set to open the gate
+    g = Grid(51)
+    cfg = flat_config(51, source=make_source(g, "cosine_static 0.3"), t_end=2.0)
+    work, u, f = solver.Workspace(cfg), cfg.u0.values, cfg.source.at(0.0)
+    for k in range(2000):
+        previous = work.previous
+        v, iters = step(u, k * cfg.dt, work, f)
+        if v is u:
+            break
+        u = v
+    assert k == 1992 and iters == 0 and previous is not None and previous is not u
+    work.previous, work.kappa = previous, 1e300
+    v, iters = step(u, k * cfg.dt, work, f)
+    assert v is u and iters == 0
+
+
+def test_a_damped_update_from_the_prediction_keeps_the_mass(monkeypatch):
+    # each solve returns 2.5 times Newton's update, so the line search damps
+    # the first update from g to lambda = 1/2.  g = 2 un - un_prev carries
+    # mass(un) - mass(un_prev), rounding, above un's mass, and the damped
+    # update keeps half of it
+    cfg, work, u, f = _three_steps()
+    solve, evaluated = solver._solve_packed, []
+    flux_divergence = solver.flux_divergence
+
+    def counted(v, *args):
+        evaluated.append(v)
+        return flux_divergence(v, *args)
+
+    monkeypatch.setattr(solver, "_solve_packed",
+                        lambda packed, bound=None: 2.5 * solve(packed, bound))
+    monkeypatch.setattr(solver, "flux_divergence", counted)
+    v, iters = step(u[3], 3 * cfg.dt, work, f)
+    assert np.array_equal(evaluated[0], u[3] + u[3] - u[2])
+    # g, then two trials or more for each update: the first was damped
+    assert len(evaluated) > 1 + iters
+    assert abs(trapezoid_integral(Field(cfg.grid, v)) - trapezoid_integral(
+        Field(cfg.grid, u[3]))) <= 2 * np.finfo(float).eps
+
+
 def _reference_simulate(cfg, steady):
-    """The march that steps every time and records each state on its own, the
-    reference for the fixed-point exit and the blocks; it stops at a SolverError.
-    Each step takes a fresh workspace, so none reuses the flux terms of the
-    step before it."""
+    """The march that steps every time, through solver.step in one workspace,
+    and records each state on its own, the reference for the fixed-point exit
+    and the blocks; it stops at a SolverError."""
     n_steps = int(round(cfg.t_end / cfg.dt))
-    u = cfg.u0.values
+    u, work = cfg.u0.values, solver.Workspace(cfg)
     rows = [(0.0, *_row(u, cfg.source.at(0.0), cfg, steady), 0)]
     snapshot_times, snapshots = [0.0], [cfg.u0]
     for k in range(n_steps):
+        t_new = (k + 1) * cfg.dt
         try:
-            u, iters = _step(u, k, cfg)
+            u, iters = solver.step(u, k * cfg.dt, work, cfg.source.at(t_new))
         except SolverError:
             break
-        t_new = (k + 1) * cfg.dt
         rows.append((t_new, *_row(u, cfg.source.at(t_new), cfg, steady), iters))
         if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == n_steps:
             snapshot_times.append(t_new)
