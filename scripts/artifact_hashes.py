@@ -6,9 +6,11 @@ read a fixed CSV data file), into a temporary directory and prints one
 line per run over what the CLI printed to standard output followed by
 `exit N` (its exit code), all sorted by path.  `manifest.json` holds the
 output path and is skipped.  The lines are preceded by a `#` header that
-records numpy's version and its CPU baseline and dispatch features: numpy's
-SIMD loops (cos and exp among them) may round differently on another CPU, so
-hashes compare only between hosts with the same header.  Comparing the
+records numpy's version and its CPU baseline, so hashes compare only between
+hosts with the same header.  The SIMD loops numpy dispatches on above that
+baseline are not in it: the package takes exp from the C library, and
+turning X86_V3 and X86_V4 off (NPY_DISABLE_CPU_FEATURES) moves no line, as
+tests/test_artifact_hashes.py checks.  Comparing the
 output of two checkouts shows which artifacts, verdicts or exit codes a
 change altered:
 
@@ -124,20 +126,14 @@ def run_all(root: Path) -> dict:
 
 
 def fingerprint() -> list[str]:
-    """The header lines: what the hashes depend on beyond the source.
-
-    cpu_dispatch lists the dispatch targets of numpy's build that this CPU
-    runs, which pick the SIMD loops numpy calls.
-    """
+    """The header lines: what the hashes depend on beyond the source."""
     import numpy
     from numpy._core import _multiarray_umath as umath
 
-    runs = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
     return [
         "# python3 scripts/artifact_hashes.py > tests/artifact_hashes.txt",
         f"# numpy {numpy.__version__}",
         f"# cpu_baseline {' '.join(umath.__cpu_baseline__)}",
-        f"# cpu_dispatch {' '.join(runs)}",
     ]
 
 

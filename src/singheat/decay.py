@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import HypothesisError, SolverError
 from .constants import TheoremConstants
-from .grid import h1, write_csv, write_json
+from .grid import exp, h1, write_csv, write_json
 from .solver import SimulationRecord
 from .source import SourceTerm, forcing_gap_sq
 
@@ -61,7 +61,7 @@ def fit_rate(times, errors, floor: float = DEFAULT_FLOOR):
             f"only {end + 1 - start} samples in the fit window, need at least 10"
         )
     slope, intercept = np.polyfit(times[sel], np.log(errors[sel]), 1)
-    return -float(slope), float(np.exp(intercept)), (float(times[start]), float(times[end]))
+    return -float(slope), float(exp(intercept)), (float(times[start]), float(times[end]))
 
 
 def _envelope_report(times, observed, bound, theory_rate, floor):
@@ -102,7 +102,7 @@ def check_homogeneous_envelope(record: SimulationRecord,
 
 def homogeneous_bound(record: SimulationRecord, rate: float) -> np.ndarray:
     """The homogeneous envelope: the initial H1 error of 1/u times exp(-rate t)."""
-    return record.h1_error_inverse[0] * np.exp(-rate * record.times)
+    return record.h1_error_inverse[0] * exp(-rate * record.times)
 
 
 def check_inhomogeneous_envelope(record: SimulationRecord,

@@ -148,6 +148,20 @@ def pow2(x):
 _pow = np.frompyfunc(pow, 2, 1)
 
 
+def exp(x) -> np.ndarray:
+    """e ** x elementwise through the C library's exp, as an array of x's shape.
+
+    numpy's exp runs the SIMD loop of the CPU features it dispatches on, and
+    those loops round some values differently; the C library's exp does not
+    depend on them, so what is built on it has the same bits on either.
+    """
+    x = np.asarray(x, dtype=float)
+    try:
+        return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    except OverflowError:       # inf somewhere, as numpy's exp gives it
+        return np.exp(x)
+
+
 def h1(y: np.ndarray, dx: float) -> float:
     yx = gradient(y, dx)
     return math.sqrt(trapezoid(y * y, dx) + trapezoid(yx * yx, dx))

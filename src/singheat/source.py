@@ -24,7 +24,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, Grid, l2, pow2, primitive, read_csv_rows, trapezoid
+from .grid import Field, Grid, exp, l2, pow2, primitive, read_csv_rows, trapezoid
 
 
 def mean_zero(y: np.ndarray, dx: float) -> np.ndarray:
@@ -160,7 +160,7 @@ class CosineExpSource(SeparableSource):
         self.rate = float(rate)
 
     def g(self, t):
-        return np.exp(-self.rate * t)
+        return exp(-self.rate * t)
 
 
 class CallableSource(SourceTerm):

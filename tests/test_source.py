@@ -338,11 +338,12 @@ def test_cosine_rows_keep_the_scalar_formulas():
 
 
 def _amplitude(src):
-    """g and |g'| of a separable family, as scalar code writes them."""
+    """g and |g'| of a separable family, as scalar code writes them, with the C
+    library's exp."""
     if isinstance(src, CosineDecaySource):
         return (lambda t: min(1.0, 1.0 / t if t > 0 else 1.0),
                 lambda t: 0.0 if t <= 1.0 else 1.0 / (t * t))
-    return lambda t: np.exp(-src.rate * t), lambda t: src.rate * np.exp(-src.rate * t)
+    return lambda t: math.exp(-src.rate * t), lambda t: src.rate * math.exp(-src.rate * t)
 
 
 def _profile_norm(g):
