@@ -156,10 +156,7 @@ def exp(x) -> np.ndarray:
     depend on them, so what is built on it has the same bits on either.
     """
     x = np.asarray(x, dtype=float)
-    try:
-        return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    except OverflowError:       # inf somewhere, as numpy's exp gives it
-        return np.exp(x)
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def h1(y: np.ndarray, dx: float) -> float:

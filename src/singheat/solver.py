@@ -306,16 +306,16 @@ def step(un: np.ndarray, t: float, work: Workspace, f: np.ndarray) -> tuple[np.n
     its flux terms from the workspace instead of computing them again, with
     the same bits either way.
 
-    Then it also knows un_prev, that step's input, and may start Newton from
-    g = 2 un - un_prev instead of un.  It does when g lies above the
-    positivity floor, g's residual is lower than un's r0, and one iteration
-    from un is predicted to miss tol: kappa r0² > tol, where kappa = |r1|/|r0|²
-    of the last full first update a step took from its own input (the
-    quadratic convergence model).  Otherwise the step is the one from un, bit
-    for bit; a 0 count means that un, or g, met tol.  Newton's updates keep
-    un's mass from any start: the column sums vanish, so a full update lands
-    on mass(un), and a damped one from g keeps (1 - lambda)(mass(un) -
-    mass(un_prev)) of g's excess, which is rounding.
+    Then it also knows un_prev, that step's input, which must be unchanged
+    too, and may start Newton from g = 2 un - un_prev instead of un.  It does
+    when g lies above the positivity floor, g's residual is lower than un's
+    r0, and one iteration from un is predicted to miss tol: kappa r0² > tol,
+    where kappa = |r1|/|r0|² of the last full first update a step took from
+    its own input (the quadratic convergence model).  Otherwise the step is
+    the one from un, bit for bit; a 0 count means that un, or g, met tol.
+    Newton's updates keep un's mass from any start: the column sums vanish,
+    so a full update lands on mass(un), and a damped one from g keeps
+    (1 - lambda)(mass(un) - mass(un_prev)) of g's excess, which is rounding.
     """
     cfg = work.cfg
     nu, dx, dt, floor, t_new = work.nu, work.dx, work.dt, cfg.positivity_floor, t + cfg.dt

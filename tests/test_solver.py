@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -892,12 +893,11 @@ def test_a_step_from_a_fixed_point_returns_its_input(source):
 # 0.5 at n = 51 give a workspace whose next step takes g: it needs 2
 # iterations from g against 3 from un.
 
-def _three_steps(**kw):
-    """The workspace after three steps from inverse_sine 0.1, with the three
-    inputs and the last result, and the forcing of the fourth step."""
+def _three_steps():
+    """The config and the workspace after three steps from inverse_sine 0.1, with
+    the three inputs and the last result, and the forcing of the fourth step."""
     g = Grid(51)
-    cfg = flat_config(51, u0=_inverse_sine(g, 0.1), source=make_source(g, "cosine_static 0.5"),
-                      **kw)
+    cfg = flat_config(51, u0=_inverse_sine(g, 0.1), source=make_source(g, "cosine_static 0.5"))
     work, u = solver.Workspace(cfg), [cfg.u0.values]
     for k in range(3):
         u.append(step(u[-1], k * cfg.dt, work, cfg.source.at((k + 1) * cfg.dt))[0])
@@ -909,36 +909,51 @@ def _from_un(cfg, un, f):
     return step(un, 3 * cfg.dt, solver.Workspace(cfg), f)
 
 
-def test_a_step_takes_the_predicted_start_when_it_is_better():
+@pytest.mark.parametrize("refusal", [None, "at-the-floor", "below-the-floor", "not-lower",
+                                     "kappa-r0-squared-at-most-tol", "another-input"],
+                         ids=["taken", "at-the-floor", "below-the-floor", "not-lower",
+                              "kappa-r0-squared-at-most-tol", "another-input"])
+def test_a_step_takes_the_predicted_start_unless_refused(refusal):
+    # un_prev is raised by 1e-4 at g's lowest node, which keeps g's residual
+    # below un's, and the floor that the step reads from the workspace's
+    # config is set just under g's minimum, at it or just over it.  Each
+    # refusal leaves Newton to start from un, with un's own terms and
+    # residual: the step's bits are those of the step that knows no past.
+    # A step from another array than the one the last step returned, here a
+    # copy of it, knows no past either
     cfg, work, u, f = _three_steps()
-    v, iters = step(u[3], 3 * cfg.dt, work, f)
-    fresh, fresh_iters = _from_un(cfg, u[3], f)
-    assert (iters, fresh_iters) == (2, 3)
-    # both meet tol; they are different iterates
-    assert not np.array_equal(v, fresh)
-    assert np.abs(v - fresh).max() <= 1e-12
-
-
-@pytest.mark.parametrize("refusal", ["at-the-floor", "below-the-floor", "not-lower",
-                                     "kappa-r0-squared-at-most-tol"])
-def test_a_refused_prediction_gives_the_step_from_un(refusal):
-    # each refusal leaves Newton to start from un, with un's own terms and
-    # residual: the step's bits are those of the step that knows no past
-    cfg, work, u, f = _three_steps(positivity_floor=0.5)
     un, previous = u[3], u[2].copy()
-    if refusal == "at-the-floor":
-        previous[20] = un[20] + un[20] - 0.5     # exact: g[20] is 0.5, the floor
-        assert (un + un - previous).min() == cfg.positivity_floor
-    elif refusal == "below-the-floor":
-        previous[20] = un[20] + un[20]
-    elif refusal == "not-lower":
+    previous[np.argmin(un + un - previous)] += 1e-4
+    lowest = float((un + un - previous).min())
+    floor = {"at-the-floor": lowest, "below-the-floor": np.nextafter(lowest, 2.0)}.get(
+        refusal, np.nextafter(lowest, 0.0))
+    work.cfg = cfg = dataclasses.replace(cfg, positivity_floor=float(floor))
+    if refusal == "not-lower":
         previous = un                           # g is un, whose residual is r0
-    else:
+    elif refusal == "kappa-r0-squared-at-most-tol":
         work.kappa = 0.0
     work.previous = previous
-    v, iters = step(un, 3 * cfg.dt, work, f)
+    v, iters = step(un.copy() if refusal == "another-input" else un, 3 * cfg.dt, work, f)
     fresh, fresh_iters = _from_un(cfg, un, f)
-    assert np.array_equal(v, fresh) and iters == fresh_iters == 3
+    if refusal is None:
+        # both meet tol; they are different iterates
+        assert (iters, fresh_iters) == (2, 3) and not np.array_equal(v, fresh)
+        assert np.abs(v - fresh).max() <= 1e-12
+    else:
+        assert np.array_equal(v, fresh) and iters == fresh_iters == 3
+
+
+def test_kappa_comes_from_a_full_first_update_only(monkeypatch):
+    # a first update the line search damps sets no kappa; a full one does
+    cfg, _, u, _ = _three_steps()
+    work, solve = solver.Workspace(cfg), solver._solve_packed
+    monkeypatch.setattr(solver, "_solve_packed",
+                        lambda packed, bound=None: 2.5 * solve(packed, bound))
+    u1, _ = step(u[0], 0.0, work, cfg.source.at(cfg.dt))
+    assert work.previous is u[0] and work.kappa is None
+    monkeypatch.undo()
+    step(u1, cfg.dt, work, cfg.source.at(2 * cfg.dt))
+    assert work.previous is u1 and work.kappa > 0
 
 
 def test_a_step_whose_input_meets_tol_returns_it_though_its_past_is_known():
