@@ -156,7 +156,7 @@ def exp(x) -> np.ndarray:
     depend on them, so what is built on it has the same bits on either.
     """
     x = np.asarray(x, dtype=float)
-    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def h1(y: np.ndarray, dx: float) -> float:

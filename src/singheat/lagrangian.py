@@ -245,7 +245,9 @@ def solve_ssm(initial: SheetState, dt: float, t_end: float) -> SheetState:
     evaluated at the velocity nodes (mass conserved to round-off); v lives on
     nodes, advected explicitly upwind and relaxed by an implicit viscous
     solve of (nu/h)(h v_y)_y with v = 0 at both ends.  The time step is
-    lowered adaptively to keep the advective CFL at 0.4.
+    lowered adaptively to keep the advective CFL at 0.4; a step below
+    dt * 1e-6 raises SolverError, and a remainder of the span below it, which
+    rounding in the summed steps leaves, ends the march.
     """
     if dt <= 0:
         raise ValueError(f"sheet time step must be positive, got dt={dt}")
@@ -271,7 +273,7 @@ def solve_ssm(initial: SheetState, dt: float, t_end: float) -> SheetState:
         if step_dt < min_dt:
             raise SolverError(f"CFL floor reached at t={t:.6g}")
         if t_end - t < min_dt:
-            break       # what rounding in the summed steps left of the span
+            break
         step_dt = min(step_dt, t_end - t)
 
         # conservative upwind transport of h
