@@ -263,10 +263,11 @@ class Workspace:
     input and kappa |r1|/|r0|² of the last full first update a step took from
     its own input.  They hold for the next step only if it starts from that
     very array: it takes the terms in place of computing them again, and
-    predicts its start from previous and kappa.  The config's scalars that numpy takes as operands are consts: dx,
-    two_dx (2 dx), nu, dt, sqrt_nu and inv_sqrt_nu (1/sqrt_nu).  round_off is
-    3 eps dt nu/dx², a float: times max(u/mid²), it is the floor below which
-    a step's residual is round-off.  A workspace serves one call at a time.
+    predicts its start from previous and kappa.  The config's scalars that
+    numpy takes as operands are consts: dx, two_dx (2 dx), nu, dt, sqrt_nu
+    and inv_sqrt_nu (1/sqrt_nu).  round_off is 3 eps dt nu/dx², a float:
+    times max(u/mid²), it is the floor below which a step's residual is
+    round-off.  A workspace serves one call at a time.
     """
 
     def __init__(self, cfg: SimulationConfig):
