@@ -6,14 +6,15 @@ the fill past a fixed point) is priced away.  This script times the march
 itself: each measurement is a fresh interpreter, pinned to one CPU with
 OPENBLAS_NUM_THREADS=1, that builds the case's config and steady state,
 runs `simulate` --repeat times and reports the least wall time.  The
-`gap-*` case times `forcing_gap_sq` the same way, over 10,001 times up to
-t = 100 on a tabulated source built once per interpreter, the `ssm-*`
-cases time `solve_ssm` on sheet data built once per interpreter, and the
-`out-*` cases time a worked example's output: the example marches once per
-interpreter, then the CLI's `_run_and_report` writes diagnostics.csv, the
-snapshot files, envelope.csv and its two JSON files to a fresh temporary
-directory each repeat, with the march, the theorem constants and the
-envelope check replaced by their results, computed once.
+`gap-*` case times `forcing_gap_sq`, closed-form over a table's stamps, the
+same way, over 10,001 times up to t = 100 on a two-stamp tabulated source
+built once per interpreter, the `ssm-*` cases time `solve_ssm` on sheet
+data built once per interpreter, and the `out-*` cases time a worked
+example's output: the example marches once per interpreter, then the
+CLI's `_run_and_report` writes diagnostics.csv, the snapshot files,
+envelope.csv and its two JSON files to a fresh temporary directory each
+repeat, with the march, the theorem constants and the envelope check
+replaced by their results, computed once.
 Per case it prints the median and quartiles of those least times over
 --rounds interpreters:
 
@@ -76,8 +77,8 @@ print(best)
 
 #: name -> (n,) of a case timing the forcing gap over 10,001 times up to
 #: t = 100 of two stamps, f falling linearly from cos(pi x) at t = 0 to 0 at
-#: t = 100, which runs on row blocks.  N_infinity is a closed form for every
-#: family the CLI builds, 0.2 ms at most, and has no case
+#: t = 100, in the gap's closed form over the stamps.  N_infinity is a closed
+#: form for every family the CLI builds, 0.2 ms at most, and has no case
 GAP_CASES = {
     "gap-tab-2001": (2001,),
 }

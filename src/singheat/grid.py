@@ -135,19 +135,6 @@ def primitive(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def pow2(x):
-    """x ** 2 elementwise through the C library's pow, as Python squares a float.
-
-    numpy's `x ** 2` on an array is x * x, which differs from pow(x, 2) in the
-    last bit for about one value in a thousand; code that replaces a loop of
-    scalar squares keeps its bits with this.
-    """
-    return np.asarray(_pow(x, 2.0), dtype=float)
-
-
-_pow = np.frompyfunc(pow, 2, 1)
-
-
 def exp(x) -> np.ndarray:
     """e ** x elementwise through the C library's exp, as an array of x's shape.
 
@@ -312,10 +299,14 @@ def read_field_csv(path, grid: Grid | None = None) -> Field:
     """A field read from (x, value) rows; on `grid` if given, which must match."""
     data = read_csv_rows(path, ("x", "value"))
     x, v = data[:, 0], data[:, 1]
-    if grid is None:
-        grid = Grid(len(x))
-    elif len(x) != grid.n:
-        raise ValueError(f"{path} has {len(x)} nodes, the grid has n = {grid.n}")
-    if not np.allclose(x, grid.nodes, atol=1e-12):
-        raise ValueError(f"{path}: nodes are not a uniform grid on [0, 1]")
+    grid = Grid(len(x)) if grid is None else grid
+    check_nodes(x, grid, path)
     return Field(grid, v)
+
+
+def check_nodes(x: np.ndarray, grid: Grid, what) -> None:
+    """ValueError, naming `what`, unless x is grid's nodes in order, to 1e-12."""
+    if len(x) != grid.n:
+        raise ValueError(f"{what} has {len(x)} nodes, the grid has n = {grid.n}")
+    if not np.allclose(x, grid.nodes, atol=1e-12):
+        raise ValueError(f"{what}: nodes are not a uniform grid on [0, 1]")

@@ -9,11 +9,10 @@ constants entering the convergence theorems.
 Each family writes f once, for a time or for a 1-D array of times (one row
 of nodal samples per time).  N_infinity, the integral over time of
 ||primitive of f_t||_2, is the total variation of t -> primitive of f(t) in
-L2, which every family but a callable has in closed form: 0 for a static
-source, ||primitive of phi||_2 |g(0)| for a separable one, f = g(t) phi with
-g monotone to 0, and a sum over the stamps of a tabulated one.  The
-envelopes' forcing gap of a separable source is a profile norm times |g(t)|;
-any other's runs on blocks of rows with the one-time code's bits.
+L2, and the envelopes' forcing gap is ||f(t) - f_inf||_2^2.  Every family
+but a callable has both in closed form: 0 for a static source; for a
+separable one, f = g(t) phi with g monotone to 0, ||primitive of phi||_2 |g(0)|
+and a profile norm times |g(t)|; for a tabulated one, sums over its stamps.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, Grid, exp, l2, pow2, primitive, read_csv_rows, trapezoid
+from .grid import Field, Grid, check_nodes, exp, l2, primitive, read_csv_rows, trapezoid
 
 
 def mean_zero(y: np.ndarray, dx: float) -> np.ndarray:
@@ -167,7 +166,7 @@ class CallableSource(SourceTerm):
     """Forcing given by a Python callable f(x, t) (vectorized in x).
 
     Used for manufactured solutions; an optional callable supplies the limit
-    profile.  It has no N_infinity.
+    profile.  It has no N_infinity and no forcing gap.
     """
 
     kind = "callable"
@@ -216,19 +215,21 @@ class TabulatedSource(SourceTerm):
         self._table = np.stack([f.values for f in fields])
 
     def _interval(self, t):
-        """t clamped into the table, and the k with times[k] <= t <= times[k+1]."""
-        t = np.clip(t, self.times[0], self.times[-1])
-        k = np.searchsorted(self.times, t, side="right") - 1
-        return t, np.minimum(k, len(self.times) - 2)
-
-    def _raw(self, t) -> np.ndarray:
+        """The k with times[k] <= t <= times[k+1] and the weight w of stamp k + 1
+        at t, clamped into the table: w = 1 past it.  A t before the first stamp
+        (by more than 1e-12) raises ConfigError."""
         lo = np.min(t)
         if lo < self.times[0] - 1e-12:
             raise ConfigError(
                 f"t={lo} before the tabulated range [{self.times[0]}, {self.times[-1]}]"
             )
-        t, k = self._interval(t)
-        w = ((t - self.times[k]) / (self.times[k + 1] - self.times[k]))[..., None]
+        t = np.clip(t, self.times[0], self.times[-1])
+        k = np.minimum(np.searchsorted(self.times, t, side="right") - 1, len(self.times) - 2)
+        return k, (t - self.times[k]) / (self.times[k + 1] - self.times[k])
+
+    def _raw(self, t) -> np.ndarray:
+        k, w = self._interval(t)
+        w = w[..., None]
         return (1 - w) * self._table[k] + w * self._table[k + 1]
 
     def f_limit(self) -> Field:
@@ -265,20 +266,28 @@ def compute_N_infinity(src: SourceTerm) -> float:
 
 
 def forcing_gap_sq(src: SourceTerm, times) -> np.ndarray:
-    """||f(t) - f_inf||_2^2 at each of the times; a separable source's, whose
-    limit is zero, is (|g(t)| ||mean_zero(phi)||_2)^2, any other's on row blocks
-    of at most 2**14 samples.  A non-finite sample raises ValueError.
+    """||f(t) - f_inf||_2^2 at each of the times, in closed form.
+
+    A static source's is 0; a separable one, whose limit is zero, has
+    (||mean_zero(phi)||_2 |g(t)|)^2.  A tabulated one is (1 - w) D_k + w D_k+1
+    between stamps k and k + 1, D_j stamp j projected to mean zero less the
+    limit, so its gap is (1 - w)^2 G_kk + 2 w (1 - w) G_k,k+1 + w^2 G_k+1,k+1
+    from the stamps' inner products G, of which only the diagonal and the
+    first off-diagonal are built; it is 0 past the last stamp.  A callable
+    source has no closed form (ConfigError).
     """
-    f_inf, dx = src.f_limit().values, src.grid.dx
-    times = np.asarray(times, dtype=float)
+    times, dx = np.asarray(times, dtype=float), src.grid.dx
+    if not src.time_dependent:
+        return np.zeros(len(times))
     if isinstance(src, SeparableSource):
-        return pow2(l2(mean_zero(src.phi, dx), dx) * np.abs(src.g(times)))
-    rows = max(1, 2**14 // src.grid.n)
-    gap = np.empty(len(times))
-    for i in range(0, len(times), rows):
-        diff = src.at(times[i:i + rows]) - f_inf
-        gap[i:i + rows] = l2(diff, dx, out=diff)
-    return pow2(gap)
+        return np.square(l2(mean_zero(src.phi, dx), dx) * np.abs(src.g(times)))
+    if isinstance(src, TabulatedSource):
+        d = mean_zero(src._table, dx)
+        d -= src.f_limit().values
+        diag, off = trapezoid(d * d, dx), trapezoid(d[:-1] * d[1:], dx)
+        k, w = src._interval(times)
+        return (1 - w)**2 * diag[k] + 2 * w * (1 - w) * off[k] + w**2 * diag[k + 1]
+    raise ConfigError(f"source kind '{src.kind}' has no closed-form forcing gap")
 
 
 def spec_number(word) -> float:
@@ -337,7 +346,8 @@ def make_source(grid: Grid, spec: str) -> SourceTerm:
 def load_tabulated_csv(grid: Grid, path) -> SourceTerm:
     """Load a tabulated source from CSV rows (t, x, f), whose first time stamp is t = 0.
 
-    A table of one time stamp is constant in time: a HomogeneousSource.
+    Rows are grouped by their exact t, and each stamp's x, sorted, must be the
+    grid's nodes.  A table of one time stamp is constant in time: a HomogeneousSource.
     """
     data = read_csv_rows(path, ("t", "x", "f"))
     times = np.unique(data[:, 0])
@@ -345,11 +355,8 @@ def load_tabulated_csv(grid: Grid, path) -> SourceTerm:
         raise ConfigError(f"t=0.0 before the tabulated range [{times[0]}, {times[-1]}]")
     fields = []
     for t in times:
-        rows = data[np.isclose(data[:, 0], t)]
-        order = np.argsort(rows[:, 1])
-        if len(rows) != grid.n:
-            raise ConfigError(
-                f"{path}: {len(rows)} samples at t={t}, expected {grid.n}"
-            )
-        fields.append(Field(grid, rows[order, 2]))
+        rows = data[data[:, 0] == t]
+        rows = rows[np.argsort(rows[:, 1])]
+        check_nodes(rows[:, 1], grid, f"{path} at t={t}")
+        fields.append(Field(grid, rows[:, 2]))
     return TabulatedSource(times, fields) if len(fields) > 1 else HomogeneousSource(fields[0])

@@ -14,7 +14,6 @@ from singheat.grid import (
     gradient,
     h1,
     l2,
-    pow2,
     primitive,
     read_field_csv,
     trapezoid,
@@ -358,11 +357,3 @@ def test_row_kernels_match_one_row_at_a_time(n):
             assert _same_bits(nrm, math.sqrt(np.trapezoid(y * y, dx=dx)))
             assert _same_bits(p, primitive(y, dx))
             assert _same_bits(p, cumulative_trapezoid(y, dx=dx, initial=0.0))
-
-
-def test_pow2_is_the_scalar_square():
-    # with glibc's pow, x * x differs from pow(x, 2) in the last bit at the
-    # first two values
-    x = np.array([95.97, 96.03, 0.5])
-    assert np.array_equal(pow2(x), [float(v) ** 2 for v in x])
-    assert pow2(3.0) == 9.0

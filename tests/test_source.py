@@ -222,6 +222,36 @@ class TestTabulated:
         assert np.max(np.abs(src.evaluate(0.5).values - expect)) < 1e-12
 
 
+def _write_table(path, stamps, x):
+    """A (t, x, f) table of f = (1 + t) sin(pi x) at each stamp, on the nodes x."""
+    path.write_text("t,x,f\n" + "".join(
+        f"{t!r},{xi!r},{(1 + t) * math.sin(math.pi * xi)!r}\n"
+        for t in stamps for xi in x))
+    return path
+
+
+@pytest.mark.parametrize("stamps", [(0.0, 1000.0, 1000.005), (0.0, 5e-9, 1.0)])
+def test_csv_keeps_stamps_that_isclose_calls_equal(tmp_path, stamps):
+    # np.isclose(1000, 1000.005) and np.isclose(0, 5e-9) hold: grouping rows
+    # by it put 22 samples at one stamp
+    g = Grid(11)
+    src = load_tabulated_csv(g, _write_table(tmp_path / "src.csv", stamps, g.nodes.tolist()))
+    assert src.times.tolist() == list(stamps)
+    for t in stamps:
+        assert np.array_equal(src.at(t), mean_zero((1 + t) * np.sin(np.pi * g.nodes), g.dx))
+
+
+@pytest.mark.parametrize("x", [
+    [2 * k / 10 for k in range(11)],                    # over [0, 2]
+    [0.0, *(k / 10 for k in range(10))],                # 0 twice, no 1
+], ids=["x-over-0-2", "x-repeated"])
+def test_csv_checks_its_x_against_the_grid(tmp_path, x):
+    # as u0 = csv does: the rows of each stamp, sorted by x, are the grid's nodes
+    path = _write_table(tmp_path / "src.csv", (0.0, 1.0), x)
+    with pytest.raises(ConfigError, match="at t=0.0: nodes are not a uniform grid"):
+        make_source(Grid(11), f"csv {path}")
+
+
 class TestMakeSource:
     @pytest.mark.parametrize("spec,cls", [
         ("zero", HomogeneousSource),
@@ -420,17 +450,11 @@ def test_decay_tail_is_closed_before_the_kink():
         check_N_infinity(src, t_split)
 
 
-def test_nan_sample_raises():
-    # the forcing gap's row blocks (399 times at n = 41) refuse a non-finite
-    # sample, here in the last, partial block
-    g = Grid(41)
-    times = np.linspace(0.0, 1.0, 1001)
-    src = CallableSource(
-        g, lambda x, t: np.cos(np.pi * x) * (np.nan if t == times[-1] else 1.0 - t),
-        f_limit_fn=lambda x: 0.0 * x)
-    assert np.isfinite(forcing_gap_sq(src, times[:-1])).all()
-    with pytest.raises(ValueError, match="non-finite"):
-        forcing_gap_sq(src, times)
+def test_callable_forcing_gap_is_refused():
+    # a callable source has no closed-form gap, as it has no N_infinity (the
+    # non-finite samples it may give are refused by `at` itself)
+    with pytest.raises(ConfigError, match="callable.*no closed-form forcing gap"):
+        forcing_gap_sq(_callable(Grid(41)), np.linspace(0.0, 1.0, 1001))
 
 
 @pytest.mark.parametrize("arg,value", [
@@ -462,17 +486,25 @@ def _two_stamp_source(g):
     return TabulatedSource([0.0, 100.0], [Field(g, cos), Field(g, 0.0 * cos)])
 
 
-def test_N_infinity_memory_is_bounded():
-    # N_infinity reads the table's stamps alone; the forcing gap on the same
-    # table, the one row-block path, keeps its working set small over 10,001
-    # times at n = 2001, where the whole (times x nodes) array is about 160 MB
-    src = _two_stamp_source(Grid(2001))
-    times = np.linspace(0.0, 100.0, 10001)
+def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
-        compute_N_infinity(src)
-        forcing_gap_sq(src, times)
-        _, peak = tracemalloc.get_traced_memory()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+
+
+def test_N_infinity_memory_is_bounded():
+    # N_infinity and the forcing gap read a table's stamps alone: over 10,001
+    # times at n = 2001 the whole (times x nodes) array would be about 160 MB
+    src = _two_stamp_source(Grid(2001))
+    times = np.linspace(0.0, 100.0, 10001)
+    assert _peak_bytes(compute_N_infinity, src) < 2 * 2**20
+    assert _peak_bytes(forcing_gap_sq, src, times) < 2 * 2**20
+    # with 200 stamps the gap's working set is a few copies of the 3.2 MB table
+    # (about 3 of them); their whole Gram product would be 640 MB
+    g = Grid(2001)
+    src = TabulatedSource(np.arange(200.0), [Field(g, (1 + j % 3) * _cos(g)) for j in range(200)])
+    times = np.linspace(0.0, 250.0, 10001)
+    assert _peak_bytes(forcing_gap_sq, src, times) < 5 * src._table.nbytes
